@@ -18,6 +18,9 @@ from .terms import Op, TermTable
 class Cnf:
     num_vars: int = 0
     clauses: list[tuple[int, ...]] = field(default_factory=list)
+    # Set by sat.CdclSolver: its loaded state of these clauses, kept once
+    # the CNF is solved a second time. A copy starts without one.
+    solver_cache: object = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "Cnf":
         return Cnf(self.num_vars, list(self.clauses))
@@ -73,19 +76,18 @@ class Blaster:
     def g_and(self, lits: list[int]) -> int:
         t = self._true
         if t is not None:
-            if any(l == -t for l in lits):
+            if -t in lits:
                 return -t
             lits = [l for l in lits if l != t]
-        uniq: list[int] = []
+        uniq: dict[int, None] = {}  # insertion-ordered set
         for l in lits:
             if -l in uniq:
                 return self.false_lit()
-            if l not in uniq:
-                uniq.append(l)
+            uniq[l] = None
         if not uniq:
             return self.true_lit()
         if len(uniq) == 1:
-            return uniq[0]
+            return next(iter(uniq))
         g = self.new_var()
         for l in uniq:
             self.add_clause(-g, l)
@@ -180,7 +182,8 @@ class Blaster:
                 lt = borrow
             else:
                 lt = self.g_or([borrow, self.g_and([self.g_xnor(x, y), lt])])
-        assert lt is not None
+        if lt is None:
+            raise BlastError("cannot compare zero-width bitvectors")
         return lt
 
     def _shift(self, xs: list[int], sh: list[int], kind: Op) -> list[int]:

@@ -77,12 +77,14 @@ class Evaluator:
 
         if op is Op.SELECT:
             arr = vals[0]
-            assert isinstance(arr, ArrayVal)
+            if not isinstance(arr, ArrayVal):
+                raise TypeError("select from a non-array value")
             raw = arr.get(vals[1].as_int())
             return value_of_sort(arr.element_sort, raw)
         if op is Op.STORE:
             arr = vals[0]
-            assert isinstance(arr, ArrayVal)
+            if not isinstance(arr, ArrayVal):
+                raise TypeError("store into a non-array value")
             return arr.set(vals[1].as_int(), vals[2].as_int())
         if op is Op.APPLY:
             fv = self.a.get(term.name)

@@ -4,6 +4,19 @@ Standard machinery (two watched literals, VSIDS, Luby restarts, first-UIP
 learning) with one twist: decision phases prefer the minority value of a
 bit distribution with probability bias_p. Propagation and learning are
 untouched, so completeness is unaffected.
+
+The sampler solves one CNF many times, under different seeds and
+distributions. Loading a CNF (dropping tautologies and duplicate
+literals, collecting units, picking watches) gives the same level-0
+state every time, so the second solver built from a Cnf object keeps
+that state on the Cnf as a snapshot, and later solvers copy it instead
+of loading again. A snapshot is taken afresh when the Cnf's clauses or
+num_vars changed since. A Cnf solved once keeps nothing.
+
+Variable values live in one list indexed directly by the signed
+literal: value[lit] is +1 when lit is true, -1 when false, 0 when free.
+A negative index wraps into the upper half of the list, so the list
+has 2 * num_vars + 1 slots and both polarities are written together.
 """
 
 from __future__ import annotations
@@ -11,6 +24,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from .bitblast import BlastMap, Cnf
 from .values import Assignment
@@ -80,15 +94,105 @@ def _luby(i: int) -> int:
 _RESCALE = 1e100
 
 
+@dataclass
+class _Level0:
+    """A CNF as loaded, before any propagation or search: the clauses of
+    two or more literals, deduplicated and in load order, their watch
+    lists, the unit literals to enqueue at level 0, and whether an empty
+    clause or two opposite units were seen."""
+
+    watched: list[list[int]]
+    watches: dict[int, list[list[int]]]
+    units: list[int]
+    unsat: bool
+
+
+def _load(cnf: Cnf) -> _Level0:
+    n = cnf.num_vars
+    every = set(chain.from_iterable(cnf.clauses))
+    if every and (0 in every or min(every) < -n or max(every) > n):
+        bad = next(c for c in cnf.clauses
+                   if any(not 0 < abs(l) <= n for l in c))
+        raise ValueError(f"clause {bad} has a literal outside ±1..{n}")
+    state = _Level0([], {}, [], False)
+    watches = state.watches
+    unit_set: set[int] = set()
+    for clause in cnf.clauses:
+        seen: dict[int, None] = {}
+        for l in clause:
+            if -l in seen:
+                break  # tautology
+            seen[l] = None
+        else:
+            if len(seen) > 1:
+                lits = list(seen)
+                state.watched.append(lits)
+                watches.setdefault(lits[0], []).append(lits)
+                watches.setdefault(lits[1], []).append(lits)
+            elif not seen or -clause[0] in unit_set:
+                state.unsat = True
+            elif clause[0] not in unit_set:
+                unit_set.add(clause[0])
+                state.units.append(clause[0])
+    return state
+
+
+class _Snapshot:
+    """A pristine copy of a CNF's _Level0, kept on the Cnf.
+
+    The watch lists are stored as indices into `watched`: literal
+    `watch_lits[i]` watches the clauses numbered
+    `watch_order[watch_slices[i]]`, in order. `source` is the clause list
+    the state was loaded from, so that a later change to the Cnf shows."""
+
+    def __init__(self, cnf: Cnf, state: _Level0) -> None:
+        self.num_vars = cnf.num_vars
+        self.source = list(cnf.clauses)
+        self.watched = list(map(list.copy, state.watched))
+        pos = {id(c): k for k, c in enumerate(state.watched)}
+        self.watch_lits = list(state.watches)
+        self.watch_order = [pos[id(c)] for lst in state.watches.values()
+                            for c in lst]
+        ends = list(accumulate(map(len, state.watches.values())))
+        self.watch_slices = list(map(slice, [0] + ends, ends))
+        self.units = state.units
+        self.unsat = state.unsat
+
+    def matches(self, cnf: Cnf) -> bool:
+        return self.num_vars == cnf.num_vars and self.source == cnf.clauses
+
+    def restore(self) -> _Level0:
+        watched = list(map(list.copy, self.watched))
+        flat = [watched[k] for k in self.watch_order]
+        watches = dict(zip(self.watch_lits,
+                           map(flat.__getitem__, self.watch_slices)))
+        return _Level0(watched, watches, self.units, self.unsat)
+
+
+_SEEN_ONCE = object()  # Cnf.solver_cache after the first solver build
+
+
+def _level0(cnf: Cnf) -> _Level0:
+    """The CNF's level-0 state, for a new solver to own: loaded from the
+    clauses, or copied from the snapshot once the Cnf is solved again."""
+    cached = cnf.solver_cache
+    if isinstance(cached, _Snapshot) and cached.matches(cnf):
+        return cached.restore()
+    state = _load(cnf)
+    cnf.solver_cache = _SEEN_ONCE if cached is None else _Snapshot(cnf, state)
+    return state
+
+
 class CdclSolver:
     def __init__(self, cnf: Cnf, dist: BitDistribution | None = None,
                  cfg: SolverConfig | None = None) -> None:
         self.cfg = cfg or SolverConfig()
         self.dist = dist or BitDistribution()
         self.rng = random.Random(self.cfg.seed)
+        state = _level0(cnf)
         n = cnf.num_vars
         self.num_vars = n
-        self.assign: list[int] = [0] * (n + 1)  # +1 true, -1 false, 0 free
+        self.value: list[int] = [0] * (2 * n + 1)  # indexed by literal
         self.level: list[int] = [0] * (n + 1)
         self.reason: list[list[int] | None] = [None] * (n + 1)
         self.trail: list[int] = []
@@ -98,45 +202,25 @@ class CdclSolver:
         self.var_inc = 1.0
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
         heapq.heapify(self.heap)
-        self.watches: dict[int, list[list[int]]] = {}
+        self.watches = state.watches
         self.saved_phase: list[bool] = [False] * (n + 1)
         self.phase_known: list[bool] = [False] * (n + 1)
         self.conflicts = 0
-        self._unsat = False
-        for clause in cnf.clauses:
-            self._add_clause(list(clause))
+        self._unsat = state.unsat
+        for lit in state.units:
+            self._enqueue(lit, None)
 
     # -- bookkeeping ----------------------------------------------------
-
-    def _lit_value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
-    def _add_clause(self, lits: list[int]) -> None:
-        seen: dict[int, None] = {}
-        for l in lits:
-            if -l in seen:
-                return
-            seen[l] = None
-        lits = list(seen)
-        if not lits:
-            self._unsat = True
-            return
-        if len(lits) == 1:
-            if self._lit_value(lits[0]) == -1:
-                self._unsat = True
-            elif self._lit_value(lits[0]) == 0:
-                self._enqueue(lits[0], None)
-            return
-        self._watch(lits)
 
     def _watch(self, clause: list[int]) -> None:
         self.watches.setdefault(clause[0], []).append(clause)
         self.watches.setdefault(clause[1], []).append(clause)
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
+        value = self.value
+        value[lit] = 1
+        value[-lit] = -1
         var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.saved_phase[var] = lit > 0
@@ -144,40 +228,41 @@ class CdclSolver:
         self.trail.append(lit)
 
     def _propagate(self) -> list[int] | None:
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
+        value = self.value
+        watches = self.watches
+        trail = self.trail
+        while self.qhead < len(trail):
+            false_lit = -trail[self.qhead]
             self.qhead += 1
-            false_lit = -p
-            old = self.watches.get(false_lit)
+            old = watches.get(false_lit)
             if not old:
                 continue
+            # Nothing is appended to `old` during the scan: a clause moves
+            # only to a literal that is not false, and false_lit is false.
             kept: list[list[int]] = []
-            idx = 0
-            while idx < len(old):
-                clause = old[idx]
-                idx += 1
+            for idx, clause in enumerate(old):
                 if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0] = clause[1]
+                    clause[1] = false_lit
                 first = clause[0]
-                if self._lit_value(first) == 1:
+                if value[first] == 1:
                     kept.append(clause)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(clause)
-                        moved = True
+                    lit = clause[k]
+                    if value[lit] != -1:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        watches.setdefault(lit, []).append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if self._lit_value(first) == -1:
-                    kept.extend(old[idx:])
-                    self.watches[false_lit] = kept
-                    return clause
-                self._enqueue(first, clause)
-            self.watches[false_lit] = kept
+                else:
+                    kept.append(clause)
+                    if value[first] == -1:
+                        kept.extend(old[idx + 1:])
+                        watches[false_lit] = kept
+                        return clause
+                    self._enqueue(first, clause)
+            watches[false_lit] = kept
         return None
 
     def _bump(self, var: int) -> None:
@@ -188,7 +273,7 @@ class CdclSolver:
             self.var_inc *= 1.0 / _RESCALE
             self.heap = [(-self.activity[v], v)
                          for v in range(1, self.num_vars + 1)
-                         if self.assign[v] == 0]
+                         if self.value[v] == 0]
             heapq.heapify(self.heap)
             return
         heapq.heappush(self.heap, (-self.activity[var], var))
@@ -229,20 +314,22 @@ class CdclSolver:
         return learnt, back
 
     def _cancel_until(self, target: int) -> None:
-        while len(self.trail_lim) > target:
-            bound = self.trail_lim.pop()
-            while len(self.trail) > bound:
-                lit = self.trail.pop()
+        value, trail, trail_lim = self.value, self.trail, self.trail_lim
+        while len(trail_lim) > target:
+            bound = trail_lim.pop()
+            while len(trail) > bound:
+                lit = trail.pop()
+                value[lit] = 0
+                value[-lit] = 0
                 var = abs(lit)
-                self.assign[var] = 0
                 self.reason[var] = None
                 heapq.heappush(self.heap, (-self.activity[var], var))
-        self.qhead = len(self.trail)
+        self.qhead = len(trail)
 
     def _pick_var(self) -> int | None:
         while self.heap:
             neg_act, var = heapq.heappop(self.heap)
-            if self.assign[var] != 0:
+            if self.value[var] != 0:
                 continue
             if -neg_act != self.activity[var]:
                 continue  # stale entry; a fresher one exists
@@ -295,9 +382,8 @@ class CdclSolver:
                 continue
             var = self._pick_var()
             if var is None:
-                model = [False] + [self.assign[v] == 1
-                                   for v in range(1, self.num_vars + 1)]
-                return model
+                return [False] + [x == 1 for x in
+                                  self.value[1:self.num_vars + 1]]
             phase = self._pick_phase(var)
             self.trail_lim.append(len(self.trail))
             self._enqueue(var if phase else -var, None)
@@ -308,8 +394,9 @@ def solve(cnf: Cnf, dist: BitDistribution | None = None,
     """Solve a CNF; model indexed 1..num_vars at positions 1.., or None."""
     model = CdclSolver(cnf, dist, cfg).solve()
     if model is not None:
+        true_lits = {v if model[v] else -v for v in range(1, len(model))}
         for clause in cnf.clauses:
-            if not any(model[abs(l)] == (l > 0) for l in clause):
+            if true_lits.isdisjoint(clause):
                 raise AssertionError("solver produced a falsifying model")
     return model
 

@@ -1,5 +1,6 @@
 """CNF encoding of pure-bitvector formulas."""
 
+import hashlib
 import itertools
 import random
 
@@ -200,3 +201,54 @@ def test_dimacs_parser_tolerates_comments_and_blank_lines():
 def test_dimacs_parser_requires_header():
     with pytest.raises(ValueError):
         parse_dimacs("1 2 0\n")
+
+
+def test_unsigned_compare_of_zero_width_words_raises():
+    with pytest.raises(BlastError, match="zero-width"):
+        Blaster(TermTable())._ult([], [])
+
+
+def _wide_gates_formula():
+    decls = "".join(f"(declare-const b{i} Bool)" for i in range(240))
+    decls += "".join(f"(declare-const c{i} Bool)" for i in range(20))
+    decls += "".join(f"(declare-const v{i} (_ BitVec 4))" for i in range(24))
+    decls += "(declare-const q Bool)"
+    # 260 operands over 240 variables: 20 duplicates, a TRUE every 50th
+    # operand, and negated variables that appear nowhere else.
+    ops = [f"b{(i * 7) % 240}" if i % 50 else "true" for i in range(260)]
+    ops += [f"(not c{i})" for i in range(20)]
+    wide = " ".join(ops)
+    vs = " ".join(f"v{i}" for i in range(24))
+    return parse_formula(
+        decls
+        + f"(assert (or q (and {wide})))"
+        + f"(assert (or q (or {wide} false)))"
+        + "(assert (or q (and b0 b1 c3 (not b0))))"  # complement pair
+        + f"(assert (or q (distinct {vs})))"
+        + "(assert (or q (distinct v0 v1 v0)))"  # a pair equal by itself
+        + "(assert (or q (distinct #x1 #x2 v0)))")  # a pair distinct by itself
+
+
+def test_wide_gates_blast_to_the_pinned_cnf():
+    # The digest is of the CNF the list-based g_and emitted; the gate
+    # library must keep every variable and clause in the same order.
+    f = _wide_gates_formula()
+    cnf, _ = bit_blast(f.table, f.decls, f.assertions)
+    assert (cnf.num_vars, len(cnf.clauses)) == (1756, 6401)
+    digest = hashlib.sha256(to_dimacs(cnf).encode()).hexdigest()
+    assert digest == ("bce8e6bb76b112a7cfa278ee8b21aea2"
+                      "6feb389b69cfb5dac369c39d9246da87")
+
+
+def test_and_gate_drops_true_and_duplicates_in_first_seen_order():
+    b = Blaster(TermTable())
+    x, y, z = b.new_var(), b.new_var(), b.new_var()
+    t = b.true_lit()
+    g = b.g_and([y, x, t, y, -z, x])
+    assert b.cnf.clauses[1:] == [(-g, y), (-g, x), (-g, -z), (g, -y, -x, z)]
+    before = len(b.cnf.clauses)
+    assert b.g_and([x, y, -x]) == -t
+    assert b.g_and([x, -t]) == -t
+    assert b.g_and([t, x, t]) == x
+    assert b.g_and([t]) == t
+    assert len(b.cnf.clauses) == before

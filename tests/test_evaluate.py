@@ -175,3 +175,21 @@ def test_satisfies_is_conjunction():
         "(declare-const b Bool)(declare-const c Bool)(assert b)(assert c)")
     assert satisfies(f, Assignment({"b": BoolVal(True), "c": BoolVal(True)}))
     assert not satisfies(f, Assignment({"b": BoolVal(True), "c": BoolVal(False)}))
+
+
+def test_select_from_a_non_array_value_raises():
+    t = TermTable()
+    f = Formula(t)
+    a = f.declare("a", array(bv(4), bv(8)))
+    sel = t.mk_select(a, t.mk_bv_const(4, 1))
+    with pytest.raises(TypeError, match="select"):
+        ev(f, sel, Assignment({"a": BvVal(8, 3)}))
+
+
+def test_store_into_a_non_array_value_raises():
+    t = TermTable()
+    f = Formula(t)
+    a = f.declare("a", array(bv(4), bv(8)))
+    st = t.mk(Op.STORE, (a, t.mk_bv_const(4, 1), t.mk_bv_const(8, 2)))
+    with pytest.raises(TypeError, match="store"):
+        ev(f, st, Assignment({"a": BvVal(8, 3)}))

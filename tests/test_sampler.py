@@ -1,5 +1,6 @@
 """Diversity solving and the coverage-guided sampling loop."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pansampler.coverage import CoverState, build_universe, cover_set
 from pansampler.evaluate import satisfies
 from pansampler.parser import parse_formula
+from pansampler.printer import print_models
 from pansampler.sampler import (DiversitySmtEngine, FormulaUnsatError, Mode,
                                 SampleResult, SamplerConfig, diversity_smt,
                                 post_opt, sample)
@@ -257,3 +259,38 @@ def test_no_refinement_mode_is_a_plain_greedy_loop():
             sols.append(cand)
             state.absorb(slots)
         assert [s.key() for s in res.solutions] == [s.key() for s in sols]
+
+
+PINNED = {
+    "bvult4": "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
+              "(assert (bvult x y))",
+    "mul6": "(declare-const a (_ BitVec 6))(declare-const b (_ BitVec 6))"
+            "(assert (= (bvmul a b) #b001100))",
+    "array2": "(declare-const a (Array (_ BitVec 2) (_ BitVec 2)))"
+              "(declare-const i (_ BitVec 2))(assert (= (select a i) #b01))",
+}
+
+# sha256 of print_models output at lam=4, seed=3. A change to the solver,
+# the blaster or the loop that alters any drawn sample changes these.
+PINNED_DIGESTS = {
+    ("bvult4", "pansampler"): "e6f9929e29ee895940e67ce7bf9bb12c89f8504872a3d8452bcbf7a182477173",
+    ("bvult4", "alt1"): "0e3fd8d0c27e69a7e073e5c8c94d620900a5a97f9580bd2b5ff445776ca4379d",
+    ("bvult4", "alt2"): "e6f9929e29ee895940e67ce7bf9bb12c89f8504872a3d8452bcbf7a182477173",
+    ("bvult4", "alt3"): "5c1806676ff665fc99a486607c84a1a3f17833c3564f58326270957969cd247a",
+    ("mul6", "pansampler"): "e53b1a79af1c3ef1f760e3a03adcddf9d6c7c940a258c9481ccf9c3731f7746c",
+    ("mul6", "alt1"): "ae80215fba32eb90f44b87121a1cf30ca8beecb7b16984caf053e18e07c71799",
+    ("mul6", "alt2"): "e53b1a79af1c3ef1f760e3a03adcddf9d6c7c940a258c9481ccf9c3731f7746c",
+    ("mul6", "alt3"): "aca0e4cfa40752fb04f30ad855fb61f46f17d286b7f76e985a0d61b563a903af",
+    ("array2", "pansampler"): "ecb7d0631fdf07aad616921d971694f43269d238984050db76075a92defb0f5c",
+    ("array2", "alt1"): "ecb7d0631fdf07aad616921d971694f43269d238984050db76075a92defb0f5c",
+    ("array2", "alt2"): "ecb7d0631fdf07aad616921d971694f43269d238984050db76075a92defb0f5c",
+    ("array2", "alt3"): "ecb7d0631fdf07aad616921d971694f43269d238984050db76075a92defb0f5c",
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(PINNED_DIGESTS))
+def test_sampler_output_is_pinned(name, mode):
+    f = parse_formula(PINNED[name])
+    res = sample(f, SamplerConfig(lam=4, seed=3, mode=mode))
+    out = print_models(f, res.solutions).encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_DIGESTS[(name, mode)]

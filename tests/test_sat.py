@@ -1,15 +1,18 @@
 """CDCL solver, phase bias, and solution-set distributions."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
-from pansampler.bitblast import BlastMap, Cnf, bit_blast
+from pansampler.bitblast import BlastMap, Cnf, bit_blast, parse_dimacs
 from pansampler.fuzz import random_cnf
 from pansampler.oracle import dpll
 from pansampler.parser import parse_formula
 from pansampler.sat import (BitDistribution, CdclSolver, ConflictBudgetExceeded,
-                            SolverConfig, distribution_from, model_line, solve)
+                            SolverConfig, _Snapshot, distribution_from,
+                            model_line, solve)
 from pansampler.values import Assignment, BoolVal, BvVal
 
 
@@ -149,3 +152,135 @@ def test_first_decision_only_freezes_phases():
 def test_model_line_format():
     assert model_line([False, True, False, True]) == "v 1 -2 3 0"
     assert model_line([False]) == "v 0"
+
+
+def test_literal_zero_is_rejected():
+    with pytest.raises(ValueError, match="outside"):
+        CdclSolver(Cnf(2, [(1, 0, 2)]))
+
+
+def test_literals_beyond_num_vars_are_rejected():
+    # The last clause is a tautology, which loading would otherwise drop.
+    for clause in [(3,), (1, -3), (-2, 3, 2)]:
+        with pytest.raises(ValueError, match="outside"):
+            CdclSolver(Cnf(2, [(1, 2), clause]))
+
+
+def test_dimacs_literals_beyond_the_header_are_rejected():
+    cnf = parse_dimacs("p cnf 2 2\n1 2 0\n-1 5 0\n")
+    with pytest.raises(ValueError, match="outside"):
+        solve(cnf)
+
+
+def test_literals_at_the_bounds_are_accepted():
+    assert solve(Cnf(2, [(2, -2, 1), (-2,), (1, 2)])) == [False, True, False]
+
+
+def _three_sat(seed: int, n: int = 40, m: int = 172) -> Cnf:
+    rng = random.Random(seed)
+    return Cnf(n, [tuple(rng.choice((-1, 1)) * v
+                         for v in rng.sample(range(1, n + 1), 3))
+                   for _ in range(m)])
+
+
+def _edge_case_cnf(seed: int) -> Cnf:
+    """Random 3-SAT near the threshold plus a unit, a clause with a
+    duplicate literal, a tautology and, for every fifth seed, the empty
+    clause."""
+    rng = random.Random(seed)
+    n = 24
+    v = rng.randint(1, n)
+    clauses = _three_sat(seed, n, 100).clauses + [
+        (rng.choice((-1, 1)) * rng.randint(1, n),),
+        (v, -rng.randint(1, n), v), (-v, v)]
+    if seed % 5 == 0:
+        clauses.append(())
+    rng.shuffle(clauses)
+    return Cnf(n, clauses)
+
+
+def test_snapshot_solver_matches_a_freshly_loaded_one():
+    unsat = sat = conflicts = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        cnf = _edge_case_cnf(seed)
+        n = cnf.num_vars
+        for run in range(6):
+            dist = BitDistribution({v: (rng.randrange(4), rng.randrange(4))
+                                    for v in range(1, n + 1)
+                                    if rng.random() < 0.7})
+            cfg = SolverConfig(seed=rng.randrange(1 << 32),
+                               bias_p=rng.uniform(0.5, 1.0),
+                               first_decision_only=rng.random() < 0.3,
+                               restart_base=rng.choice((1, 4, 64)))
+            fresh = CdclSolver(cnf.copy(), dist, cfg)
+            reused = CdclSolver(cnf, dist, cfg)
+            got = reused.solve()
+            assert got == fresh.solve(), (seed, run)
+            assert reused.conflicts == fresh.conflicts, (seed, run)
+            conflicts += reused.conflicts
+            assert solve(cnf, dist, cfg) == got, (seed, run)
+            sat += got is not None
+            unsat += got is None
+        # From the second build on, solvers copy the snapshot.
+        assert isinstance(cnf.solver_cache, _Snapshot)
+    assert sat > 100 and unsat > 100 and conflicts > 1000
+
+
+def test_a_cnf_solved_once_keeps_no_snapshot():
+    cnf = random_cnf(3)
+    solve(cnf)
+    assert not isinstance(cnf.solver_cache, _Snapshot)
+    solve(cnf)
+    assert isinstance(cnf.solver_cache, _Snapshot)
+    assert cnf.copy().solver_cache is None
+
+
+def test_changing_the_cnf_after_a_solve_replaces_its_snapshot():
+    cnf = Cnf(2, [(1, 2)])
+    for _ in range(3):
+        assert solve(cnf) is not None
+    snap = cnf.solver_cache
+    assert isinstance(snap, _Snapshot)
+    cnf.clauses.append((-1,))
+    cnf.clauses.append((-2,))
+    assert solve(cnf) is None
+    assert cnf.solver_cache is not snap
+    cnf.clauses[-1] = (2,)  # replaced in place: same length, new clause
+    assert solve(cnf) == [False, False, True]
+    cnf.num_vars = 3
+    cnf.clauses.append((3,))
+    assert solve(cnf) == [False, False, True, True]
+    cnf.num_vars = 2
+    with pytest.raises(ValueError, match="outside"):
+        solve(cnf)
+
+
+def test_search_is_pinned_on_random_3sat():
+    # Random 3-SAT at the threshold: 1116 conflicts over 40 instances.
+    # The digest covers every model and conflict count, so any change to
+    # the watch order, propagation order, learning, restarts or phase
+    # choice shows here, not only a change of satisfiability.
+    h = hashlib.sha256()
+    conflicts = unsat = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        dist = BitDistribution({v: (rng.randrange(3), rng.randrange(3))
+                                for v in range(1, 41)})
+        s = CdclSolver(_three_sat(seed), dist,
+                       SolverConfig(seed=seed, restart_base=8))
+        model = s.solve()
+        conflicts += s.conflicts
+        unsat += model is None
+        h.update(repr((model, s.conflicts)).encode())
+    assert (conflicts, unsat) == (1116, 24)
+    assert h.hexdigest() == ("a4aab4446acf3dced918947c2c334aaa"
+                             "94166168bf28452cc67c3f297f4135a7")
+
+
+def test_recheck_rejects_a_falsifying_model(monkeypatch):
+    # x1 and not x2: a solver answering all-true must be caught by the
+    # clause-by-clause re-check, however the model was found.
+    monkeypatch.setattr(CdclSolver, "solve", lambda self: [False, True, True])
+    with pytest.raises(AssertionError, match="falsifying"):
+        solve(Cnf(2, [(1, 2), (1,), (-2,)]))
