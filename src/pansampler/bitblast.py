@@ -4,6 +4,11 @@ Variable numbering is deterministic: every declared Bool/BitVec variable
 gets SAT variables first (declaration order, LSB first), then gate
 variables in encoding order. Constant bits share one lazily allocated
 TRUE variable pinned by a unit clause.
+
+A blast keeps its encoding state (the gate of every encoded term and the
+TRUE variable) on the Cnf it returns, so that more terms can be blasted
+on top of it later: the result then has the base's clauses followed by
+the new ones, numbered as one blast of everything would number them.
 """
 
 from __future__ import annotations
@@ -18,12 +23,14 @@ from .terms import Op, TermTable
 class Cnf:
     num_vars: int = 0
     clauses: list[tuple[int, ...]] = field(default_factory=list)
+    # The Cnf whose clauses begin these ones, when these extend it;
+    # sat.CdclSolver then loads only the clauses past it.
+    base: Cnf | None = field(default=None, compare=False, repr=False)
+    # Set by bit_blast: the encoding state behind these clauses.
+    encoding: _Encoding | None = field(default=None, compare=False, repr=False)
     # Set by sat.CdclSolver: its loaded state of these clauses, kept once
-    # the CNF is solved a second time. A copy starts without one.
+    # the CNF is solved a second time or extended.
     solver_cache: object = field(default=None, compare=False, repr=False)
-
-    def copy(self) -> "Cnf":
-        return Cnf(self.num_vars, list(self.clauses))
 
 
 @dataclass
@@ -38,17 +45,37 @@ class BlastMap:
         self.reverse[var] = (name, bit)
 
 
+@dataclass
+class _Encoding:
+    """What a Blaster needs to go on where an earlier blast stopped."""
+
+    map: BlastMap
+    memo: dict[int, object]
+    true: int | None
+
+
 class BlastError(Exception):
     pass
 
 
 class Blaster:
-    def __init__(self, table: TermTable) -> None:
+    def __init__(self, table: TermTable, base: Cnf | None = None) -> None:
+        """An empty blaster, or one that goes on from a bit_blast result:
+        its clauses, variables, tracked bits and term gates."""
         self.table = table
-        self.cnf = Cnf()
-        self.map = BlastMap()
-        self._memo: dict[int, object] = {}  # term id -> lit or list of lits
-        self._true: int | None = None
+        if base is None:
+            self.cnf = Cnf()
+            self.map = BlastMap()
+            self._memo: dict[int, object] = {}  # term id -> lit or list of lits
+            self._true: int | None = None
+            return
+        enc = base.encoding
+        if enc is None:
+            raise BlastError("the base CNF was not produced by bit_blast")
+        self.cnf = Cnf(base.num_vars, list(base.clauses), base=base)
+        self.map = enc.map
+        self._memo = dict(enc.memo)  # the base's own memo stays as it is
+        self._true = enc.true
 
     def new_var(self) -> int:
         self.cnf.num_vars += 1
@@ -324,18 +351,25 @@ class Blaster:
         self.add_clause(lit)
 
 
-def bit_blast(table: TermTable, decls: dict[str, Sort],
-              assertions: list[int]) -> tuple[Cnf, BlastMap]:
+def bit_blast(table: TermTable, decls: dict[str, Sort], assertions: list[int],
+              base: Cnf | None = None) -> tuple[Cnf, BlastMap]:
     """Blast assertions over the given tracked variables.
 
     All declared Bool/BitVec variables are allocated up front so tracked
-    bits map to SAT variables even when unconstrained."""
-    blaster = Blaster(table)
-    for name, sort in decls.items():
-        blaster.declare(name, sort)
+    bits map to SAT variables even when unconstrained. With a base (an
+    earlier result over the same decls), the assertions are blasted on
+    top of it instead: the Cnf extends the base, reuses its term gates
+    and blast map, and equals a blast of the base's assertions followed
+    by these ones."""
+    blaster = Blaster(table, base)
+    if base is None:
+        for name, sort in decls.items():
+            blaster.declare(name, sort)
     for a in assertions:
         blaster.assert_term(a)
-    return blaster.cnf, blaster.map
+    cnf = blaster.cnf
+    cnf.encoding = _Encoding(blaster.map, blaster._memo, blaster._true)
+    return cnf, blaster.map
 
 
 def to_dimacs(cnf: Cnf) -> str:

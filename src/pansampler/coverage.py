@@ -87,6 +87,7 @@ class CoverState:
         return self.covered.bit_count() / total
 
     def gain(self, slots: int) -> int:
+        """AST-bits of a cover set (see cover_set) not covered yet."""
         return (slots & ~self.covered).bit_count()
 
     def report(self) -> dict:
@@ -96,12 +97,6 @@ class CoverState:
             "coverage_star": self.coverage_star(),
             "num_solutions": self.num_solutions,
         }
-
-
-def ast_score(f: Formula, universe: AstBitUniverse, state: CoverState,
-              assignment: Assignment) -> int:
-    """AST-bits this assignment would newly cover."""
-    return state.gain(cover_set(f, universe, assignment))
 
 
 def manhattan_score(solutions: list[Assignment], assignment: Assignment) -> int:

@@ -12,6 +12,7 @@ refines it by per-variable deviation re-solves, and absorbs it. Modes:
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -76,6 +77,40 @@ class SampleResult:
     coverage: dict
 
 
+class _Priors:
+    """Prior solutions, projected, under one blast map: the bias
+    distribution and the blocking clauses, each computed on first use."""
+
+    def __init__(self, projected: list[Assignment], bmap: BlastMap) -> None:
+        self.projected = projected
+        self.bmap = bmap
+        self._dist: BitDistribution | None = None
+        self._blocking: list[tuple[int, ...]] | None = None
+
+    def holds(self, projected: list[Assignment], bmap: BlastMap) -> bool:
+        return (bmap is self.bmap and len(projected) == len(self.projected)
+                and all(map(operator.is_, projected, self.projected)))
+
+    def distribution(self) -> BitDistribution:
+        if self._dist is None:
+            self._dist = distribution_from(self.projected, self.bmap)
+        return self._dist
+
+    def blocking(self) -> list[tuple[int, ...]]:
+        """One clause per solution, excluding its tracked bits."""
+        if self._blocking is None:
+            forward = self.bmap.forward
+            self._blocking = []
+            for p in self.projected:
+                clause = []
+                for name, bit, v in p.scalar_bits():
+                    var = forward.get((name, bit))
+                    if var is not None:
+                        clause.append(-var if v else var)
+                self._blocking.append(tuple(clause))
+        return self._blocking
+
+
 class DiversitySmtEngine:
     """Lazy-theory diversity solver with lemmas kept for its lifetime."""
 
@@ -89,35 +124,74 @@ class DiversitySmtEngine:
         self.conflict_budget = conflict_budget
         self.lemma_bound = axiom_instance_bound(f, self.abs)
         self.lemma_rounds = 0
-        self._blast_cache: dict[tuple, tuple[Cnf, BlastMap]] = {}
-        self._projection_cache: dict[tuple[int, int], Assignment] = {}
+        # The base CNF and blast map for the lemma and declaration counts
+        # in _base_key, and, per extra tuple, the variable count and the
+        # clauses past the base of the CNF that extends it.
+        self._base: tuple[Cnf, BlastMap] | None = None
+        self._base_key: tuple[int, int] | None = None
+        self._suffixes: dict[tuple[int, ...], tuple[int, list]] = {}
+        # The last solutions projected, by id, each with its projection,
+        # for the atom count in _projected_atoms.
+        self._projections: dict[int, tuple[Assignment, Assignment]] = {}
+        self._projected_atoms = -1
+        self._priors: _Priors | None = None
 
     def blast(self, extra: tuple[int, ...] = ()) -> tuple[Cnf, BlastMap]:
         """CNF of abstracted assertions, lemmas, and extra constraints.
 
-        Lemma images are recomputed from scratch each round, so fresh
-        atoms introduced by lemmas join the tracked inventory."""
+        The assertions and lemma images are blasted once per lemma set
+        into a base CNF, which a new one replaces when a lemma (and with
+        it, maybe, fresh atoms) arrives. Extra constraints are blasted on
+        top of the base, once per extra tuple and base; the CNF extends
+        the base and equals one blast of all three."""
         images = [self.abs.rewrite(l) for l in self.lemmas]
-        images += [self.abs.rewrite(t) for t in extra]
-        key = (len(self.lemmas), extra)
-        got = self._blast_cache.get(key)
-        if got is not None:
-            return got
-        assertions = list(self.abs.formula.assertions) + images
-        cnf, bmap = bit_blast(self.f.table, self.abs.formula.decls, assertions)
-        self._blast_cache[key] = (cnf, bmap)
-        return cnf, bmap
+        extra_images = [self.abs.rewrite(t) for t in extra]
+        decls = self.abs.formula.decls
+        key = (len(self.lemmas), len(decls))
+        if key != self._base_key:
+            assertions = list(self.abs.formula.assertions) + images
+            self._base = bit_blast(self.f.table, decls, assertions)
+            self._base_key = key
+            self._suffixes = {}
+        base, bmap = self._base
+        if not extra:
+            return base, bmap
+        got = self._suffixes.get(extra)
+        if got is None:
+            cnf, _ = bit_blast(self.f.table, decls, extra_images, base=base)
+            self._suffixes[extra] = (cnf.num_vars,
+                                     cnf.clauses[len(base.clauses):])
+            return cnf, bmap
+        num_vars, suffix = got
+        return Cnf(num_vars, base.clauses + suffix, base=base), bmap
 
     def project(self, solutions: list[Assignment]) -> list[Assignment]:
-        out = []
+        """Projections onto the abstraction, each computed once per
+        solution and atom set. Only the last call's solutions are kept,
+        each beside its projection: a kept solution stays alive, so no
+        other object can take its id."""
         atoms = len(self.abs.atom_map)
+        known = self._projections if atoms == self._projected_atoms else {}
+        kept: dict[int, tuple[Assignment, Assignment]] = {}
+        out = []
         for a in solutions:
-            key = (id(a), atoms)
-            got = self._projection_cache.get(key)
+            got = known.get(id(a))
             if got is None:
-                got = self._projection_cache[key] = project_assignment(self.abs, a)
-            out.append(got)
+                got = (a, project_assignment(self.abs, a))
+            kept[id(a)] = got
+            out.append(got[1])
+        self._projections = kept
+        self._projected_atoms = atoms
         return out
+
+    def _priors_under(self, projected: list[Assignment],
+                      bmap: BlastMap) -> _Priors:
+        """The projected prior solutions under a blast map, kept until
+        either changes."""
+        got = self._priors
+        if got is None or not got.holds(projected, bmap):
+            got = self._priors = _Priors(projected, bmap)
+        return got
 
     def _lift(self, model: list[bool], bmap: BlastMap) -> Assignment:
         a = Assignment()
@@ -143,19 +217,11 @@ class DiversitySmtEngine:
         rounds = 0
         while True:
             cnf, bmap = self.blast(extra)
+            priors = self._priors_under(prior_projected, bmap)
             if blocking and prior_projected:
-                cnf = cnf.copy()
-                for p in prior_projected:
-                    clause = []
-                    for name, bit, v in p.scalar_bits():
-                        var = bmap.forward.get((name, bit))
-                        if var is not None:
-                            clause.append(-var if v else var)
-                    cnf.clauses.append(tuple(clause))
-            if use_bias:
-                dist = distribution_from(prior_projected, bmap)
-            else:
-                dist = BitDistribution()
+                cnf = Cnf(cnf.num_vars, cnf.clauses + priors.blocking(),
+                          base=cnf.base or cnf)
+            dist = priors.distribution() if use_bias else BitDistribution()
             cfg = SolverConfig(seed=seeds.randrange(1 << 32), bias_p=bias_p,
                                first_decision_only=first_decision_only,
                                conflict_budget=self.conflict_budget)
@@ -184,15 +250,6 @@ class DiversitySmtEngine:
             if not satisfies(self.f, solution):
                 raise AssertionError("theory-consistent candidate fails the formula")
             return solution
-
-
-def diversity_smt(f: Formula, solutions: list[Assignment], seed: int,
-                  bias_p: float = 0.85,
-                  all_violations: bool = False) -> Assignment | None:
-    """One-shot diversity solve against a solution set; lemmas are not
-    retained across calls (use DiversitySmtEngine for that)."""
-    engine = DiversitySmtEngine(f, all_violations=all_violations)
-    return engine.solve_once(solutions, seed, bias_p=bias_p)
 
 
 def post_opt(engine: DiversitySmtEngine, universe: AstBitUniverse,

@@ -13,6 +13,14 @@ that state on the Cnf as a snapshot, and later solvers copy it instead
 of loading again. A snapshot is taken afresh when the Cnf's clauses or
 num_vars changed since. A Cnf solved once keeps nothing.
 
+A Cnf may extend a base Cnf (`Cnf.base`): a refinement deviation or a
+set of blocking clauses is the base's clauses plus a short suffix. Such
+a Cnf restores the base's snapshot, taken on first use because a base
+is always reused, and loads only the suffix on top of it, which gives
+the same state as loading all its clauses. When the base is no longer
+a prefix of the Cnf (its clauses or num_vars changed), the Cnf is
+loaded in full.
+
 Variable values live in one list indexed directly by the signed
 literal: value[lit] is +1 when lit is true, -1 when false, 0 when free.
 A negative index wraps into the upper half of the list, so the list
@@ -107,17 +115,20 @@ class _Level0:
     unsat: bool
 
 
-def _load(cnf: Cnf) -> _Level0:
-    n = cnf.num_vars
-    every = set(chain.from_iterable(cnf.clauses))
+def _load(clauses: list[tuple[int, ...]], n: int,
+          state: _Level0 | None = None) -> _Level0:
+    """Load clauses over variables 1..n onto state, or onto an empty
+    state when none is given."""
+    every = set(chain.from_iterable(clauses))
     if every and (0 in every or min(every) < -n or max(every) > n):
-        bad = next(c for c in cnf.clauses
+        bad = next(c for c in clauses
                    if any(not 0 < abs(l) <= n for l in c))
         raise ValueError(f"clause {bad} has a literal outside ±1..{n}")
-    state = _Level0([], {}, [], False)
+    if state is None:
+        state = _Level0([], {}, [], False)
     watches = state.watches
-    unit_set: set[int] = set()
-    for clause in cnf.clauses:
+    unit_set = set(state.units)
+    for clause in clauses:
         seen: dict[int, None] = {}
         for l in clause:
             if -l in seen:
@@ -166,21 +177,36 @@ class _Snapshot:
         flat = [watched[k] for k in self.watch_order]
         watches = dict(zip(self.watch_lits,
                            map(flat.__getitem__, self.watch_slices)))
-        return _Level0(watched, watches, self.units, self.unsat)
+        return _Level0(watched, watches, list(self.units), self.unsat)
 
 
 _SEEN_ONCE = object()  # Cnf.solver_cache after the first solver build
 
 
 def _level0(cnf: Cnf) -> _Level0:
-    """The CNF's level-0 state, for a new solver to own: loaded from the
-    clauses, or copied from the snapshot once the Cnf is solved again."""
-    cached = cnf.solver_cache
-    if isinstance(cached, _Snapshot) and cached.matches(cnf):
-        return cached.restore()
-    state = _load(cnf)
-    cnf.solver_cache = _SEEN_ONCE if cached is None else _Snapshot(cnf, state)
-    return state
+    """The CNF's level-0 state, for a new solver to own: the base's
+    snapshot plus the suffix for a Cnf that extends a base; otherwise
+    loaded from the clauses, or copied from the snapshot once the Cnf is
+    solved again."""
+    base = cnf.base
+    if base is not None and base.num_vars <= cnf.num_vars:
+        k = len(base.clauses)
+        if cnf.clauses[:k] == base.clauses:
+            return _load(cnf.clauses[k:], cnf.num_vars,
+                         _snapshot(base).restore())
+    if cnf.solver_cache is None:
+        cnf.solver_cache = _SEEN_ONCE
+        return _load(cnf.clauses, cnf.num_vars)
+    return _snapshot(cnf).restore()
+
+
+def _snapshot(cnf: Cnf) -> _Snapshot:
+    """The Cnf's snapshot, taken afresh unless it is up to date."""
+    snap = cnf.solver_cache
+    if not (isinstance(snap, _Snapshot) and snap.matches(cnf)):
+        snap = _Snapshot(cnf, _load(cnf.clauses, cnf.num_vars))
+        cnf.solver_cache = snap
+    return snap
 
 
 class CdclSolver:
@@ -399,9 +425,3 @@ def solve(cnf: Cnf, dist: BitDistribution | None = None,
             if true_lits.isdisjoint(clause):
                 raise AssertionError("solver produced a falsifying model")
     return model
-
-
-def model_line(model: list[bool]) -> str:
-    """SAT-competition style signed-literal line ('v 1 -2 ... 0')."""
-    lits = [str(v if model[v] else -v) for v in range(1, len(model))]
-    return "v " + " ".join(lits + ["0"])

@@ -17,7 +17,7 @@ from pansampler.oracle import (OracleError, dpll, enumerate_solutions,
                                slow_cover_set, slow_satisfies)
 from pansampler.parser import parse_formula
 from pansampler.sampler import (DiversitySmtEngine, FormulaUnsatError, Mode,
-                                SamplerConfig, diversity_smt, sample)
+                                SamplerConfig, sample)
 from pansampler.sat import solve
 from pansampler.terms import var_bits
 from pansampler.values import Assignment, BvVal
@@ -53,7 +53,7 @@ def test_one_absorbed_solution_covers_exactly_half(capsys):
     for logic in LOGICS:
         for seed in range(60):
             f = random_formula(seed, logic=logic)
-            got = diversity_smt(f, [], seed=seed)
+            got = DiversitySmtEngine(f).solve_once([], seed=seed)
             if got is None:
                 continue
             universe = build_universe(f)
@@ -210,13 +210,15 @@ def test_phase_bias_drives_hamming_distance(capsys):
         f = parse_formula(
             f"(declare-const x (_ BitVec {k}))(assert (bvule x x))")
         zero = Assignment({"x": BvVal(k, 0)})
-        flipped = diversity_smt(f, [zero], seed=11, bias_p=1.0)
+        flipped = DiversitySmtEngine(f).solve_once([zero], seed=11,
+                                                   bias_p=1.0)
         assert flipped is not None
         assert flipped["x"].as_int() == (1 << k) - 1, k
 
         total = 0
         for t in range(200):
-            got = diversity_smt(f, [zero], seed=1000 + t, bias_p=0.85)
+            got = DiversitySmtEngine(f).solve_once([zero], seed=1000 + t,
+                                                   bias_p=0.85)
             total += got["x"].as_int().bit_count()
         mean = total / 200
         assert mean >= 0.75 * k, (k, mean)

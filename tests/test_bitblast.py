@@ -19,7 +19,7 @@ from pansampler.values import Assignment, BoolVal, BvVal
 
 def forced(cnf, blast_map, a):
     """Copy of the CNF with the assignment pinned by unit clauses."""
-    out = cnf.copy()
+    out = Cnf(cnf.num_vars, list(cnf.clauses))
     for name, bit, v in a.scalar_bits():
         var = blast_map.forward[(name, bit)]
         out.clauses.append((var,) if v else (-var,))

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from pansampler.coverage import (AstBitUniverse, CoverState, ast_score,
-                                 build_universe, cover_set, manhattan_score)
+from pansampler.coverage import (AstBitUniverse, CoverState, build_universe,
+                                 cover_set, manhattan_score)
 from pansampler.oracle import slow_cover_set
 from pansampler.parser import parse_formula
 from pansampler.sorts import bv
@@ -167,9 +167,9 @@ def test_ast_score_examples():
     st = CoverState(u)
     a0 = Assignment({"a": BvVal(2, 0), "b": BvVal(2, 0)})
     # Against an empty state every entry is new.
-    assert ast_score(f, u, st, a0) == u.num_entries
+    assert st.gain(cover_set(f, u, a0)) == u.num_entries
     st.absorb(cover_set(f, u, a0))
-    assert ast_score(f, u, st, a0) == 0
+    assert st.gain(cover_set(f, u, a0)) == 0
 
 
 def test_ast_score_is_slot_difference():
@@ -184,7 +184,7 @@ def test_ast_score_is_slot_difference():
             st.absorb(cover_set(f, u, random_scalar_assignment(f, rng)))
         cand = random_scalar_assignment(f, rng)
         want = (cover_set(f, u, cand) & ~st.covered).bit_count()
-        assert ast_score(f, u, st, cand) == want
+        assert st.gain(cover_set(f, u, cand)) == want
 
 
 def test_manhattan_score_examples():

@@ -1,17 +1,22 @@
 """Diversity solving and the coverage-guided sampling loop."""
 
+import gc
 import hashlib
 import random
+import types
 
 import pytest
 
+from pansampler import sampler
+from pansampler.abstraction import project_assignment
+from pansampler.bitblast import Cnf, bit_blast
 from pansampler.coverage import CoverState, build_universe, cover_set
 from pansampler.evaluate import satisfies
 from pansampler.parser import parse_formula
 from pansampler.printer import print_models
 from pansampler.sampler import (DiversitySmtEngine, FormulaUnsatError, Mode,
-                                SampleResult, SamplerConfig, diversity_smt,
-                                post_opt, sample)
+                                SampleResult, SamplerConfig, post_opt,
+                                sample)
 from pansampler.values import Assignment, BoolVal, BvVal
 
 TAUT = "(declare-const x Bool)(assert (or x (not x)))"
@@ -33,20 +38,20 @@ def test_config_validation():
 
 def test_diversity_solve_finds_the_only_solution():
     f = parse_formula("(declare-const x Bool)(assert x)")
-    got = diversity_smt(f, [], seed=0)
+    got = DiversitySmtEngine(f).solve_once([], seed=0)
     assert got is not None
     assert got["x"] == BoolVal(True)
 
 
 def test_diversity_solve_reports_unsat():
     f = parse_formula("(declare-const x Bool)(assert x)(assert (not x))")
-    assert diversity_smt(f, [], seed=0) is None
+    assert DiversitySmtEngine(f).solve_once([], seed=0) is None
 
 
 def test_full_bias_flips_every_free_bit():
     f = parse_formula("(declare-const x (_ BitVec 4))(assert (bvule x x))")
     prior = [Assignment({"x": BvVal(4, 0)})]
-    got = diversity_smt(f, prior, seed=3, bias_p=1.0)
+    got = DiversitySmtEngine(f).solve_once(prior, seed=3, bias_p=1.0)
     assert got is not None
     assert got["x"].as_int() == 0b1111
 
@@ -75,6 +80,164 @@ def test_engine_keeps_lemmas_within_the_static_bound():
         sols.append(got)
     assert engine.lemma_rounds <= engine.lemma_bound
     assert len(engine.lemmas) == len(set(engine.lemmas))
+
+
+def _full_blast(engine, extra, projected):
+    """What one blast of everything gives: the abstracted assertions, the
+    lemma images and the extra terms, then one blocking clause per
+    projected prior solution."""
+    abs_ = engine.abs
+    terms = (list(abs_.formula.assertions)
+             + [abs_.rewrite(l) for l in engine.lemmas]
+             + [abs_.rewrite(t) for t in extra])
+    cnf, bmap = bit_blast(engine.f.table, abs_.formula.decls, terms)
+    for p in projected:
+        cnf.clauses.append(tuple(-var if v else var
+                                 for name, bit, v in p.scalar_bits()
+                                 if (var := bmap.forward.get((name, bit)))))
+    return cnf
+
+
+def _solve_checking_cnfs(monkeypatch, engine, prior, extra, blocking):
+    """solve_once, asserting that every CNF handed to the solver equals
+    the full blast; returns the result and those CNFs."""
+    handed = []
+    real = sampler.sat_solve
+    # solve_once projects the prior solutions once, before any lemma.
+    projected = [project_assignment(engine.abs, a) for a in prior]
+
+    def checked(cnf, dist, cfg):
+        want = _full_blast(engine, extra, projected if blocking else [])
+        assert cnf.num_vars == want.num_vars
+        assert cnf.clauses == want.clauses
+        handed.append(cnf)
+        return real(cnf, dist, cfg)
+
+    monkeypatch.setattr(sampler, "sat_solve", checked)
+    got = engine.solve_once(prior, seed=7, use_bias=not blocking,
+                            blocking=blocking, extra=extra)
+    monkeypatch.setattr(sampler, "sat_solve", real)
+    return got, handed
+
+
+def _deviation(f, name, value):
+    sort = f.decls[name]
+    return f.table.mk_distinct(f.table.mk_var(name, sort),
+                               f.table.mk_const_of_sort(sort, value))
+
+
+def test_a_deviation_already_in_the_formula_reuses_its_gate(monkeypatch):
+    f = parse_formula(
+        "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
+        "(assert (or (distinct x #x3) (bvult y x)))")
+    engine = DiversitySmtEngine(f)
+    dev = _deviation(f, "x", 3)
+    base, _ = engine.blast()
+    prior = []
+    for blocking in (False, True, True):
+        got, handed = _solve_checking_cnfs(monkeypatch, engine, prior,
+                                           (dev,), blocking)
+        assert got is not None and got["x"].as_int() != 3
+        for cnf in handed:
+            assert cnf.base is base
+        prior.append(got)
+    # The deviation's gate exists, so asserting it is one unit clause.
+    cnf, _ = engine.blast((dev,))
+    assert cnf.clauses[:-1] == base.clauses and len(cnf.clauses[-1]) == 1
+
+
+def test_a_constant_free_base_gets_true_in_the_suffix(monkeypatch):
+    f = parse_formula(
+        "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
+        "(assert (bvult x y))")
+    engine = DiversitySmtEngine(f)
+    base, _ = engine.blast()
+    assert base.encoding.true is None
+    prior = []
+    # y != 5 finds #x5 encoded by x != 5, but in that CNF's own gates.
+    for name, value in [("x", 5), ("x", 0), ("y", 5), ("x", 5)]:
+        for blocking in (False, True):
+            got, handed = _solve_checking_cnfs(
+                monkeypatch, engine, prior, (_deviation(f, name, value),),
+                blocking)
+            assert got is not None and got[name].as_int() != value
+            assert [cnf.base for cnf in handed] == [base]
+            prior.append(got)
+    cnf, _ = bit_blast(f.table, f.decls, [_deviation(f, "x", 5)], base=base)
+    true = cnf.encoding.true
+    assert true == base.num_vars + 1
+    assert cnf.clauses[len(base.clauses)] == (true,)
+
+
+def test_deviation_cnfs_after_a_lemma_extend_the_new_base(monkeypatch):
+    # i is 0 or 1, and only i = 1 keeps the two reads apart. Forcing
+    # i != 1 makes the first candidate read one cell twice: a lemma
+    # arrives and the deviation is blasted again on the new base.
+    f = parse_formula(
+        "(declare-const a (Array (_ BitVec 2) (_ BitVec 2)))"
+        "(declare-const i (_ BitVec 2))(assert (bvule i #b01))"
+        "(assert (= (select a i) #b01))(assert (= (select a #b00) #b10))")
+    engine = DiversitySmtEngine(f)
+    old_base, _ = engine.blast()
+    got, handed = _solve_checking_cnfs(monkeypatch, engine, [],
+                                       (_deviation(f, "i", 1),), False)
+    assert got is None and engine.lemmas
+    new_base, _ = engine.blast()
+    assert new_base is not old_base
+    assert [cnf.base for cnf in handed] == [old_base, new_base]
+    sols = [engine.solve_once([], seed=1)]
+    assert sols[0]["i"].as_int() == 1
+    got, handed = _solve_checking_cnfs(monkeypatch, engine, sols,
+                                       (_deviation(f, "i", 0),), False)
+    assert got is not None and satisfies(f, got)
+    # Blocking the only solution leaves nothing.
+    assert _solve_checking_cnfs(monkeypatch, engine, sols,
+                                (_deviation(f, "i", 0),), True)[0] is None
+    assert engine.blast()[0] is new_base
+
+
+def _cnfs_reachable_from(root) -> list[Cnf]:
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Cnf):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_refinement_keeps_one_base_cnf():
+    f = parse_formula(
+        "(declare-const x (_ BitVec 6))(declare-const y (_ BitVec 6))"
+        "(declare-const p Bool)(assert (or p (bvult x y)))")
+    engine = DiversitySmtEngine(f)
+    universe = build_universe(f)
+    state = CoverState(universe)
+    cfg = SamplerConfig()
+    seeds = random.Random(4)
+    solutions = []
+    for _ in range(15):
+        alpha = engine.solve_once(solutions, seeds.randrange(1 << 32))
+        best = post_opt(engine, universe, state, solutions, alpha, cfg, seeds)
+        solutions.append(best)
+        state.absorb(cover_set(f, universe, best))
+    base, _ = engine.blast()
+    cnfs = _cnfs_reachable_from(engine)
+    assert len(cnfs) == 1 and cnfs[0] is base
+
+
+def test_projection_follows_each_assignment_not_its_id():
+    f = parse_formula("(declare-const x (_ BitVec 8))(assert (bvule x x))")
+    engine = DiversitySmtEngine(f)
+    stale = 0
+    for value in range(200):
+        got = engine.project([Assignment({"x": BvVal(8, value)})])
+        stale += got[0]["x"] != BvVal(8, value)
+    assert stale == 0
 
 
 def test_tautology_saturates_then_stalls():

@@ -11,8 +11,7 @@ from pansampler.fuzz import random_cnf
 from pansampler.oracle import dpll
 from pansampler.parser import parse_formula
 from pansampler.sat import (BitDistribution, CdclSolver, ConflictBudgetExceeded,
-                            SolverConfig, _Snapshot, distribution_from,
-                            model_line, solve)
+                            SolverConfig, _Snapshot, distribution_from, solve)
 from pansampler.values import Assignment, BoolVal, BvVal
 
 
@@ -149,11 +148,6 @@ def test_first_decision_only_freezes_phases():
     assert all(s._pick_phase(1) for _ in range(20))
 
 
-def test_model_line_format():
-    assert model_line([False, True, False, True]) == "v 1 -2 3 0"
-    assert model_line([False]) == "v 0"
-
-
 def test_literal_zero_is_rejected():
     with pytest.raises(ValueError, match="outside"):
         CdclSolver(Cnf(2, [(1, 0, 2)]))
@@ -213,7 +207,7 @@ def test_snapshot_solver_matches_a_freshly_loaded_one():
                                bias_p=rng.uniform(0.5, 1.0),
                                first_decision_only=rng.random() < 0.3,
                                restart_base=rng.choice((1, 4, 64)))
-            fresh = CdclSolver(cnf.copy(), dist, cfg)
+            fresh = CdclSolver(Cnf(n, list(cnf.clauses)), dist, cfg)
             reused = CdclSolver(cnf, dist, cfg)
             got = reused.solve()
             assert got == fresh.solve(), (seed, run)
@@ -233,7 +227,7 @@ def test_a_cnf_solved_once_keeps_no_snapshot():
     assert not isinstance(cnf.solver_cache, _Snapshot)
     solve(cnf)
     assert isinstance(cnf.solver_cache, _Snapshot)
-    assert cnf.copy().solver_cache is None
+    assert Cnf(cnf.num_vars, list(cnf.clauses)).solver_cache is None
 
 
 def test_changing_the_cnf_after_a_solve_replaces_its_snapshot():
@@ -254,6 +248,93 @@ def test_changing_the_cnf_after_a_solve_replaces_its_snapshot():
     cnf.num_vars = 2
     with pytest.raises(ValueError, match="outside"):
         solve(cnf)
+
+
+def _suffix(rng: random.Random, base: Cnf, n: int) -> list[tuple[int, ...]]:
+    """Clauses over 1..n to put after a base: random 3-clauses, a unit, a
+    duplicate literal, a tautology and, now and then, a unit opposite to
+    a base unit or the empty clause."""
+    def lit() -> int:
+        return rng.choice((-1, 1)) * rng.randint(1, n)
+
+    v = lit()
+    out = [tuple(lit() for _ in range(3)) for _ in range(rng.randint(0, 4))]
+    out += [(lit(),), (v, lit(), v), (-v, v)]
+    base_units = [c[0] for c in base.clauses if len(c) == 1]
+    if base_units and rng.random() < 0.3:
+        out.append((-rng.choice(base_units),))
+    if rng.random() < 0.1:
+        out.append(())
+    rng.shuffle(out)
+    return out
+
+
+def test_an_extension_solves_like_its_clauses_loaded_flat():
+    unsat = sat = conflicts = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        # Below the 3-SAT threshold, so that most suffixes keep it SAT.
+        base = Cnf(24, _three_sat(seed, 24, 80).clauses + [
+            (rng.choice((-1, 1)) * rng.randint(1, 24),) for _ in range(2)])
+        if seed % 10 == 0:
+            base.clauses.append(())
+        for ext_no in range(4):
+            n = base.num_vars + rng.choice((0, 0, 3, 8))
+            ext = Cnf(n, base.clauses + _suffix(rng, base, n), base=base)
+            flat = Cnf(n, list(ext.clauses))
+            for run in range(3):
+                dist = BitDistribution({v: (rng.randrange(4), rng.randrange(4))
+                                        for v in range(1, n + 1)
+                                        if rng.random() < 0.7})
+                cfg = SolverConfig(seed=rng.randrange(1 << 32),
+                                   bias_p=rng.uniform(0.5, 1.0),
+                                   first_decision_only=rng.random() < 0.3,
+                                   restart_base=rng.choice((1, 4, 64)))
+                want = CdclSolver(Cnf(n, list(ext.clauses)), dist, cfg)
+                got = CdclSolver(ext, dist, cfg)
+                model = got.solve()
+                assert model == want.solve(), (seed, ext_no, run)
+                assert got.conflicts == want.conflicts, (seed, ext_no, run)
+                assert solve(ext, dist, cfg) == model == solve(flat, dist, cfg)
+                conflicts += got.conflicts
+                sat += model is not None
+                unsat += model is None
+            # The base's snapshot served the extension, which kept none.
+            assert isinstance(base.solver_cache, _Snapshot)
+            assert ext.solver_cache is None
+        # Loading suffixes on top left the base's own snapshot intact.
+        cfg = SolverConfig(seed=seed)
+        reused = CdclSolver(base, cfg=cfg)
+        fresh = CdclSolver(Cnf(base.num_vars, list(base.clauses)), cfg=cfg)
+        assert reused.solve() == fresh.solve()
+        assert reused.conflicts == fresh.conflicts
+    assert sat > 100 and unsat > 100 and conflicts > 1000
+
+
+def test_an_extension_whose_base_changed_is_loaded_in_full():
+    base = Cnf(2, [(1, 2)])
+    ext = Cnf(2, base.clauses + [(-2,)], base=base)
+    assert solve(ext) == [False, True, False]
+    assert ext.solver_cache is None  # loaded on top of the base
+    # Base + the clauses past its old length would now read (1 2)(-1).
+    base.clauses.append((-1,))
+    assert solve(ext) == [False, True, False]
+    assert ext.solver_cache is not None  # loaded in full
+    base.clauses.pop()
+    base.num_vars = 3  # more variables than the extension has
+    assert solve(ext) == [False, True, False]
+    assert not isinstance(base.solver_cache, _Snapshot) or \
+        base.solver_cache.num_vars == 2
+
+
+def test_an_extension_literal_beyond_num_vars_is_rejected():
+    base = Cnf(2, [(1, 2), (-1,)])
+    assert solve(base) == [False, False, True]
+    for suffix in [[(3,)], [(1, -3)], [(-2, 3, 2)], [(0, 1)]]:
+        with pytest.raises(ValueError, match="outside"):
+            solve(Cnf(2, base.clauses + suffix, base=base))
+    assert solve(Cnf(3, base.clauses + [(3,)], base=base)) == [
+        False, False, True, True]
 
 
 def test_search_is_pinned_on_random_3sat():
