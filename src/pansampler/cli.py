@@ -7,7 +7,8 @@ per-run record CSV plus aggregate CSV/JSON tables.
 
 Every flag can be preset through an environment variable with the
 `PANSAMPLER_` prefix (`--bias-p` -> `PANSAMPLER_BIAS_P`); explicit flags
-win over the environment.
+win over the environment, and a preset the flag would reject is a usage
+error.
 """
 
 from __future__ import annotations
@@ -69,23 +70,35 @@ class BenchRecord:
                 f"{self.time_s:.6f}", f"{self.coverage_star:.6f}", self.reason]
 
 
-def _env_str(name: str, fallback: str) -> str:
-    return os.environ.get("PANSAMPLER_" + name, fallback)
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("", "0", "false", "no", "off")
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get("PANSAMPLER_" + name)
-    return fallback if raw is None else float(raw)
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get("PANSAMPLER_" + name)
-    return fallback if raw is None else int(raw)
-
-
-def _env_flag(name: str) -> bool:
-    raw = os.environ.get("PANSAMPLER_" + name, "")
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+def _apply_env_presets(p: argparse.ArgumentParser) -> None:
+    """Default each optional flag to PANSAMPLER_<FLAG>, checked as the
+    flag's own value would be."""
+    for action in p._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        flag = max(action.option_strings, key=len)
+        name = "PANSAMPLER_" + flag.lstrip("-").upper().replace("-", "_")
+        raw = os.environ.get(name)
+        if raw is None:
+            continue
+        if action.nargs == 0:  # store_true
+            word = raw.strip().lower()
+            if word not in _TRUE + _FALSE:
+                p.error(f"{name}: expected a boolean, got {raw!r}")
+            action.default = word in _TRUE
+            continue
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError:
+            p.error(f"{name}: invalid {action.type.__name__} value: {raw!r}")
+        if action.choices is not None and value not in action.choices:
+            p.error(f"{name}: invalid choice: {raw!r} (choose from "
+                    f"{', '.join(map(repr, action.choices))})")
+        action.default = value
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -94,37 +107,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Coverage-maximizing SMT solution sampler "
                     "(QF_BV / QF_ABV / QF_AUFBV)")
     p.add_argument("path", help=".smt2 file, or a directory for a benchmark suite")
-    p.add_argument("--target-coverage", type=float,
-                   default=_env_float("TARGET_COVERAGE", 0.995),
+    p.add_argument("--target-coverage", type=float, default=0.995,
                    help="stop once this fraction of AST-bits is covered")
-    p.add_argument("--lambda", dest="lam", type=int,
-                   default=_env_int("LAMBDA", 50),
+    p.add_argument("--lambda", dest="lam", type=int, default=50,
                    help="candidates drawn per iteration")
-    p.add_argument("--max-solutions", type=int,
-                   default=_env_int("MAX_SOLUTIONS", 1000))
-    p.add_argument("--time-budget", type=float,
-                   default=_env_float("TIME_BUDGET", 3600.0),
+    p.add_argument("--max-solutions", type=int, default=1000)
+    p.add_argument("--time-budget", type=float, default=3600.0,
                    help="seconds of sampling per benchmark")
     p.add_argument("--mode", choices=[m.value for m in Mode],
-                   default=_env_str("MODE", Mode.PANSAMPLER.value))
-    p.add_argument("--seed", type=int, default=_env_int("SEED", 0))
-    p.add_argument("--bias-p", type=float, default=_env_float("BIAS_P", 0.85),
+                   default=Mode.PANSAMPLER.value)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bias-p", type=float, default=0.85,
                    help="probability of taking the minority phase")
     p.add_argument("--emit-dimacs", action="store_true",
-                   default=_env_flag("EMIT_DIMACS"),
                    help="also write the initial CNF as <name>.dimacs")
     p.add_argument("--oracle-check", action="store_true",
-                   default=_env_flag("ORACLE_CHECK"),
                    help="verify samples and exact coverage by brute force "
                         "(desk-size formulas only)")
     p.add_argument("--deterministic-timing", action="store_true",
-                   default=_env_flag("DETERMINISTIC_TIMING"),
                    help="report zeroed wall times for reproducible output")
-    p.add_argument("--targets", default=_env_str("TARGETS", ""),
+    p.add_argument("--targets", default="",
                    help="comma-separated coverage targets for suite runs "
                         "(default: 0.8,0.9,0.95,0.98,0.99,0.995)")
-    p.add_argument("--out-dir", default=_env_str("OUT_DIR", ""),
+    p.add_argument("--out-dir", default="",
                    help="artifact directory (default: next to each input)")
+    _apply_env_presets(p)
     return p
 
 
@@ -259,24 +266,25 @@ def run_file(path: str | Path, cfg: SamplerConfig, out_dir: str = "",
 
 
 def run_suite(directory: str | Path, args: argparse.Namespace,
-              targets: list[float]) -> tuple[list[BenchRecord], dict]:
-    """Run every .smt2 file at every target; per-file failures become
-    records with reason=error and the suite keeps going."""
+              configs: list[SamplerConfig]) -> tuple[list[BenchRecord], dict]:
+    """Run every .smt2 file under every config, one per target;
+    per-file failures become records with reason=error and the suite
+    keeps going."""
     directory = Path(directory)
     # Sample artifacts land next to their inputs by default; never treat
     # them as benchmarks.
     files = sorted(p for p in directory.glob("*.smt2")
                    if not p.name.endswith(".samples.smt2"))
     records: list[BenchRecord] = []
-    for r in targets:
+    for cfg in configs:
         for path in files:
             rec, _ = run_file(
-                path, sampler_config(args, r), out_dir=args.out_dir,
+                path, cfg, out_dir=args.out_dir,
                 emit_dimacs=args.emit_dimacs, oracle_check=args.oracle_check,
                 deterministic_timing=args.deterministic_timing,
-                artifact_tag=f".r{r:g}")
+                artifact_tag=f".r{cfg.target_coverage:g}")
             records.append(rec)
-    return records, aggregate(records, targets)
+    return records, aggregate(records, [cfg.target_coverage for cfg in configs])
 
 
 def aggregate(records: list[BenchRecord], targets: list[float]) -> dict:
@@ -315,20 +323,32 @@ def aggregate_csv(agg: dict) -> str:
 
 
 def _parse_targets(raw: str) -> list[float]:
-    if not raw.strip():
-        return list(DEFAULT_TARGETS)
-    out = [float(tok) for tok in raw.split(",") if tok.strip()]
+    out = []
+    for tok in filter(str.strip, raw.split(",")):
+        try:
+            out.append(float(tok))
+        except ValueError:
+            raise ValueError(f"--targets: invalid float value: {tok!r}") from None
     if not out:
         return list(DEFAULT_TARGETS)
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
     path = Path(args.path)
+    # Every config is checked before any file runs.
+    try:
+        if path.is_dir():
+            configs = [sampler_config(args, r)
+                       for r in _parse_targets(args.targets)]
+        else:
+            configs = [sampler_config(args)]
+    except ValueError as e:
+        parser.error(str(e))
     if path.is_dir():
-        targets = _parse_targets(args.targets)
-        records, agg = run_suite(path, args, targets)
+        records, agg = run_suite(path, args, configs)
         base = Path(args.out_dir) if args.out_dir else path
         (base / "suite_records.csv").write_text(records_csv(records))
         (base / "suite_aggregate.csv").write_text(aggregate_csv(agg))
@@ -337,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         print(aggregate_csv(agg), end="")
         return 0
     rec, code = run_file(
-        path, sampler_config(args), out_dir=args.out_dir,
+        path, configs[0], out_dir=args.out_dir,
         emit_dimacs=args.emit_dimacs, oracle_check=args.oracle_check,
         deterministic_timing=args.deterministic_timing)
     print(",".join(RECORD_FIELDS))

@@ -8,7 +8,7 @@ as warnings and ignored. No let binders, no quantifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .sorts import BOOL, Sort, array, bv, fun
 from .terms import Formula, Op, ParseWarning, TermTable

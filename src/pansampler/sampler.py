@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .abstraction import Abstraction, abstract_formula, project_assignment
@@ -50,9 +50,6 @@ class SamplerConfig:
     mode: Mode = Mode.PANSAMPLER
     seed: int = 0
     bias_p: float = 0.85
-    first_decision_only: bool = False
-    all_violations: bool = False
-    conflict_budget: int = 1_000_000
 
     def __post_init__(self) -> None:
         if isinstance(self.mode, str) and not isinstance(self.mode, Mode):
@@ -63,6 +60,10 @@ class SamplerConfig:
             raise ValueError("lam must be >= 1")
         if self.max_solutions < 1:
             raise ValueError("max_solutions must be >= 1")
+        if not self.time_budget >= 0.0:  # also rejects NaN
+            raise ValueError("time_budget must be >= 0")
+        if not (0.5 <= self.bias_p <= 1.0):
+            raise ValueError("bias_p must lie in [0.5, 1]")
 
 
 @dataclass
@@ -112,16 +113,19 @@ class _Priors:
 
 
 class DiversitySmtEngine:
-    """Lazy-theory diversity solver with lemmas kept for its lifetime."""
+    """Lazy-theory diversity solver with lemmas kept for its lifetime.
 
-    def __init__(self, f: Formula, all_violations: bool = False,
-                 conflict_budget: int = 1_000_000) -> None:
+    In alt1 mode each solve excludes the prior solutions by blocking
+    clauses; in every other mode it steers phases toward their minority
+    bits with probability cfg.bias_p."""
+
+    def __init__(self, f: Formula, cfg: SamplerConfig | None = None) -> None:
         self.f = f
+        self.cfg = cfg or SamplerConfig()
+        self.blocking = self.cfg.mode is Mode.ALT1
         self.abs: Abstraction = abstract_formula(f)
         self.lemmas: list[int] = []
         self._lemma_set: set[int] = set()
-        self.all_violations = all_violations
-        self.conflict_budget = conflict_budget
         self.lemma_bound = axiom_instance_bound(f, self.abs)
         self.lemma_rounds = 0
         # The base CNF and blast map for the lemma and declaration counts
@@ -206,10 +210,8 @@ class DiversitySmtEngine:
                 a.set(name, BvVal(sort.width, raw))
         return a
 
-    def solve_once(self, prior: list[Assignment], seed: int, bias_p: float = 0.85,
-                   use_bias: bool = True, blocking: bool = False,
-                   extra: tuple[int, ...] = (),
-                   first_decision_only: bool = False) -> Assignment | None:
+    def solve_once(self, prior: list[Assignment], seed: int,
+                   extra: tuple[int, ...] = ()) -> Assignment | None:
         """One diversity solve: None means the blasted problem (with any
         blocking or extra constraints) is unsatisfiable."""
         seeds = random.Random(seed)
@@ -218,19 +220,19 @@ class DiversitySmtEngine:
         while True:
             cnf, bmap = self.blast(extra)
             priors = self._priors_under(prior_projected, bmap)
-            if blocking and prior_projected:
-                cnf = Cnf(cnf.num_vars, cnf.clauses + priors.blocking(),
-                          base=cnf.base or cnf)
-            dist = priors.distribution() if use_bias else BitDistribution()
-            cfg = SolverConfig(seed=seeds.randrange(1 << 32), bias_p=bias_p,
-                               first_decision_only=first_decision_only,
-                               conflict_budget=self.conflict_budget)
-            model = sat_solve(cnf, dist, cfg)
+            if self.blocking:
+                dist = BitDistribution()
+                if prior_projected:
+                    cnf = Cnf(cnf.num_vars, cnf.clauses + priors.blocking(),
+                              base=cnf.base or cnf)
+            else:
+                dist = priors.distribution()
+            model = sat_solve(cnf, dist, SolverConfig(
+                seed=seeds.randrange(1 << 32), bias_p=self.cfg.bias_p))
             if model is None:
                 return None
             candidate = self._lift(model, bmap)
-            verdict = theory_check(self.f, self.abs, candidate,
-                                   self.all_violations)
+            verdict = theory_check(self.f, self.abs, candidate)
             if isinstance(verdict, Conflict):
                 rounds += 1
                 self.lemma_rounds += 1
@@ -254,8 +256,7 @@ class DiversitySmtEngine:
 
 def post_opt(engine: DiversitySmtEngine, universe: AstBitUniverse,
              state: CoverState, solutions: list[Assignment],
-             alpha: Assignment, cfg: SamplerConfig,
-             seeds: random.Random) -> Assignment:
+             alpha: Assignment, seeds: random.Random) -> Assignment:
     """Refine alpha by re-solving with one variable forced off its value.
 
     Keeps deviants scoring at least alpha's gain; ties return alpha."""
@@ -267,11 +268,7 @@ def post_opt(engine: DiversitySmtEngine, universe: AstBitUniverse,
         const = f.table.mk_const_of_sort(sort, val.as_int())
         deviation = f.table.mk_distinct(f.table.mk_var(name, sort), const)
         res = engine.solve_once(solutions, seeds.randrange(1 << 32),
-                                bias_p=cfg.bias_p,
-                                use_bias=cfg.mode is not Mode.ALT1,
-                                blocking=cfg.mode is Mode.ALT1,
-                                extra=(deviation,),
-                                first_decision_only=cfg.first_decision_only)
+                                extra=(deviation,))
         if res is None:
             continue  # no solution deviates on this variable
         score = state.gain(cover_set(f, universe, res))
@@ -288,8 +285,7 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
     start = time.perf_counter()
     universe = build_universe(f)
     state = CoverState(universe)
-    engine = DiversitySmtEngine(f, all_violations=cfg.all_violations,
-                                conflict_budget=cfg.conflict_budget)
+    engine = DiversitySmtEngine(f, cfg)
     master = random.Random(cfg.seed)
     solutions: list[Assignment] = []
     trace: list[float] = []
@@ -316,13 +312,9 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
         candidates: list[Assignment] = []
         for _ in range(cfg.lam):
             seed = master.randrange(1 << 32)
-            cand = engine.solve_once(
-                solutions, seed, bias_p=cfg.bias_p,
-                use_bias=cfg.mode is not Mode.ALT1,
-                blocking=cfg.mode is Mode.ALT1,
-                first_decision_only=cfg.first_decision_only)
+            cand = engine.solve_once(solutions, seed)
             if cand is None:
-                if cfg.mode is Mode.ALT1 and solutions:
+                if engine.blocking and solutions:
                     break  # blocked out: every solution already sampled
                 raise FormulaUnsatError("formula has no solution")
             candidates.append(cand)
@@ -347,7 +339,7 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
         t0 = time.perf_counter()
         if cfg.mode is not Mode.ALT3:
             selected = post_opt(engine, universe, state, solutions, selected,
-                                cfg, master)
+                                master)
         phases["optimization"] += time.perf_counter() - t0
         slots = cover_set(f, universe, selected)
         # A constant-only formula tracks nothing; absorbing one solution

@@ -46,10 +46,8 @@ class ConflictBudgetExceeded(Exception):
 class SolverConfig:
     seed: int = 0
     bias_p: float = 0.85
-    first_decision_only: bool = False
     conflict_budget: int = 1_000_000
     restart_base: int = 64
-    decay: float = 0.95
 
     def __post_init__(self) -> None:
         if not (0.5 <= self.bias_p <= 1.0):
@@ -100,6 +98,7 @@ def _luby(i: int) -> int:
 
 
 _RESCALE = 1e100
+_DECAY = 0.95  # VSIDS activity decay per conflict
 
 
 @dataclass
@@ -229,8 +228,6 @@ class CdclSolver:
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
         heapq.heapify(self.heap)
         self.watches = state.watches
-        self.saved_phase: list[bool] = [False] * (n + 1)
-        self.phase_known: list[bool] = [False] * (n + 1)
         self.conflicts = 0
         self._unsat = state.unsat
         for lit in state.units:
@@ -249,8 +246,6 @@ class CdclSolver:
         var = abs(lit)
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
-        self.saved_phase[var] = lit > 0
-        self.phase_known[var] = True
         self.trail.append(lit)
 
     def _propagate(self) -> list[int] | None:
@@ -363,8 +358,6 @@ class CdclSolver:
         return None
 
     def _pick_phase(self, var: int) -> bool:
-        if self.cfg.first_decision_only and self.phase_known[var]:
-            return self.saved_phase[var]
         pref = self.dist.preferred_phase(var)
         if pref is None:
             return self.rng.random() < 0.5
@@ -398,7 +391,7 @@ class CdclSolver:
                 else:
                     self._watch(learnt)
                     self._enqueue(learnt[0], learnt)
-                self.var_inc /= self.cfg.decay
+                self.var_inc /= _DECAY
                 continue
             if conflicts_here >= budget_mark:
                 restart_num += 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .sorts import BOOL, Sort, SortKind, bv
+from .sorts import BOOL, Sort, bv
 
 
 class Op(str, Enum):

@@ -1,12 +1,12 @@
 """Array and uninterpreted-function reasoning over candidate models.
 
-Candidates assign the purified atoms of an abstraction. The checkers
-either complete the candidate into a full model (concrete array tables
-and function tables) or report conflict lemmas: Bool terms valid in the
-theory that the candidate falsifies. Lemmas are stated over existing
-terms only, so the space of distinct lemmas is statically bounded; the
-one exception is extensionality, which introduces a single fresh witness
-index variable per disequality atom.
+Candidates assign the purified atoms of an abstraction. The check
+either completes the candidate into a full model (concrete array tables
+and function tables) or reports the first conflict lemma it meets: a
+Bool term valid in the theory that the candidate falsifies. Lemmas are
+stated over existing terms only, so the space of distinct lemmas is
+statically bounded; the one exception is extensionality, which
+introduces a single fresh witness index variable per disequality atom.
 """
 
 from __future__ import annotations
@@ -56,16 +56,13 @@ class _Walk:
 
 
 class _TheoryState:
-    def __init__(self, f: Formula, abs_: Abstraction, assignment: Assignment,
-                 all_violations: bool) -> None:
+    def __init__(self, f: Formula, abs_: Abstraction,
+                 assignment: Assignment) -> None:
         self.f = f
         self.abs = abs_
         self.a = assignment
         self.table: TermTable = f.table
         self.ev = Evaluator(f.table, assignment)
-        self.all_violations = all_violations
-        self.lemmas: list[int] = []
-        self._lemma_seen: set[int] = set()
         # Snapshot: atoms registered after this point belong to new lemmas
         # and have no candidate value yet.
         self.select_atoms = list(abs_.select_atoms())
@@ -79,17 +76,12 @@ class _TheoryState:
     def atom_value(self, name: str) -> int:
         return self.a[name].as_int()
 
-    def emit(self, lemma: int, check_false: bool = True) -> bool:
-        """Record a conflict lemma; returns True when the caller should
-        stop (first-violation mode)."""
-        if check_false:
-            img = self.abs.rewrite(lemma)
-            if Evaluator(self.table, self.a).value(img).as_int() != 0:
-                raise AssertionError("conflict lemma holds under the candidate")
-        if lemma not in self._lemma_seen:
-            self._lemma_seen.add(lemma)
-            self.lemmas.append(lemma)
-        return not self.all_violations
+    def refuted(self, lemma: int) -> int:
+        """The lemma, checked to be false under the candidate."""
+        img = self.abs.rewrite(lemma)
+        if Evaluator(self.table, self.a).value(img).as_int() != 0:
+            raise AssertionError("conflict lemma holds under the candidate")
+        return lemma
 
     def walk(self, array_term: int, d: int) -> _Walk:
         passed: list[tuple[int, int]] = []
@@ -146,8 +138,9 @@ def _store_index_values(st: _TheoryState, array_term: int) -> list[int]:
     return vals
 
 
-def _check_selects(st: _TheoryState) -> bool:
-    """Row consistency and base-read congruence. True = stop now."""
+def _check_selects(st: _TheoryState) -> int | None:
+    """Row consistency and base-read congruence: the first lemma the
+    candidate violates, or None."""
     t = st.table
     for name, atom in st.select_atoms:
         term = t[atom]
@@ -160,9 +153,8 @@ def _check_selects(st: _TheoryState) -> bool:
             if want != result:
                 ante = [t.mk_distinct(idx_t, it) for it, _ in w.passed]
                 ante.append(t.mk_eq(idx_t, w.hit_idx))
-                lemma = t.mk_implies(t.mk_and(*ante), t.mk_eq(atom, w.hit_val))
-                if st.emit(lemma):
-                    return True
+                return st.refuted(t.mk_implies(t.mk_and(*ante),
+                                               t.mk_eq(atom, w.hit_val)))
             continue
         conds = tuple(t.mk_distinct(idx_t, it) for it, _ in w.passed)
         cell = st.base_reads.setdefault(w.base, {})
@@ -171,13 +163,12 @@ def _check_selects(st: _TheoryState) -> bool:
             cell[d] = _Read(result, atom, idx_t, conds)
         elif rec.value != result:
             ante = list(rec.conds) + list(conds) + [t.mk_eq(rec.idx_term, idx_t)]
-            lemma = t.mk_implies(t.mk_and(*ante), t.mk_eq(rec.vterm, atom))
-            if st.emit(lemma):
-                return True
-    return False
+            return st.refuted(t.mk_implies(t.mk_and(*ante),
+                                           t.mk_eq(rec.vterm, atom)))
+    return None
 
 
-def _check_equalities(st: _TheoryState, touched: list[int]) -> bool:
+def _check_equalities(st: _TheoryState, touched: list[int]) -> int | None:
     t = st.table
     # Fixpoint: true equalities propagate determined cells across sides.
     changed = True
@@ -194,10 +185,8 @@ def _check_equalities(st: _TheoryState, touched: list[int]) -> bool:
                     if dl.value != dr.value:
                         ante = ([atom] + list(dl.conds) + list(dr.conds)
                                 + [t.mk_eq(dl.idx_term, dr.idx_term)])
-                        lemma = t.mk_implies(t.mk_and(*ante),
-                                             t.mk_eq(dl.vterm, dr.vterm))
-                        if st.emit(lemma):
-                            return True
+                        return st.refuted(t.mk_implies(
+                            t.mk_and(*ante), t.mk_eq(dl.vterm, dr.vterm)))
                 elif dl is not None or dr is not None:
                     src, dst = (dl, rhs) if dl is not None else (dr, lhs)
                     wd = st.walk(dst, d)
@@ -230,12 +219,11 @@ def _check_equalities(st: _TheoryState, touched: list[int]) -> bool:
         idx_sort = t[lhs].sort.index
         wname = st.abs.fresh_witness(atom, idx_sort)
         wvar = t.mk_var(wname, idx_sort)
-        lemma = t.mk_implies(
+        # The witness is fresh, so the candidate gives it no value.
+        return t.mk_implies(
             t.mk_not(atom),
             t.mk_distinct(t.mk_select(lhs, wvar), t.mk_select(rhs, wvar)))
-        if st.emit(lemma, check_false=False):
-            return True
-    return False
+    return None
 
 
 def _array_values(st: _TheoryState) -> dict[str, ArrayVal]:
@@ -252,7 +240,7 @@ def _array_values(st: _TheoryState) -> dict[str, ArrayVal]:
 # -- uninterpreted functions -------------------------------------------
 
 
-def _check_applies(st: _TheoryState) -> bool:
+def _check_applies(st: _TheoryState) -> int | None:
     t = st.table
     groups: dict[str, list[tuple[str, int, tuple[int, ...], int]]] = {}
     for name, atom in st.apply_atoms:
@@ -268,14 +256,12 @@ def _check_applies(st: _TheoryState) -> bool:
                 if args_i == args_j and res_i != res_j:
                     ante = [t.mk_eq(ci, cj) for ci, cj in
                             zip(t[atom_i].children, t[atom_j].children)]
-                    lemma = t.mk_implies(t.mk_and(*ante),
-                                         t.mk_eq(atom_i, atom_j))
-                    if st.emit(lemma):
-                        return True
+                    return st.refuted(t.mk_implies(t.mk_and(*ante),
+                                                   t.mk_eq(atom_i, atom_j)))
         for _, _, args, res in rows:
             table.setdefault(args, res)
         st.fun_tables[fname] = table
-    return False
+    return None
 
 
 def _fun_values(st: _TheoryState) -> dict[str, FunVal]:
@@ -287,72 +273,24 @@ def _fun_values(st: _TheoryState) -> dict[str, FunVal]:
     return out
 
 
-# -- entry points -------------------------------------------------------
+# -- entry point --------------------------------------------------------
 
 
-def check_arrays(f: Formula, abs_: Abstraction, assignment: Assignment,
-                 all_violations: bool = False) -> TheoryVerdict:
-    """Array-theory verdict for a candidate over the abstraction.
-
-    Consistent carries a full model whose array tables are justified;
-    function tables are the raw candidate rows (first row wins) and are
-    only meaningful once check_functions also passes."""
-    st = _TheoryState(f, abs_, assignment, all_violations)
-    stop = _check_selects(st)
-    if not stop:
-        _check_equalities(st, _touched_indices(st))
-    if st.lemmas:
-        return Conflict(st.lemmas)
-    _collect_naive_funs(st)
-    return Consistent(complete_assignment(abs_, assignment,
-                                          _array_values(st), _fun_values(st)))
-
-
-def check_functions(f: Formula, abs_: Abstraction, assignment: Assignment,
-                    all_violations: bool = False) -> TheoryVerdict:
-    """Function-congruence verdict; array tables in a Consistent result
-    are raw base reads and only meaningful once check_arrays passes."""
-    st = _TheoryState(f, abs_, assignment, all_violations)
-    _check_applies(st)
-    if st.lemmas:
-        return Conflict(st.lemmas)
-    _collect_naive_reads(st)
-    return Consistent(complete_assignment(abs_, assignment,
-                                          _array_values(st), _fun_values(st)))
-
-
-def theory_check(f: Formula, abs_: Abstraction, assignment: Assignment,
-                 all_violations: bool = False) -> TheoryVerdict:
+def theory_check(f: Formula, abs_: Abstraction,
+                 assignment: Assignment) -> TheoryVerdict:
     """Arrays first, then functions; Consistent means both passed and the
-    returned assignment satisfies every assertion of f."""
-    st = _TheoryState(f, abs_, assignment, all_violations)
-    stop = _check_selects(st)
-    if not stop:
-        stop = _check_equalities(st, _touched_indices(st))
-    if not stop:
-        _check_applies(st)
-    if st.lemmas:
-        return Conflict(st.lemmas)
+    returned assignment satisfies every assertion of f. A Conflict holds
+    the first lemma the candidate violates."""
+    st = _TheoryState(f, abs_, assignment)
+    lemma = _check_selects(st)
+    if lemma is None:
+        lemma = _check_equalities(st, _touched_indices(st))
+    if lemma is None:
+        lemma = _check_applies(st)
+    if lemma is not None:
+        return Conflict([lemma])
     return Consistent(complete_assignment(abs_, assignment,
                                           _array_values(st), _fun_values(st)))
-
-
-def _collect_naive_funs(st: _TheoryState) -> None:
-    for name, atom in st.apply_atoms:
-        term = st.table[atom]
-        args = tuple(st.ev.value(c).as_int() for c in term.children)
-        st.fun_tables.setdefault(term.name, {}).setdefault(args, st.atom_value(name))
-
-
-def _collect_naive_reads(st: _TheoryState) -> None:
-    for name, atom in st.select_atoms:
-        term = st.table[atom]
-        arr, idx_t = term.children
-        d = st.ev.value(idx_t).as_int()
-        w = st.walk(arr, d)
-        if w.kind == "base":
-            st.base_reads.setdefault(w.base, {}).setdefault(
-                d, _Read(st.atom_value(name), atom, idx_t, ()))
 
 
 def axiom_instance_bound(f: Formula, abs_: Abstraction) -> int:

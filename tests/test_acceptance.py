@@ -210,15 +210,15 @@ def test_phase_bias_drives_hamming_distance(capsys):
         f = parse_formula(
             f"(declare-const x (_ BitVec {k}))(assert (bvule x x))")
         zero = Assignment({"x": BvVal(k, 0)})
-        flipped = DiversitySmtEngine(f).solve_once([zero], seed=11,
-                                                   bias_p=1.0)
+        flipped = DiversitySmtEngine(
+            f, SamplerConfig(bias_p=1.0)).solve_once([zero], seed=11)
         assert flipped is not None
         assert flipped["x"].as_int() == (1 << k) - 1, k
 
         total = 0
         for t in range(200):
-            got = DiversitySmtEngine(f).solve_once([zero], seed=1000 + t,
-                                                   bias_p=0.85)
+            got = DiversitySmtEngine(
+                f, SamplerConfig(bias_p=0.85)).solve_once([zero], seed=1000 + t)
             total += got["x"].as_int().bit_count()
         mean = total / 200
         assert mean >= 0.75 * k, (k, mean)

@@ -13,7 +13,7 @@ from pansampler.fuzz import random_formula
 from pansampler.parser import parse_formula
 from pansampler.sat import solve
 from pansampler.sorts import array, bv
-from pansampler.terms import Formula, Op, TermTable
+from pansampler.terms import Formula, TermTable
 from pansampler.values import Assignment, BoolVal, BvVal
 
 

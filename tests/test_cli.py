@@ -1,5 +1,6 @@
 """Command-line entry point, artifacts, and suite tables."""
 
+import dataclasses
 import json
 
 import pytest
@@ -38,11 +39,24 @@ def test_environment_presets_and_flag_precedence(monkeypatch):
     monkeypatch.setenv("PANSAMPLER_MODE", "alt2")
     monkeypatch.setenv("PANSAMPLER_EMIT_DIMACS", "yes")
     monkeypatch.setenv("PANSAMPLER_BIAS_P", "0.6")
+    # Every other documented name, each taken from its long option.
+    monkeypatch.setenv("PANSAMPLER_TARGET_COVERAGE", "0.5")
+    monkeypatch.setenv("PANSAMPLER_MAX_SOLUTIONS", "9")
+    monkeypatch.setenv("PANSAMPLER_TIME_BUDGET", "12")
+    monkeypatch.setenv("PANSAMPLER_SEED", "5")
+    monkeypatch.setenv("PANSAMPLER_ORACLE_CHECK", "TRUE")
+    monkeypatch.setenv("PANSAMPLER_DETERMINISTIC_TIMING", "1")
+    monkeypatch.setenv("PANSAMPLER_TARGETS", "0.5,0.9")
+    monkeypatch.setenv("PANSAMPLER_OUT_DIR", "out")
     args = build_arg_parser().parse_args(["f.smt2"])
     assert args.lam == 7
     assert args.mode == "alt2"
     assert args.emit_dimacs
     assert args.bias_p == 0.6
+    assert (args.target_coverage, args.max_solutions, args.time_budget,
+            args.seed) == (0.5, 9, 12.0, 5)
+    assert args.oracle_check and args.deterministic_timing
+    assert (args.targets, args.out_dir) == ("0.5,0.9", "out")
     # Explicit flags beat the environment.
     args = build_arg_parser().parse_args(
         ["f.smt2", "--lambda", "9", "--mode", "alt3"])
@@ -55,9 +69,61 @@ def test_falsy_environment_flag(monkeypatch):
     assert not build_arg_parser().parse_args(["f.smt2"]).oracle_check
 
 
+def _usage_error(capsys, call) -> str:
+    """The message of the usage error that call raises (exit code 2)."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,raw,message", [
+    ("LAMBDA", "abc", "invalid int value: 'abc'"),
+    ("MODE", "bogus", "invalid choice: 'bogus'"),
+    ("EMIT_DIMACS", "maybe", "expected a boolean, got 'maybe'"),
+], ids=["number", "choice", "switch"])
+def test_a_malformed_environment_preset_is_a_usage_error(monkeypatch, capsys,
+                                                         name, raw, message):
+    monkeypatch.setenv("PANSAMPLER_" + name, raw)
+    err = _usage_error(capsys, build_arg_parser)
+    assert f"PANSAMPLER_{name}: {message}" in err
+
+
 def test_invalid_mode_is_rejected():
     with pytest.raises(SystemExit):
         build_arg_parser().parse_args(["f.smt2", "--mode", "fast"])
+
+
+# A suite takes its targets from --targets, a single file from
+# --target-coverage; each run checks the one it uses.
+@pytest.mark.parametrize("flags,message,runs", [
+    (["--target-coverage", "1.5"], "target_coverage", ["demo.smt2"]),
+    (["--lambda", "0"], "lam", ["demo.smt2", "."]),
+    (["--max-solutions", "0"], "max_solutions", ["demo.smt2", "."]),
+    (["--bias-p", "0.3"], "bias_p", ["demo.smt2", "."]),
+    (["--time-budget", "nan"], "time_budget", ["demo.smt2", "."]),
+    (["--targets", "0.5,abc"], "--targets: invalid float value: 'abc'", ["."]),
+    (["--targets", "1.5"], "target_coverage", ["."]),
+], ids=["target-coverage", "lambda", "max-solutions", "bias-p",
+        "time-budget", "targets-not-a-number", "targets-out-of-range"])
+def test_out_of_range_values_are_rejected_before_any_run(tmp_path, capsys,
+                                                         flags, message, runs):
+    (tmp_path / "demo.smt2").write_text(FREE3)
+    for run in runs:
+        err = _usage_error(capsys, lambda: main([str(tmp_path / run)] + flags))
+        assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.smt2"]
+
+
+def test_sampler_config_sets_every_field_from_a_flag():
+    args = build_arg_parser().parse_args(
+        ["f.smt2", "--target-coverage", "0.5", "--lambda", "7",
+         "--max-solutions", "9", "--time-budget", "12", "--mode", "alt2",
+         "--seed", "5", "--bias-p", "0.6"])
+    cfg, default = sampler_config(args), SamplerConfig()
+    for field in dataclasses.fields(SamplerConfig):
+        assert getattr(cfg, field.name) != getattr(default, field.name), \
+            field.name
 
 
 def test_sampler_config_from_args():

@@ -5,7 +5,7 @@ import pytest
 from pansampler.fuzz import random_formula
 from pansampler.parser import ParseError, parse_formula
 from pansampler.printer import print_formula
-from pansampler.sorts import BOOL, bv
+from pansampler.sorts import bv
 from pansampler.terms import Op
 
 

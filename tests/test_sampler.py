@@ -15,8 +15,7 @@ from pansampler.evaluate import satisfies
 from pansampler.parser import parse_formula
 from pansampler.printer import print_models
 from pansampler.sampler import (DiversitySmtEngine, FormulaUnsatError, Mode,
-                                SampleResult, SamplerConfig, post_opt,
-                                sample)
+                                SamplerConfig, post_opt, sample)
 from pansampler.values import Assignment, BoolVal, BvVal
 
 TAUT = "(declare-const x Bool)(assert (or x (not x)))"
@@ -25,6 +24,12 @@ FREE3 = "(declare-const x (_ BitVec 3))(assert (bvule x x))"
 
 
 def test_config_validation():
+    for bias_p in (0.3, 1.5):
+        with pytest.raises(ValueError, match="bias_p"):
+            SamplerConfig(bias_p=bias_p)
+    for budget in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="time_budget"):
+            SamplerConfig(time_budget=budget)
     with pytest.raises(ValueError):
         SamplerConfig(target_coverage=0.0)
     with pytest.raises(ValueError):
@@ -51,7 +56,8 @@ def test_diversity_solve_reports_unsat():
 def test_full_bias_flips_every_free_bit():
     f = parse_formula("(declare-const x (_ BitVec 4))(assert (bvule x x))")
     prior = [Assignment({"x": BvVal(4, 0)})]
-    got = DiversitySmtEngine(f).solve_once(prior, seed=3, bias_p=1.0)
+    got = DiversitySmtEngine(f, SamplerConfig(bias_p=1.0)).solve_once(
+        prior, seed=3)
     assert got is not None
     assert got["x"].as_int() == 0b1111
 
@@ -99,8 +105,9 @@ def _full_blast(engine, extra, projected):
 
 
 def _solve_checking_cnfs(monkeypatch, engine, prior, extra, blocking):
-    """solve_once, asserting that every CNF handed to the solver equals
-    the full blast; returns the result and those CNFs."""
+    """solve_once, in alt1 mode when blocking, asserting that every CNF
+    handed to the solver equals the full blast; returns the result and
+    those CNFs."""
     handed = []
     real = sampler.sat_solve
     # solve_once projects the prior solutions once, before any lemma.
@@ -114,8 +121,8 @@ def _solve_checking_cnfs(monkeypatch, engine, prior, extra, blocking):
         return real(cnf, dist, cfg)
 
     monkeypatch.setattr(sampler, "sat_solve", checked)
-    got = engine.solve_once(prior, seed=7, use_bias=not blocking,
-                            blocking=blocking, extra=extra)
+    engine.blocking = blocking
+    got = engine.solve_once(prior, seed=7, extra=extra)
     monkeypatch.setattr(sampler, "sat_solve", real)
     return got, handed
 
@@ -217,12 +224,11 @@ def test_refinement_keeps_one_base_cnf():
     engine = DiversitySmtEngine(f)
     universe = build_universe(f)
     state = CoverState(universe)
-    cfg = SamplerConfig()
     seeds = random.Random(4)
     solutions = []
     for _ in range(15):
         alpha = engine.solve_once(solutions, seeds.randrange(1 << 32))
-        best = post_opt(engine, universe, state, solutions, alpha, cfg, seeds)
+        best = post_opt(engine, universe, state, solutions, alpha, seeds)
         solutions.append(best)
         state.absorb(cover_set(f, universe, best))
     base, _ = engine.blast()
@@ -355,8 +361,7 @@ def test_post_opt_returns_alpha_when_nothing_deviates():
     universe = build_universe(f)
     state = CoverState(universe)
     alpha = Assignment({"m": BvVal(8, 3)})
-    got = post_opt(engine, universe, state, [], alpha, SamplerConfig(),
-                   random.Random(0))
+    got = post_opt(engine, universe, state, [], alpha, random.Random(0))
     assert got is alpha
 
 
@@ -368,8 +373,7 @@ def test_post_opt_keeps_alpha_on_ties():
     # Either value of x newly covers all three entries; a tie must not
     # replace the incumbent.
     alpha = Assignment({"x": BoolVal(True)})
-    got = post_opt(engine, universe, state, [], alpha, SamplerConfig(),
-                   random.Random(1))
+    got = post_opt(engine, universe, state, [], alpha, random.Random(1))
     assert got is alpha
 
 
@@ -388,8 +392,7 @@ def test_post_opt_never_scores_below_alpha():
             state.absorb(cover_set(f, universe, got))
             sols.append(got)
         alpha = engine.solve_once(sols, rng.randrange(1 << 32))
-        refined = post_opt(engine, universe, state, sols, alpha,
-                           SamplerConfig(), rng)
+        refined = post_opt(engine, universe, state, sols, alpha, rng)
         before = state.gain(cover_set(f, universe, alpha))
         after = state.gain(cover_set(f, universe, refined))
         assert after >= before
@@ -408,14 +411,13 @@ def test_no_refinement_mode_is_a_plain_greedy_loop():
         f = parse_formula(src)
         universe = build_universe(f)
         state = CoverState(universe)
-        engine = DiversitySmtEngine(f)
+        engine = DiversitySmtEngine(f, cfg)
         master = random.Random(seed)
         sols = []
         while True:
             if state.coverage_star() >= cfg.target_coverage:
                 break
-            cand = engine.solve_once(sols, master.randrange(1 << 32),
-                                     bias_p=0.5)
+            cand = engine.solve_once(sols, master.randrange(1 << 32))
             slots = cover_set(f, universe, cand)
             if state.gain(slots) == 0:
                 break  # a single zero-gain candidate is the stall bound
@@ -431,6 +433,15 @@ PINNED = {
             "(assert (= (bvmul a b) #b001100))",
     "array2": "(declare-const a (Array (_ BitVec 2) (_ BitVec 2)))"
               "(declare-const i (_ BitVec 2))(assert (= (select a i) #b01))",
+    # Six lemma rounds in every mode, some on candidates that violate
+    # more than one axiom: the digests pin which lemma a check reports.
+    "aufbv2": "(declare-const a (Array (_ BitVec 2) (_ BitVec 2)))"
+              "(declare-fun g ((_ BitVec 2)) (_ BitVec 2))"
+              "(declare-const i (_ BitVec 2))(declare-const j (_ BitVec 2))"
+              "(declare-const k (_ BitVec 2))"
+              "(assert (= (select a i) (g j)))"
+              "(assert (bvult (g k) (select a j)))"
+              "(assert (= (g (select a i)) (select a (g j))))",
 }
 
 # sha256 of print_models output at lam=4, seed=3. A change to the solver,
@@ -448,6 +459,10 @@ PINNED_DIGESTS = {
     ("array2", "alt1"): "ecb7d0631fdf07aad616921d971694f43269d238984050db76075a92defb0f5c",
     ("array2", "alt2"): "ecb7d0631fdf07aad616921d971694f43269d238984050db76075a92defb0f5c",
     ("array2", "alt3"): "ecb7d0631fdf07aad616921d971694f43269d238984050db76075a92defb0f5c",
+    ("aufbv2", "pansampler"): "2ce8cac18198a08a19defebe5661e6295177b2f451a3f5e69c087ca561b5055a",
+    ("aufbv2", "alt1"): "c21a0bb27324158400f04a586e4ce92145121fe9c60e12d9fa0b3da953f9b374",
+    ("aufbv2", "alt2"): "2e5f352bef138b82ad85d5021ed6eafb040e30927e01a51d2726fa714ae5467c",
+    ("aufbv2", "alt3"): "376ae52ca9237c6c23f852840d60e7521dc2203b2c3c6ef005e039e25c3bb4b4",
 }
 
 

@@ -140,14 +140,6 @@ def test_bias_respects_clauses():
     assert all(model[bmap.forward[("x", b)]] for b in (1, 2, 3))
 
 
-def test_first_decision_only_freezes_phases():
-    cnf = Cnf(1, [])
-    s = CdclSolver(cnf, cfg=SolverConfig(first_decision_only=True))
-    s.saved_phase[1] = True
-    s.phase_known[1] = True
-    assert all(s._pick_phase(1) for _ in range(20))
-
-
 def test_literal_zero_is_rejected():
     with pytest.raises(ValueError, match="outside"):
         CdclSolver(Cnf(2, [(1, 0, 2)]))
@@ -205,7 +197,6 @@ def test_snapshot_solver_matches_a_freshly_loaded_one():
                                     if rng.random() < 0.7})
             cfg = SolverConfig(seed=rng.randrange(1 << 32),
                                bias_p=rng.uniform(0.5, 1.0),
-                               first_decision_only=rng.random() < 0.3,
                                restart_base=rng.choice((1, 4, 64)))
             fresh = CdclSolver(Cnf(n, list(cnf.clauses)), dist, cfg)
             reused = CdclSolver(cnf, dist, cfg)
@@ -288,7 +279,6 @@ def test_an_extension_solves_like_its_clauses_loaded_flat():
                                         if rng.random() < 0.7})
                 cfg = SolverConfig(seed=rng.randrange(1 << 32),
                                    bias_p=rng.uniform(0.5, 1.0),
-                                   first_decision_only=rng.random() < 0.3,
                                    restart_base=rng.choice((1, 4, 64)))
                 want = CdclSolver(Cnf(n, list(ext.clauses)), dist, cfg)
                 got = CdclSolver(ext, dist, cfg)

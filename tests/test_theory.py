@@ -1,7 +1,5 @@
 """Array and function consistency checks over candidate models."""
 
-import pytest
-
 from pansampler.abstraction import abstract_formula, project_assignment
 from pansampler.evaluate import Evaluator, satisfies
 from pansampler.fuzz import random_formula
@@ -9,7 +7,7 @@ from pansampler.oracle import enumerate_solutions, slow_satisfies
 from pansampler.parser import parse_formula
 from pansampler.terms import Op
 from pansampler.theory import (Conflict, Consistent, axiom_instance_bound,
-                               check_arrays, check_functions, theory_check)
+                               theory_check)
 from pansampler.values import Assignment, BoolVal, BvVal
 
 
@@ -72,7 +70,7 @@ def test_base_read_congruence():
     abs_ = abstract_formula(f)
     cand = Assignment({"i": BvVal(4, 2), "j": BvVal(4, 2),
                        "sel!0": BvVal(4, 0), "sel!1": BvVal(4, 1)})
-    verdict = check_arrays(f, abs_, cand)
+    verdict = theory_check(f, abs_, cand)
     assert isinstance(verdict, Conflict)
     assert lemma_is_false_under(abs_, cand, verdict.lemmas[0])
 
@@ -155,7 +153,7 @@ def test_function_congruence_violation():
     abs_ = abstract_formula(f)
     cand = Assignment({"x": BvVal(2, 0), "y": BvVal(2, 0),
                        "uf!0": BvVal(2, 1), "uf!1": BvVal(2, 2)})
-    verdict = check_functions(f, abs_, cand)
+    verdict = theory_check(f, abs_, cand)
     assert isinstance(verdict, Conflict)
     assert len(verdict.lemmas) == 1
     assert lemma_is_false_under(abs_, cand, verdict.lemmas[0])
@@ -193,7 +191,8 @@ def test_congruent_applications_build_one_table():
     assert g.get((1,)) == 3 and g.get((2,)) == 3
 
 
-def test_all_violations_collects_every_lemma():
+def test_a_check_reports_only_the_first_lemma():
+    # Both row lemmas are violated; the check stops at the first.
     f = parse_formula(
         "(declare-const a (Array (_ BitVec 4) (_ BitVec 4)))"
         "(declare-const b (Array (_ BitVec 4) (_ BitVec 4)))"
@@ -205,8 +204,6 @@ def test_all_violations_collects_every_lemma():
                        "sel!0": BvVal(4, 0), "sel!1": BvVal(4, 0)})
     first = theory_check(f, abs_, cand)
     assert isinstance(first, Conflict) and len(first.lemmas) == 1
-    every = theory_check(f, abs_, cand, all_violations=True)
-    assert isinstance(every, Conflict) and len(every.lemmas) == 2
 
 
 def test_duplicate_lemmas_collapse():
@@ -221,7 +218,7 @@ def test_duplicate_lemmas_collapse():
     assert len(abs_.select_atoms()) == 1
     cand = Assignment({"i": BvVal(4, 1), "j": BvVal(4, 1),
                        "sel!0": BvVal(4, 9)})
-    verdict = theory_check(f, abs_, cand, all_violations=True)
+    verdict = theory_check(f, abs_, cand)
     assert isinstance(verdict, Conflict)
     assert len(verdict.lemmas) == len(set(verdict.lemmas)) == 1
 
