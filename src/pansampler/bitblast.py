@@ -24,12 +24,13 @@ class Cnf:
     num_vars: int = 0
     clauses: list[tuple[int, ...]] = field(default_factory=list)
     # The Cnf whose clauses begin these ones, when these extend it;
-    # sat.CdclSolver then loads only the clauses past it.
+    # sat.CdclSolver then attaches only the clauses past it to the
+    # base's state.
     base: Cnf | None = field(default=None, compare=False, repr=False)
     # Set by bit_blast: the encoding state behind these clauses.
     encoding: _Encoding | None = field(default=None, compare=False, repr=False)
-    # Set by sat.CdclSolver: its loaded state of these clauses, kept once
-    # the CNF is solved a second time or extended.
+    # Set by sat.CdclSolver: the solver state it keeps for these clauses
+    # between solves, from the second solve on or once the CNF is extended.
     solver_cache: object = field(default=None, compare=False, repr=False)
 
 
@@ -253,27 +254,41 @@ class Blaster:
         return [self.map.forward[(name, b)] for b in range(sort.num_bits)]
 
     def enc(self, term_id: int):
-        got = self._memo.get(term_id)
-        if got is not None:
-            return got
-        term = self.table[term_id]
-        op = term.op
-        if op is Op.VAR:
-            bits = self._var_bits(term.name, term.sort)
-            res = bits[0] if term.sort.is_bool else bits
-        elif op is Op.CONST:
-            if term.sort.is_bool:
-                res = self.true_lit() if term.value else self.false_lit()
+        """The literal (Bool) or LSB-first literals (bitvector) of a term.
+
+        Explicit stack; a term is encoded on its second visit, from its
+        children's encodings. Children are visited left to right, each
+        encoded in full before the next, and the memo is checked on every
+        visit, so gates and the TRUE variable are allocated in the order
+        of a recursive descent."""
+        memo = self._memo
+        stack = [(term_id, False)]
+        while stack:
+            tid, ready = stack.pop()
+            if ready:
+                term = self.table[tid]
+                memo[tid] = self._enc_op(term, [memo[c] for c in term.children])
+                continue
+            if tid in memo:
+                continue
+            term = self.table[tid]
+            op = term.op
+            if op is Op.VAR:
+                bits = self._var_bits(term.name, term.sort)
+                memo[tid] = bits[0] if term.sort.is_bool else bits
+            elif op is Op.CONST:
+                if term.sort.is_bool:
+                    memo[tid] = self.true_lit() if term.value else self.false_lit()
+                else:
+                    memo[tid] = [self.true_lit() if (term.value >> b) & 1
+                                 else self.false_lit()
+                                 for b in range(term.sort.width)]
+            elif op in (Op.SELECT, Op.STORE, Op.APPLY):
+                raise BlastError(f"theory op {op.value} reached the bit blaster")
             else:
-                res = [self.true_lit() if (term.value >> b) & 1 else self.false_lit()
-                       for b in range(term.sort.width)]
-        elif op in (Op.SELECT, Op.STORE, Op.APPLY):
-            raise BlastError(f"theory op {op.value} reached the bit blaster")
-        else:
-            kids = [self.enc(c) for c in term.children]
-            res = self._enc_op(term, kids)
-        self._memo[term_id] = res
-        return res
+                stack.append((tid, True))
+                stack.extend((c, False) for c in reversed(term.children))
+        return memo[term_id]
 
     def _enc_op(self, term, kids):
         op = term.op

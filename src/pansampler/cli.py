@@ -74,14 +74,17 @@ _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("", "0", "false", "no", "off")
 
 
+def _preset_name(flag: str) -> str:
+    return "PANSAMPLER_" + flag.lstrip("-").upper().replace("-", "_")
+
+
 def _apply_env_presets(p: argparse.ArgumentParser) -> None:
     """Default each optional flag to PANSAMPLER_<FLAG>, checked as the
     flag's own value would be."""
     for action in p._actions:
         if not action.option_strings or action.dest == "help":
             continue
-        flag = max(action.option_strings, key=len)
-        name = "PANSAMPLER_" + flag.lstrip("-").upper().replace("-", "_")
+        name = _preset_name(max(action.option_strings, key=len))
         raw = os.environ.get(name)
         if raw is None:
             continue
@@ -334,10 +337,31 @@ def _parse_targets(raw: str) -> list[float]:
     return out
 
 
+def _given(parser: argparse.ArgumentParser, argv: list[str] | None,
+           flag: str) -> str | None:
+    """What set an optional flag: the flag on the command line, its
+    non-empty preset, or nothing (None)."""
+    dest = parser._option_string_actions[flag].dest
+    unset = object()
+    ns = parser.parse_args(argv, argparse.Namespace(**{dest: unset}))
+    if getattr(ns, dest) is not unset:
+        return flag
+    name = _preset_name(flag)
+    return name if os.environ.get(name) else None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     path = Path(args.path)
+    # A suite takes its targets from --targets, a single file from
+    # --target-coverage; the other one would be ignored.
+    run, ignored, used = (("a suite", "--target-coverage", "--targets")
+                          if path.is_dir() else
+                          ("a single-file", "--targets", "--target-coverage"))
+    given = _given(parser, argv, ignored)
+    if given:
+        parser.error(f"{given} does not apply to {run} run; use {used}")
     # Every config is checked before any file runs.
     try:
         if path.is_dir():

@@ -203,26 +203,51 @@ class _TermParser:
         raise ParseError("unknown sort", node.line, node.col)
 
     def parse_term(self, node) -> int:
-        if isinstance(node, Atom):
-            return self._parse_atom_term(node)
+        """The term an s-expression denotes.
+
+        Explicit stack of nodes to parse and of builds waiting for their
+        arguments. A list's head is checked when the list is reached,
+        and it is built once its arguments are, left to right, so terms
+        are made and errors raised in the order of a recursive descent."""
+        done: list[int] = []
+        stack: list = [node]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, tuple):
+                build, node, argc = item
+                args = done[len(done) - argc:]
+                del done[len(done) - argc:]
+                done.append(build(node, args))
+            elif isinstance(item, Atom):
+                done.append(self._parse_atom_term(item))
+            else:
+                build, args = self._open_list(item)
+                stack.append((build, item, len(args)))
+                stack.extend(reversed(args))
+        return done[0]
+
+    def _open_list(self, node: SList):
+        """Check a list term's head: its build and its argument nodes."""
         items = node.items
         if not items:
             raise ParseError("empty term", node.line, node.col)
         head = items[0]
         if isinstance(head, SList):
-            return self._parse_indexed_head(node)
+            return self._extract_build, [self._extract_arg(node)]
         text = head.text
         if text == "_":
-            return self._parse_indexed_leaf(node)
+            return self._parse_indexed_leaf, []
         if text == "let":
             raise ParseError("let binders are unsupported", head.line, head.col)
         if text in _QUANTIFIERS:
             raise ParseError("quantifiers are unsupported", head.line, head.col)
         if text == "(":
             raise ParseError("bad term head", head.line, head.col)
-        args = [self.parse_term(it) for it in items[1:]]
+        return self._build_app, items[1:]
+
+    def _build_app(self, node: SList, args: list[int]) -> int:
         try:
-            return self._build(text, args, node, items)
+            return self._build(node.items[0].text, args, node, node.items)
         except ValueError as exc:
             raise ParseError(str(exc), node.line, node.col) from None
 
@@ -251,7 +276,7 @@ class _TermParser:
                              node.line, node.col)
         return self.t.mk_var(name, sort)
 
-    def _parse_indexed_leaf(self, node: SList) -> int:
+    def _parse_indexed_leaf(self, node: SList, args: list[int]) -> int:
         items = node.items
         if (len(items) == 3 and isinstance(items[1], Atom)
                 and items[1].text.startswith("bv")
@@ -301,8 +326,9 @@ class _TermParser:
             raise ParseError(f"{name} is not a function", node.line, node.col)
         raise ParseError(f"unknown operator or symbol {text}", node.line, node.col)
 
-    def _parse_indexed_head(self, node: SList) -> int:
-        """((_ extract hi lo) x) application; hitems = [_, extract, hi, lo]."""
+    def _extract_arg(self, node: SList):
+        """The argument node of ((_ extract hi lo) x), once the head is
+        checked."""
         head = node.items[0]
         hitems = head.items
         if (len(hitems) == 4 and isinstance(hitems[0], Atom)
@@ -315,13 +341,16 @@ class _TermParser:
                                  head.line, head.col)
             if len(node.items) != 2:
                 raise ParseError("extract takes one argument", node.line, node.col)
-            arg = self.parse_term(node.items[1])
-            try:
-                return self.t.mk(Op.EXTRACT, (arg,),
-                                 hi=int(hi_tok.text), lo=int(lo_tok.text))
-            except ValueError as exc:
-                raise ParseError(str(exc), node.line, node.col) from None
+            return node.items[1]
         raise ParseError("unknown indexed operator", head.line, head.col)
+
+    def _extract_build(self, node: SList, args: list[int]) -> int:
+        _, _, hi_tok, lo_tok = node.items[0].items
+        try:
+            return self.t.mk(Op.EXTRACT, (args[0],),
+                             hi=int(hi_tok.text), lo=int(lo_tok.text))
+        except ValueError as exc:
+            raise ParseError(str(exc), node.line, node.col) from None
 
 
 def parse_formula(text: str) -> Formula:

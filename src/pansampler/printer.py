@@ -33,19 +33,35 @@ def print_bv_const(width: int, value: int) -> str:
 
 
 def print_term(table: TermTable, term_id: int) -> str:
-    term = table[term_id]
-    if term.op is Op.VAR:
-        return _symbol(term.name)
-    if term.op is Op.CONST:
-        if term.sort.is_bool:
-            return "true" if term.value else "false"
-        return print_bv_const(term.sort.width, term.value)
-    if term.op is Op.EXTRACT:
-        inner = print_term(table, term.children[0])
-        return f"((_ extract {term.hi} {term.lo}) {inner})"
-    parts = [print_term(table, c) for c in term.children]
-    head = _symbol(term.name) if term.op is Op.APPLY else term.op.value
-    return f"({head} {' '.join(parts)})"
+    """The term as SMT-LIB text, written left to right from an explicit
+    stack of term ids still to print and text still to close them."""
+    out: list[str] = []
+    stack: list[int | str] = [term_id]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        term = table[item]
+        if term.op is Op.VAR:
+            out.append(_symbol(term.name))
+        elif term.op is Op.CONST:
+            if term.sort.is_bool:
+                out.append("true" if term.value else "false")
+            else:
+                out.append(print_bv_const(term.sort.width, term.value))
+        elif term.op is Op.EXTRACT:
+            out.append(f"((_ extract {term.hi} {term.lo}) ")
+            stack += [")", term.children[0]]
+        else:
+            head = _symbol(term.name) if term.op is Op.APPLY else term.op.value
+            out.append(f"({head} ")
+            stack.append(")")
+            for k, c in enumerate(reversed(term.children)):
+                if k:
+                    stack.append(" ")
+                stack.append(c)
+    return "".join(out)
 
 
 def print_formula(f: Formula) -> str:

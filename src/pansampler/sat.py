@@ -6,20 +6,37 @@ bit distribution with probability bias_p. Propagation and learning are
 untouched, so completeness is unaffected.
 
 The sampler solves one CNF many times, under different seeds and
-distributions. Loading a CNF (dropping tautologies and duplicate
-literals, collecting units, picking watches) gives the same level-0
-state every time, so the second solver built from a Cnf object keeps
-that state on the Cnf as a snapshot, and later solvers copy it instead
-of loading again. A snapshot is taken afresh when the Cnf's clauses or
-num_vars changed since. A Cnf solved once keeps nothing.
+distributions, and almost none of those solves meets a conflict. Until
+its first conflict a solve does not depend on how its state is laid out:
+- VSIDS activity is zero, so each decision takes the lowest-numbered
+  free variable. A cursor over the variable indices finds it, and the
+  VSIDS heap is built at the first conflict.
+- Phases come from the per-solve rng, in decision order.
+- After each decision, the closure under unit propagation is unique, and
+  whether it holds a conflict does not depend on propagation order.
+So a solve that meets no conflict returns the same model from any valid
+level-0 state of its CNF, whatever its watch positions and watch-list
+order. Only what follows a conflict (the clause found, what is learned)
+depends on that layout.
+
+A CNF solved again therefore reuses the clause and watch lists its last
+solve left behind, in place (`_Live`, kept on the Cnf by a `_Snapshot`
+from its second solve on), reset to their saved level-0 trail and value
+table. When a solve on such a state meets its first conflict, it starts
+over with the same seed on a pristine state, laid out as a fresh load of
+the CNF lays it out: a copy of that load, taken at the first replay.
+The live state, which learned nothing, goes back to the Cnf. A solve on
+a pristine state (a Cnf's first, or a replay) keeps going through its
+conflicts and hands nothing back.
 
 A Cnf may extend a base Cnf (`Cnf.base`): a refinement deviation or a
 set of blocking clauses is the base's clauses plus a short suffix. Such
-a Cnf restores the base's snapshot, taken on first use because a base
-is always reused, and loads only the suffix on top of it, which gives
-the same state as loading all its clauses. When the base is no longer
-a prefix of the Cnf (its clauses or num_vars changed), the Cnf is
-loaded in full.
+a Cnf attaches its suffix to the base's live state at level 0, watching
+literals that are not false there, and detaches it after the solve, so
+the base keeps one copy of its clauses. Its replay loads the suffix on
+top of the base's pristine copy, which gives the same state as loading
+all its clauses. When the base is no longer a prefix of the Cnf (its
+clauses or num_vars changed), the Cnf is solved as a CNF of its own.
 
 Variable values live in one list indexed directly by the signed
 literal: value[lit] is +1 when lit is true, -1 when false, 0 when free.
@@ -33,6 +50,8 @@ import heapq
 import random
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from operator import neg
+from typing import Sequence
 
 from .bitblast import BlastMap, Cnf
 from .values import Assignment
@@ -114,15 +133,19 @@ class _Level0:
     unsat: bool
 
 
-def _load(clauses: list[tuple[int, ...]], n: int,
-          state: _Level0 | None = None) -> _Level0:
-    """Load clauses over variables 1..n onto state, or onto an empty
-    state when none is given."""
+def _check_literals(clauses: Sequence[tuple[int, ...]], n: int) -> None:
     every = set(chain.from_iterable(clauses))
     if every and (0 in every or min(every) < -n or max(every) > n):
         bad = next(c for c in clauses
                    if any(not 0 < abs(l) <= n for l in c))
         raise ValueError(f"clause {bad} has a literal outside ±1..{n}")
+
+
+def _load(clauses: Sequence[tuple[int, ...]], n: int,
+          state: _Level0 | None = None) -> _Level0:
+    """Load clauses over variables 1..n onto state, or onto an empty
+    state when none is given."""
+    _check_literals(clauses, n)
     if state is None:
         state = _Level0([], {}, [], False)
     watches = state.watches
@@ -147,17 +170,14 @@ def _load(clauses: list[tuple[int, ...]], n: int,
     return state
 
 
-class _Snapshot:
-    """A pristine copy of a CNF's _Level0, kept on the Cnf.
+class _Pristine:
+    """A copy of a CNF's _Level0 as loaded, for replays.
 
     The watch lists are stored as indices into `watched`: literal
     `watch_lits[i]` watches the clauses numbered
-    `watch_order[watch_slices[i]]`, in order. `source` is the clause list
-    the state was loaded from, so that a later change to the Cnf shows."""
+    `watch_order[watch_slices[i]]`, in order."""
 
-    def __init__(self, cnf: Cnf, state: _Level0) -> None:
-        self.num_vars = cnf.num_vars
-        self.source = list(cnf.clauses)
+    def __init__(self, state: _Level0) -> None:
         self.watched = list(map(list.copy, state.watched))
         pos = {id(c): k for k, c in enumerate(state.watched)}
         self.watch_lits = list(state.watches)
@@ -168,9 +188,6 @@ class _Snapshot:
         self.units = state.units
         self.unsat = state.unsat
 
-    def matches(self, cnf: Cnf) -> bool:
-        return self.num_vars == cnf.num_vars and self.source == cnf.clauses
-
     def restore(self) -> _Level0:
         watched = list(map(list.copy, self.watched))
         flat = [watched[k] for k in self.watch_order]
@@ -179,59 +196,164 @@ class _Snapshot:
         return _Level0(watched, watches, list(self.units), self.unsat)
 
 
+@dataclass
+class _Live:
+    """A CNF's state at level 0, kept between solves: its watch lists,
+    and the trail and value table its units propagate to, or unsat when
+    that propagation met a conflict."""
+
+    watches: dict[int, list[list[int]]]
+    trail: list[int]
+    value: list[int]
+    unsat: bool
+
+
+class _Snapshot:
+    """What a Cnf keeps from its second solve on, or from the first solve
+    of a Cnf that extends it: its live state, while no solver holds it,
+    and the pristine copy of its load, taken at its first replay.
+    `source` is the clause list both come from, so that a later change
+    to the Cnf shows."""
+
+    def __init__(self, cnf: Cnf) -> None:
+        self.num_vars = cnf.num_vars
+        self.source = list(cnf.clauses)
+        self.live: _Live | None = None
+        self.pristine: _Pristine | None = None
+
+    def matches(self, cnf: Cnf) -> bool:
+        return self.num_vars == cnf.num_vars and self.source == cnf.clauses
+
+    def level0(self, cnf: Cnf) -> _Level0:
+        """The Cnf as a fresh load lays it out."""
+        if self.pristine is None:
+            self.pristine = _Pristine(_load(cnf.clauses, cnf.num_vars))
+        return self.pristine.restore()
+
+
 _SEEN_ONCE = object()  # Cnf.solver_cache after the first solver build
 
 
-def _level0(cnf: Cnf) -> _Level0:
-    """The CNF's level-0 state, for a new solver to own: the base's
-    snapshot plus the suffix for a Cnf that extends a base; otherwise
-    loaded from the clauses, or copied from the snapshot once the Cnf is
-    solved again."""
-    base = cnf.base
-    if base is not None and base.num_vars <= cnf.num_vars:
-        k = len(base.clauses)
-        if cnf.clauses[:k] == base.clauses:
-            return _load(cnf.clauses[k:], cnf.num_vars,
-                         _snapshot(base).restore())
-    if cnf.solver_cache is None:
-        cnf.solver_cache = _SEEN_ONCE
-        return _load(cnf.clauses, cnf.num_vars)
-    return _snapshot(cnf).restore()
-
-
-def _snapshot(cnf: Cnf) -> _Snapshot:
-    """The Cnf's snapshot, taken afresh unless it is up to date."""
+def _kept(cnf: Cnf, extended: bool) -> _Snapshot | None:
+    """The Cnf's snapshot, made afresh when it is missing or stale, or
+    None on the first build of a Cnf that is not extended."""
     snap = cnf.solver_cache
-    if not (isinstance(snap, _Snapshot) and snap.matches(cnf)):
-        snap = _Snapshot(cnf, _load(cnf.clauses, cnf.num_vars))
-        cnf.solver_cache = snap
+    if isinstance(snap, _Snapshot) and snap.matches(cnf):
+        return snap
+    if snap is None and not extended:
+        cnf.solver_cache = _SEEN_ONCE
+        return None
+    snap = cnf.solver_cache = _Snapshot(cnf)
     return snap
 
 
+def _grown(value: list[int], n: int) -> list[int]:
+    """A copy of a value table, grown to variables 1..n."""
+    m = len(value) // 2
+    return value[:m + 1] + [0] * (2 * (n - m)) + value[m + 1:]
+
+
+_REPLAY = object()  # _search's answer at the first conflict on a live state
+
+
 class CdclSolver:
+    """One solve of a CNF.
+
+    A Cnf's first solve loads it. Later solves, and every solve of a Cnf
+    that extends a base, run on the live state of the Cnf (or the base)
+    until their first conflict, and replay on a pristine state when one
+    occurs; either way the model and conflict count are those of a
+    freshly loaded solver."""
+
     def __init__(self, cnf: Cnf, dist: BitDistribution | None = None,
                  cfg: SolverConfig | None = None) -> None:
         self.cfg = cfg or SolverConfig()
         self.dist = dist or BitDistribution()
-        self.rng = random.Random(self.cfg.seed)
-        state = _level0(cnf)
-        n = cnf.num_vars
-        self.num_vars = n
-        self.value: list[int] = [0] * (2 * n + 1)  # indexed by literal
+        n = self.num_vars = cnf.num_vars
+        owner, self._suffix = cnf, ()
+        base = cnf.base
+        if base is not None and base.num_vars <= n:
+            k = len(base.clauses)
+            if cnf.clauses[:k] == base.clauses:
+                owner, self._suffix = base, cnf.clauses[k:]
+                _check_literals(self._suffix, n)
+        self._owner = owner
+        self._attached: list[list[int]] = []
+        self._snap = _kept(owner, owner is not cnf)
+        self._pristine = self._snap is None
+        if self._pristine:
+            self._start(_load(cnf.clauses, n), n)
+            return
+        live, self._snap.live = self._snap.live, None
+        self._live = live or self._load_live(owner)
+        self._reset(self._live.watches, self._live.trail.copy(),
+                    _grown(self._live.value, n), self._live.unsat)
+        self._attach(self._suffix)
+
+    # -- states ---------------------------------------------------------
+
+    def _reset(self, watches: dict[int, list[list[int]]], trail: list[int],
+               value: list[int], unsat: bool) -> None:
+        """Start a solve at level 0, with trail propagated up to its end."""
+        n = self.num_vars
+        self.watches = watches
+        self.trail = trail
+        self.value = value  # indexed by literal
+        self._unsat = unsat
         self.level: list[int] = [0] * (n + 1)
         self.reason: list[list[int] | None] = [None] * (n + 1)
-        self.trail: list[int] = []
         self.trail_lim: list[int] = []
-        self.qhead = 0
-        self.activity: list[float] = [0.0] * (n + 1)
-        self.var_inc = 1.0
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
-        heapq.heapify(self.heap)
-        self.watches = state.watches
+        self.qhead = len(trail)
+        self.rng = random.Random(self.cfg.seed)
         self.conflicts = 0
-        self._unsat = state.unsat
+        self.var_inc = 1.0
+        # Until the first conflict, decisions take the lowest free
+        # variable at or past the cursor; then the VSIDS heap takes over.
+        self.cursor = 1
+        self.heap: list[tuple[float, int]] | None = None
+
+    def _start(self, state: _Level0, n: int) -> None:
+        """Reset to a loaded state over variables 1..n, units enqueued."""
+        self._reset(state.watches, [], [0] * (2 * n + 1), state.unsat)
         for lit in state.units:
             self._enqueue(lit, None)
+
+    def _load_live(self, cnf: Cnf) -> _Live:
+        """Load the Cnf and propagate its units: its live state."""
+        self._start(_load(cnf.clauses, cnf.num_vars), cnf.num_vars)
+        unsat = self._unsat or self._propagate() is not None
+        return _Live(self.watches, self.trail, self.value, unsat)
+
+    def _attach(self, clauses: Sequence[tuple[int, ...]]) -> None:
+        """Add clauses to a live state at level 0. Each watches two
+        literals that are not false, or its one such literal, enqueued
+        if free, and a false one; a clause with none makes it unsat."""
+        value, watches = self.value, self.watches
+        for clause in clauses:
+            lits = list(dict.fromkeys(clause))
+            if not set(lits).isdisjoint(map(neg, lits)):
+                continue  # tautology
+            if len(lits) < 2 or value[lits[0]] == -1 or value[lits[1]] == -1:
+                lits.sort(key=value.__getitem__, reverse=True)
+                if not lits or value[lits[0]] == -1:
+                    self._unsat = True
+                    return
+                if (len(lits) == 1 or value[lits[1]] == -1) and \
+                        value[lits[0]] == 0:
+                    self._enqueue(lits[0], None)
+            if len(lits) > 1:
+                watches.setdefault(lits[0], []).append(lits)
+                watches.setdefault(lits[1], []).append(lits)
+                self._attached.append(lits)
+
+    def _hand_back(self) -> None:
+        """Detach the attached clauses and return the live state, which
+        learned nothing, to the Cnf it came from."""
+        watches = self.watches
+        attached = set(map(id, self._attached))
+        for lit in {l for c in self._attached for l in c[:2]}:
+            watches[lit] = [c for c in watches[lit] if id(c) not in attached]
+        self._snap.live = self._live
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -285,6 +407,13 @@ class CdclSolver:
                     self._enqueue(first, clause)
             watches[false_lit] = kept
         return None
+
+    def _start_vsids(self) -> None:
+        """At the first conflict: zero activities, and a heap of the
+        variables the cursor has not passed, which a sorted list is."""
+        n = self.num_vars
+        self.activity = [0.0] * (n + 1)
+        self.heap = [(0.0, v) for v in range(self.cursor, n + 1)]
 
     def _bump(self, var: int) -> None:
         self.activity[var] += self.var_inc
@@ -348,8 +477,15 @@ class CdclSolver:
         self.qhead = len(trail)
 
     def _pick_var(self) -> int | None:
-        while self.heap:
-            neg_act, var = heapq.heappop(self.heap)
+        heap = self.heap
+        if heap is None:
+            value, v, n = self.value, self.cursor, self.num_vars
+            while v <= n and value[v] != 0:
+                v += 1
+            self.cursor = v + 1
+            return v if v <= n else None
+        while heap:
+            neg_act, var = heapq.heappop(heap)
             if self.value[var] != 0:
                 continue
             if -neg_act != self.activity[var]:
@@ -367,9 +503,21 @@ class CdclSolver:
 
     def solve(self) -> list[bool] | None:
         """A model as bools indexed 1..num_vars, or None when UNSAT."""
-        if self._unsat:
-            return None
-        if self._propagate() is not None:
+        model = self._search()
+        if not self._pristine:
+            self._hand_back()
+            if model is _REPLAY:
+                self._pristine = True
+                state = self._snap.level0(self._owner)
+                _load(self._suffix, self.num_vars, state)
+                self._start(state, self.num_vars)
+                model = self._search()
+        return model
+
+    def _search(self):
+        """The model, None when UNSAT, or _REPLAY at the first conflict
+        on a state that is not pristine."""
+        if self._unsat or self._propagate() is not None:
             return None
         restart_num = 0
         budget_mark = self.cfg.restart_base * _luby(restart_num + 1)
@@ -377,6 +525,10 @@ class CdclSolver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
+                if not self._pristine:
+                    return _REPLAY
+                if self.heap is None:
+                    self._start_vsids()
                 self.conflicts += 1
                 conflicts_here += 1
                 if self.conflicts > self.cfg.conflict_budget:
@@ -414,7 +566,8 @@ def solve(cnf: Cnf, dist: BitDistribution | None = None,
     model = CdclSolver(cnf, dist, cfg).solve()
     if model is not None:
         true_lits = {v if model[v] else -v for v in range(1, len(model))}
-        for clause in cnf.clauses:
-            if true_lits.isdisjoint(clause):
-                raise AssertionError("solver produced a falsifying model")
+        if any(map(true_lits.isdisjoint, cnf.clauses)):
+            bad = next(c for c in cnf.clauses if true_lits.isdisjoint(c))
+            raise AssertionError(
+                f"solver produced a falsifying model: clause {bad} is false")
     return model

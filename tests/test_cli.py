@@ -115,6 +115,28 @@ def test_out_of_range_values_are_rejected_before_any_run(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.smt2"]
 
 
+@pytest.mark.parametrize("run,flags,env,message", [
+    (".", ["--target-coverage", "0.9"], {},
+     "--target-coverage does not apply to a suite run; use --targets"),
+    (".", [], {"PANSAMPLER_TARGET_COVERAGE": "0.9"},
+     "PANSAMPLER_TARGET_COVERAGE does not apply to a suite run; use --targets"),
+    ("demo.smt2", ["--targets", "0.5"], {},
+     "--targets does not apply to a single-file run; use --target-coverage"),
+    ("demo.smt2", [], {"PANSAMPLER_TARGETS": "0.5"},
+     "PANSAMPLER_TARGETS does not apply to a single-file run; "
+     "use --target-coverage"),
+], ids=["suite-flag", "suite-preset", "file-flag", "file-preset"])
+def test_a_flag_the_run_would_ignore_is_a_usage_error(tmp_path, capsys,
+                                                      monkeypatch, run,
+                                                      flags, env, message):
+    (tmp_path / "demo.smt2").write_text(FREE3)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    err = _usage_error(capsys, lambda: main([str(tmp_path / run)] + flags))
+    assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.smt2"]
+
+
 def test_sampler_config_sets_every_field_from_a_flag():
     args = build_arg_parser().parse_args(
         ["f.smt2", "--target-coverage", "0.5", "--lambda", "7",

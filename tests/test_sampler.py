@@ -13,7 +13,7 @@ from pansampler.bitblast import Cnf, bit_blast
 from pansampler.coverage import CoverState, build_universe, cover_set
 from pansampler.evaluate import satisfies
 from pansampler.parser import parse_formula
-from pansampler.printer import print_models
+from pansampler.printer import print_formula, print_models
 from pansampler.sampler import (DiversitySmtEngine, FormulaUnsatError, Mode,
                                 SamplerConfig, post_opt, sample)
 from pansampler.values import Assignment, BoolVal, BvVal
@@ -244,6 +244,20 @@ def test_projection_follows_each_assignment_not_its_id():
         got = engine.project([Assignment({"x": BvVal(8, value)})])
         stale += got[0]["x"] != BvVal(8, value)
     assert stale == 0
+
+
+def test_a_term_10000_deep_parses_samples_and_prints():
+    # A recursive descent hits Python's recursion limit at a depth of a
+    # few hundred; parsing, blasting and printing use explicit stacks.
+    depth = 10_000
+    text = ("(declare-const x (_ BitVec 1))(declare-const y (_ BitVec 1))"
+            "(assert (= " + "(bvadd " * depth + "x" + " y)" * depth + " y))")
+    f = parse_formula(text)
+    res = sample(f, SamplerConfig(lam=1, max_solutions=1, seed=1))
+    assert res.solutions and all(satisfies(f, a) for a in res.solutions)
+    printed = print_formula(f)
+    assert printed.count("(bvadd ") == depth
+    assert print_formula(parse_formula(printed)) == printed
 
 
 def test_tautology_saturates_then_stalls():

@@ -221,20 +221,34 @@ def test_a_cnf_solved_once_keeps_no_snapshot():
     assert Cnf(cnf.num_vars, list(cnf.clauses)).solver_cache is None
 
 
+def _solved_fresh(cnf: Cnf, dist=None, cfg=None):
+    """Model and conflict count of a solver that loads cnf's clauses."""
+    fresh = CdclSolver(Cnf(cnf.num_vars, list(cnf.clauses)), dist, cfg)
+    return fresh.solve(), fresh.conflicts
+
+
+def _solved(cnf: Cnf, dist=None, cfg=None):
+    solver = CdclSolver(cnf, dist, cfg)
+    return solver.solve(), solver.conflicts
+
+
 def test_changing_the_cnf_after_a_solve_replaces_its_snapshot():
+    # Each change comes after solves that leave the CNF a live state to
+    # reuse; a stale one would give a model that breaks the new clauses.
     cnf = Cnf(2, [(1, 2)])
-    for _ in range(3):
-        assert solve(cnf) is not None
-    snap = cnf.solver_cache
-    assert isinstance(snap, _Snapshot)
+    for seed in range(3):
+        assert _solved(cnf, cfg=SolverConfig(seed=seed)) == \
+            _solved_fresh(cnf, cfg=SolverConfig(seed=seed))
     cnf.clauses.append((-1,))
     cnf.clauses.append((-2,))
     assert solve(cnf) is None
-    assert cnf.solver_cache is not snap
+    assert solve(cnf) is None
     cnf.clauses[-1] = (2,)  # replaced in place: same length, new clause
+    assert solve(cnf) == [False, False, True]
     assert solve(cnf) == [False, False, True]
     cnf.num_vars = 3
     cnf.clauses.append((3,))
+    assert solve(cnf) == [False, False, True, True]
     assert solve(cnf) == [False, False, True, True]
     cnf.num_vars = 2
     with pytest.raises(ValueError, match="outside"):
@@ -304,17 +318,27 @@ def test_an_extension_solves_like_its_clauses_loaded_flat():
 def test_an_extension_whose_base_changed_is_loaded_in_full():
     base = Cnf(2, [(1, 2)])
     ext = Cnf(2, base.clauses + [(-2,)], base=base)
-    assert solve(ext) == [False, True, False]
-    assert ext.solver_cache is None  # loaded on top of the base
+    for _ in range(2):
+        assert solve(base) == [False, False, True]
+        assert solve(ext) == [False, True, False]
     # Base + the clauses past its old length would now read (1 2)(-1).
     base.clauses.append((-1,))
-    assert solve(ext) == [False, True, False]
-    assert ext.solver_cache is not None  # loaded in full
+    for _ in range(2):
+        assert solve(ext) == [False, True, False]
+        assert solve(base) == [False, False, True]
     base.clauses.pop()
     base.num_vars = 3  # more variables than the extension has
-    assert solve(ext) == [False, True, False]
-    assert not isinstance(base.solver_cache, _Snapshot) or \
-        base.solver_cache.num_vars == 2
+    for _ in range(2):
+        assert solve(ext) == [False, True, False]
+        assert solve(base) == [False, False, True, False]
+    # The base's clauses changed in place under an extension that still
+    # begins with the old ones.
+    base.num_vars = 2
+    ext2 = Cnf(2, base.clauses + [(-1,)], base=base)
+    assert solve(ext2) == [False, False, True]
+    base.clauses[0] = (-1, -2)
+    assert solve(base) == [False, False, False]
+    assert solve(ext2) == [False, False, True]
 
 
 def test_an_extension_literal_beyond_num_vars_is_rejected():
@@ -325,6 +349,91 @@ def test_an_extension_literal_beyond_num_vars_is_rejected():
             solve(Cnf(2, base.clauses + suffix, base=base))
     assert solve(Cnf(3, base.clauses + [(3,)], base=base)) == [
         False, False, True, True]
+
+
+def test_long_runs_of_solves_match_freshly_loaded_solvers():
+    # One Cnf solved again and again, by itself and through extensions,
+    # under random seeds, distributions, bias and restart bases: each
+    # solve must give the model and conflict count of a solver that
+    # loads the clauses afresh, whether it reused the live state, replayed
+    # at a conflict, or loaded. Below the 3-SAT threshold most solves
+    # meet no conflict; at it most do; an empty clause makes it UNSAT.
+    tally = {"clean": 0, "conflicted": 0, "unsat": 0, "extensions": 0}
+    for seed in range(24):
+        rng = random.Random(seed)
+        m = (40, 100, 104)[seed % 3]
+        base = Cnf(24, _three_sat(seed, 24, m).clauses + [
+            (rng.choice((-1, 1)) * rng.randint(1, 24),) for _ in range(3)])
+        if seed % 8 == 7:
+            base.clauses.insert(rng.randrange(len(base.clauses)), ())
+        for step in range(30):
+            cnf = base
+            if rng.random() < 0.4:
+                n = base.num_vars + rng.choice((0, 0, 3))
+                cnf = Cnf(n, base.clauses + _suffix(rng, base, n), base=base)
+                tally["extensions"] += 1
+            dist = BitDistribution({v: (rng.randrange(4), rng.randrange(4))
+                                    for v in range(1, cnf.num_vars + 1)
+                                    if rng.random() < 0.7})
+            cfg = SolverConfig(seed=rng.randrange(1 << 32),
+                               bias_p=rng.uniform(0.5, 1.0),
+                               restart_base=rng.choice((1, 4, 64)))
+            want = _solved_fresh(cnf, dist, cfg)
+            if rng.random() < 0.5:
+                got = _solved(cnf, dist, cfg)
+            else:
+                got = (solve(cnf, dist, cfg), want[1])
+            assert got == want, (seed, step)
+            model, conflicts = want
+            tally["unsat" if model is None else
+                  "conflicted" if conflicts else "clean"] += 1
+    assert min(tally.values()) > 60, tally
+
+
+def test_a_solve_that_met_a_conflict_hands_no_state_back():
+    # Deciding x1 true meets a conflict at once; false meets none.
+    cnf = Cnf(4, [(-1, 2), (-1, -2), (3, 4)])
+    seeds = {random.Random(s).random() < 0.5: s for s in range(20)}
+    conflicted, clean = SolverConfig(seed=seeds[True]), \
+        SolverConfig(seed=seeds[False])
+    first = CdclSolver(cnf, cfg=conflicted)  # a first build loads
+    assert first.solve() is not None and first.conflicts == 1
+    second = CdclSolver(cnf, cfg=clean)
+    assert second.watches is not first.watches
+    model = second.solve()
+    assert second.conflicts == 0
+    third = CdclSolver(cnf, cfg=conflicted)
+    assert third.watches is second.watches  # the clean solve's state
+    assert third.solve() == _solved_fresh(cnf, cfg=conflicted)[0]
+    assert third.conflicts == 1
+    # It replayed on a pristine state, which learned (-1) and stays with
+    # it; the next solve gets the live state back, as it was.
+    assert third.watches is not second.watches
+    fourth = CdclSolver(cnf, cfg=clean)
+    assert fourth.watches is second.watches
+    assert fourth.solve() == model and fourth.conflicts == 0
+
+
+def test_the_vsids_heap_takes_over_from_the_cursor_at_the_first_conflict():
+    # Phases are forced: x4 true, every other tracked variable false.
+    # Decisions take x1..x4 in index order; x4 meets a conflict on x7,
+    # which is learned away at level 0. Then the bumped x7 comes first,
+    # and the rest in index order, x5 included, though x5 was never
+    # decided before the conflict.
+    cnf = Cnf(8, [(-4, 7), (-4, -7)])
+    dist = BitDistribution({v: (0, 1) if v != 4 else (1, 0)
+                            for v in range(1, 9)})
+    decisions = []
+
+    class Recording(CdclSolver):
+        def _pick_phase(self, var):
+            decisions.append(var)
+            return super()._pick_phase(var)
+
+    solver = Recording(cnf, dist, SolverConfig(bias_p=1.0))
+    model = solver.solve()
+    assert decisions == [1, 2, 3, 4, 7, 1, 2, 3, 5, 6, 8]
+    assert model == [False] * 9 and solver.conflicts == 1
 
 
 def test_search_is_pinned_on_random_3sat():
