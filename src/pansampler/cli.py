@@ -23,9 +23,10 @@ from pathlib import Path
 
 from .abstraction import abstract_formula
 from .bitblast import bit_blast, to_dimacs
+from .coverage import build_universe
 from .oracle import OracleError, enumerate_solutions, exact_coverage, slow_satisfies
 from .parser import ParseError, parse_file
-from .printer import print_models
+from .printer import print_models, print_term
 from .sampler import (FormulaUnsatError, Mode, SampleResult, SamplerConfig,
                       sample)
 from .terms import Formula
@@ -50,6 +51,9 @@ RECORD_FIELDS = ["benchmark", "logic", "mode", "r", "achieved",
                  "num_solutions", "time_s", "coverage_star", "reason"]
 
 DEFAULT_TARGETS = [0.8, 0.9, 0.95, 0.98, 0.99, 0.995]
+
+UNCOVERED_LISTED = 32  # uncovered slots a report lists
+NODE_CHARS = 120  # printed length of a listed node
 
 
 @dataclass
@@ -180,6 +184,36 @@ def _oracle_report(f: Formula, result: SampleResult) -> dict:
     }
 
 
+def _reachability(f: Formula, result: SampleResult) -> dict:
+    """Coverage over the slots not proved unreachable, and the first
+    uncovered slots, the ones not proved unreachable first. A slot the
+    run never tried to prove counts as not proved."""
+    universe = build_universe(f)
+    total = universe.num_ast_bits
+    unreachable = result.unreachable
+    reachable = total - unreachable.bit_count()
+    uncovered = ((1 << total) - 1) & ~result.covered
+    listed = []
+    for slots, proved in ((uncovered & ~unreachable, False),
+                          (unreachable, True)):
+        while slots and len(listed) < UNCOVERED_LISTED:
+            low = slots & -slots
+            slots ^= low
+            k, value = divmod(low.bit_length() - 1, 2)
+            tid, bit = universe.entries[k]
+            node = print_term(f.table, tid)
+            if len(node) > NODE_CHARS:
+                node = node[:NODE_CHARS] + "..."
+            listed.append({"node": node, "bit": bit, "value": value,
+                           "proved": proved})
+    return {
+        "coverage_reachable": (result.coverage["covered_slots"] / reachable
+                               if reachable else
+                               result.coverage["coverage_star"]),
+        "uncovered": listed,
+    }
+
+
 def run_file(path: str | Path, cfg: SamplerConfig, out_dir: str = "",
              emit_dimacs: bool = False, oracle_check: bool = False,
              deterministic_timing: bool = False,
@@ -255,6 +289,7 @@ def run_file(path: str | Path, cfg: SamplerConfig, out_dir: str = "",
             "phase_times_s": ({k: 0.0 for k in result.phase_times}
                               if deterministic_timing else result.phase_times),
             "coverage": result.coverage,
+            **_reachability(f, result),
             "coverage_star_trace": result.coverage_star_trace,
             "solutions": [a.to_json_obj() for a in samples],
         }

@@ -2,7 +2,9 @@
 
 Each iteration draws a batch of candidate solutions from the diversity
 solver, scores them against the accumulated coverage, keeps the best,
-refines it by per-variable deviation re-solves, and absorbs it. Modes:
+refines it by per-variable deviation re-solves, and absorbs it. A run
+stalls once lam iterations in a row absorb nothing, or as soon as every
+AST-bit left uncovered is proved unreachable (see Unreachable). Modes:
 
 - pansampler: distribution-biased candidates, coverage scoring, refinement
 - alt1: blocking clauses over prior solutions instead of the bias
@@ -17,13 +19,15 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .abstraction import Abstraction, abstract_formula, project_assignment
 from .bitblast import BlastMap, Cnf, bit_blast
 from .coverage import (AstBitUniverse, CoverState, build_universe, cover_set,
                        manhattan_score)
 from .evaluate import satisfies
-from .sat import BitDistribution, SolverConfig, distribution_from
+from .sat import (BitDistribution, ConflictBudgetExceeded, SolverConfig,
+                  distribution_from)
 from .sat import solve as sat_solve
 from .terms import Formula
 from .theory import Conflict, axiom_instance_bound, theory_check
@@ -76,6 +80,8 @@ class SampleResult:
     phase_times: dict[str, float]
     reason: str  # target | max_solutions | timeout | stall
     coverage: dict
+    covered: int  # cover bitset of the solutions (see coverage.cover_set)
+    unreachable: int  # slots proved unreachable, as a cover bitset
 
 
 class _Priors:
@@ -256,14 +262,18 @@ class DiversitySmtEngine:
 
 def post_opt(engine: DiversitySmtEngine, universe: AstBitUniverse,
              state: CoverState, solutions: list[Assignment],
-             alpha: Assignment, seeds: random.Random) -> Assignment:
+             alpha: Assignment, seeds: random.Random,
+             out_of_time: Callable[[], bool] = lambda: False) -> Assignment:
     """Refine alpha by re-solving with one variable forced off its value.
 
-    Keeps deviants scoring at least alpha's gain; ties return alpha."""
+    Keeps deviants scoring at least alpha's gain; ties return alpha. Once
+    out_of_time says so, returns the best found so far."""
     f = engine.f
     best = alpha
     best_score = state.gain(cover_set(f, universe, alpha))
     for name, sort in f.bv_bool_vars():
+        if out_of_time():
+            break
         val = alpha[name]
         const = f.table.mk_const_of_sort(sort, val.as_int())
         deviation = f.table.mk_distinct(f.table.mk_var(name, sort), const)
@@ -278,6 +288,69 @@ def post_opt(engine: DiversitySmtEngine, universe: AstBitUniverse,
     return best
 
 
+PROOF_CONFLICTS = 1000  # conflict budget of one unreachability proof
+
+
+class Unreachable:
+    """AST-bit slots proved unreachable, as a cover bitset.
+
+    Slot 2k+v, entry k = (node n, bit b), is proved when the engine's base
+    CNF plus the unit clause setting bit b of n's blasted image to v is
+    UNSAT. The abstraction over-approximates and every lemma is a valid
+    theory fact, so every solution, projected, is a model of the base CNF:
+    no solution covers a proved slot, and a proof holds for the rest of
+    the run. A slot whose proof failed, on SAT, on the conflict budget, or
+    for want of a blasted literal, is tried again only once the lemma
+    count changes. No proof draws from the sampler's rng or adds a lemma."""
+
+    def __init__(self, engine: DiversitySmtEngine,
+                 universe: AstBitUniverse) -> None:
+        self.engine = engine
+        self.universe = universe
+        self.proved = 0
+        self._failed = 0  # slots not proved under _failed_at lemmas
+        self._failed_at = -1
+
+    def proves_rest(self, covered: int,
+                    out_of_time: Callable[[], bool]) -> bool:
+        """Whether every slot outside covered is proved unreachable.
+        Tries the open slots in order, up to the first it cannot prove."""
+        lemmas = len(self.engine.lemmas)
+        if lemmas != self._failed_at:
+            self._failed, self._failed_at = 0, lemmas
+        every = (1 << self.universe.num_ast_bits) - 1
+        open_ = every & ~covered & ~self.proved
+        if open_ & self._failed:
+            return False
+        base = self.engine.blast()[0]
+        while open_:
+            low = open_ & -open_
+            if out_of_time():
+                return False
+            if not self._proves(base, low.bit_length() - 1):
+                self._failed |= low
+                return False
+            self.proved |= low
+            open_ ^= low
+        return True
+
+    def _proves(self, base: Cnf, slot: int) -> bool:
+        k, v = divmod(slot, 2)
+        tid, bit = self.universe.entries[k]
+        lit = base.encoding.memo.get(self.engine.abs.rewrite(tid))
+        if lit is None:
+            return False  # not blasted: only inside a theory atom
+        if isinstance(lit, list):
+            lit = lit[bit]
+        cnf = Cnf(base.num_vars, base.clauses + [(lit if v else -lit,)],
+                  base=base)
+        try:
+            return sat_solve(cnf, None, SolverConfig(
+                seed=0, conflict_budget=PROOF_CONFLICTS)) is None
+        except ConflictBudgetExceeded:
+            return False
+
+
 def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
     """Sample a coverage-maximizing solution set for f.
 
@@ -286,6 +359,7 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
     universe = build_universe(f)
     state = CoverState(universe)
     engine = DiversitySmtEngine(f, cfg)
+    unreachable = Unreachable(engine, universe)
     master = random.Random(cfg.seed)
     solutions: list[Assignment] = []
     trace: list[float] = []
@@ -339,15 +413,18 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
         t0 = time.perf_counter()
         if cfg.mode is not Mode.ALT3:
             selected = post_opt(engine, universe, state, solutions, selected,
-                                master)
+                                master, out_of_time)
         phases["optimization"] += time.perf_counter() - t0
         slots = cover_set(f, universe, selected)
         # A constant-only formula tracks nothing; absorbing one solution
         # marks it vacuously covered.
         vacuous = universe.num_entries == 0 and state.num_solutions == 0
         if state.gain(slots) == 0 and not vacuous:
+            # Stall after lam zero-gain iterations in a row, or at once
+            # when no slot left uncovered can be covered.
             consecutive_zero += 1
-            if consecutive_zero >= cfg.lam:
+            if consecutive_zero >= cfg.lam or unreachable.proves_rest(
+                    state.covered, out_of_time):
                 reason = "stall"
                 break
             continue
@@ -367,4 +444,6 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
         phase_times=phases,
         reason=reason,
         coverage=state.report(),
+        covered=state.covered,
+        unreachable=unreachable.proved,
     )

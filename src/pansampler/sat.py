@@ -71,6 +71,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (0.5 <= self.bias_p <= 1.0):
             raise ValueError(f"bias_p must lie in [0.5, 1], got {self.bias_p}")
+        if self.restart_base < 1:  # at 0 a solve restarts forever
+            raise ValueError(
+                f"restart_base must be >= 1, got {self.restart_base}")
 
 
 class BitDistribution:

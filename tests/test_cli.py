@@ -6,7 +6,8 @@ import json
 import pytest
 
 from pansampler.bitblast import parse_dimacs
-from pansampler.cli import (DEFAULT_TARGETS, RECORD_FIELDS, BenchRecord,
+from pansampler.cli import (DEFAULT_TARGETS, NODE_CHARS, RECORD_FIELDS,
+                            UNCOVERED_LISTED, BenchRecord,
                             _parse_targets, aggregate, aggregate_csv,
                             build_arg_parser, infer_logic, main, records_csv,
                             run_file, sampler_config)
@@ -278,6 +279,32 @@ def test_deterministic_timing_zeroes_every_clock(tmp_path):
     first = (tmp_path / "demo.report.json").read_bytes()
     run_file(src, cfg, deterministic_timing=True)
     assert (tmp_path / "demo.report.json").read_bytes() == first
+
+
+def test_report_names_the_uncovered_slots(tmp_path):
+    # Bit 1 of x * x is 0 in every solution, and the proof shows it.
+    (tmp_path / "square.smt2").write_text(
+        "(declare-const x (_ BitVec 4))"
+        "(assert (bvule (bvmul x x) (bvmul x x)))\n")
+    _, code = run_file(tmp_path / "square.smt2", SamplerConfig(lam=4, seed=1))
+    report = json.loads((tmp_path / "square.report.json").read_text())
+    assert code == 5 and report["coverage_reachable"] == 1.0
+    assert {"node": "(bvmul x x)", "bit": 1, "value": 1,
+            "proved": True} in report["uncovered"]
+    assert all(e["proved"] for e in report["uncovered"])
+    # One solution of a free 64-bit vector leaves 65 slots open, none
+    # put to a proof; the list stops at its cap, and a long node is cut.
+    name = "x" * (NODE_CHARS + 1)
+    (tmp_path / "free.smt2").write_text(
+        f"(declare-const {name} (_ BitVec 64))(assert (bvule {name} {name}))\n")
+    run_file(tmp_path / "free.smt2",
+             SamplerConfig(lam=2, seed=1, max_solutions=1))
+    report = json.loads((tmp_path / "free.report.json").read_text())
+    assert report["coverage_reachable"] == report["coverage"]["coverage_star"]
+    assert len(report["uncovered"]) == UNCOVERED_LISTED
+    assert not any(e["proved"] for e in report["uncovered"])
+    assert {e["node"] for e in report["uncovered"]} <= {
+        name[:NODE_CHARS] + "...", "(bvule " + name[:NODE_CHARS - 7] + "..."}
 
 
 def test_out_dir_redirects_artifacts(tmp_path):

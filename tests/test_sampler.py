@@ -12,10 +12,12 @@ from pansampler.abstraction import project_assignment
 from pansampler.bitblast import Cnf, bit_blast
 from pansampler.coverage import CoverState, build_universe, cover_set
 from pansampler.evaluate import satisfies
+from pansampler.fuzz import random_formula
+from pansampler.oracle import OracleError, enumerate_solutions
 from pansampler.parser import parse_formula
 from pansampler.printer import print_formula, print_models
 from pansampler.sampler import (DiversitySmtEngine, FormulaUnsatError, Mode,
-                                SamplerConfig, post_opt, sample)
+                                SamplerConfig, Unreachable, post_opt, sample)
 from pansampler.values import Assignment, BoolVal, BvVal
 
 TAUT = "(declare-const x Bool)(assert (or x (not x)))"
@@ -438,6 +440,110 @@ def test_no_refinement_mode_is_a_plain_greedy_loop():
             sols.append(cand)
             state.absorb(slots)
         assert [s.key() for s in res.solutions] == [s.key() for s in sols]
+
+
+def test_refinement_stops_once_the_time_budget_is_spent(monkeypatch):
+    f = parse_formula(
+        "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
+        "(declare-const p Bool)(assert (or p (bvult x y)))")
+    cfg = SamplerConfig(lam=1, seed=1)
+    real = DiversitySmtEngine.solve_once
+    deviations = []
+
+    def solve_once(self, prior, seed, extra=()):
+        deviations.extend(extra)
+        got = real(self, prior, seed, extra)
+        cfg.time_budget = 0.0  # spent once the first candidate is drawn
+        return got
+
+    monkeypatch.setattr(DiversitySmtEngine, "solve_once", solve_once)
+    res = sample(f, cfg)
+    assert res.reason == "timeout" and len(res.solutions) == 1
+    assert len(deviations) <= 1
+
+
+LOGICS = ("QF_BV", "QF_ABV", "QF_AUFBV")
+
+
+def _without_proofs(monkeypatch):
+    monkeypatch.setattr(Unreachable, "_proves", lambda self, base, slot: False)
+
+
+def test_proved_slots_are_unreachable_by_the_oracle():
+    # Every slot, not only those a run gets to, is put to the proof.
+    fixtures = proved = 0
+    for logic in LOGICS:
+        for seed in range(40):
+            f = random_formula(seed, logic=logic)
+            try:
+                rep = enumerate_solutions(f)
+            except OracleError:
+                continue
+            if not rep.solutions:
+                continue
+            fixtures += 1
+            res = sample(f, SamplerConfig(lam=4, seed=seed))
+            assert res.unreachable & rep.valid_mask == 0, (logic, seed)
+            engine = DiversitySmtEngine(f)
+            prior = []
+            for k in range(3):  # lemmas join the base CNF
+                prior.append(engine.solve_once(prior, seed=k))
+            audit = Unreachable(engine, rep.universe)
+            base, _ = engine.blast()
+            for slot in range(rep.universe.num_ast_bits):
+                if audit._proves(base, slot):
+                    assert not rep.valid_mask >> slot & 1, (logic, seed, slot)
+                    proved += 1
+    assert fixtures >= 60 and proved >= 100
+
+
+def test_proofs_change_no_sample_and_no_reason(monkeypatch):
+    runs = 0
+    fewer = 0
+    for logic in LOGICS:
+        for seed in range(70):
+            f = random_formula(seed, logic=logic, max_width=6, max_depth=4,
+                               bit_budget=16)
+            cfg = SamplerConfig(lam=8, seed=seed, mode=list(Mode)[seed % 4])
+            try:
+                got = sample(f, cfg)
+            except FormulaUnsatError:
+                continue
+            with monkeypatch.context() as m:
+                _without_proofs(m)
+                old = sample(f, cfg)
+            runs += 1
+            assert print_models(f, got.solutions) == \
+                print_models(f, old.solutions), (logic, seed)
+            assert got.reason == old.reason, (logic, seed)
+            assert got.iterations <= old.iterations, (logic, seed)
+            fewer += got.iterations < old.iterations
+    assert runs >= 100 and fewer >= runs // 2
+
+
+@pytest.mark.parametrize("src,mode,budget", [
+    # p = false and x = #xa5 can be covered, but no biased draw finds
+    # them and alt3 does not refine.
+    ("(declare-const x (_ BitVec 8))(declare-const p Bool)"
+     "(assert (or p (= x #xa5)))", Mode.ALT3, None),
+    # x * x has bit 1 at 0 always; showing it takes a conflict.
+    ("(declare-const x (_ BitVec 4))"
+     "(assert (bvule (bvmul x x) (bvmul x x)))", Mode.PANSAMPLER, 0),
+])
+def test_an_unproved_slot_still_waits_out_the_stall(monkeypatch, src, mode,
+                                                     budget):
+    f = parse_formula(src)
+    cfg = SamplerConfig(lam=4, seed=1, mode=mode)
+    if budget is not None:
+        assert sample(f, cfg).iterations < cfg.lam + 3
+        monkeypatch.setattr(sampler, "PROOF_CONFLICTS", budget)
+    got = sample(f, cfg)
+    _without_proofs(monkeypatch)
+    old = sample(f, cfg)
+    assert got.reason == old.reason == "stall"
+    assert got.iterations == old.iterations >= cfg.lam + len(got.solutions)
+    uncovered = ~got.covered & ((1 << build_universe(f).num_ast_bits) - 1)
+    assert uncovered & ~got.unreachable
 
 
 PINNED = {

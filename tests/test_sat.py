@@ -57,6 +57,14 @@ def test_conflict_budget_raises_instead_of_answering():
         solve(pigeonhole(6, 5), cfg=SolverConfig(conflict_budget=1))
 
 
+def test_restart_base_below_one_is_rejected():
+    # At 0 every solve would restart at level 0 forever.
+    for base in (0, -3):
+        with pytest.raises(ValueError, match="restart_base"):
+            SolverConfig(restart_base=base)
+    assert solve(pigeonhole(4, 3), cfg=SolverConfig(restart_base=1)) is None
+
+
 def test_agrees_with_reference_solver():
     for seed in range(200):
         cnf = random_cnf(seed, max_vars=12, max_clauses=40)
