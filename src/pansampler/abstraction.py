@@ -31,10 +31,6 @@ class Abstraction:
     _rewrite_memo: dict[int, int] = field(default_factory=dict)
     _fresh_counts: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def is_pure(self) -> bool:
-        return not self.atom_map
-
     def _fresh_name(self, prefix: str) -> str:
         n = self._fresh_counts.get(prefix, 0)
         self._fresh_counts[prefix] = n + 1

@@ -7,43 +7,62 @@ TRUE variable pinned by a unit clause.
 
 A blast keeps its encoding state (the gate of every encoded term and the
 TRUE variable) on the Cnf it returns, so that more terms can be blasted
-on top of it later: the result then has the base's clauses followed by
-the new ones, numbered as one blast of everything would number them.
+on top of it later. The result is an extension of that base: it holds
+only the new clauses, and stands for the base's clauses followed by
+them, numbered as one blast of everything would number them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable
 
 from .sorts import Sort
 from .terms import Op, TermTable
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cnf:
+    """Clauses over variables 1..num_vars, never changed once made.
+
+    An extension (base set) holds only its own clauses and stands for
+    its base's clauses followed by them; sat.CdclSolver attaches just
+    those to the base's solver state. A base is never itself an
+    extension, and has no more variables than its extensions."""
+
     num_vars: int = 0
-    clauses: list[tuple[int, ...]] = field(default_factory=list)
-    # The Cnf whose clauses begin these ones, when these extend it;
-    # sat.CdclSolver then attaches only the clauses past it to the
-    # base's state.
-    base: Cnf | None = field(default=None, compare=False, repr=False)
+    clauses: tuple[tuple[int, ...], ...] = ()  # made from any sequence
+    base: Cnf | None = field(default=None, repr=False)
     # Set by bit_blast: the encoding state behind these clauses.
     encoding: _Encoding | None = field(default=None, compare=False, repr=False)
-    # Set by sat.CdclSolver: the solver state it keeps for these clauses
-    # between solves, from the second solve on or once the CNF is extended.
+    # Set by sat.CdclSolver on the Cnf's first solve: the solver state it
+    # keeps for these clauses between solves. The one field that changes.
     solver_cache: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "clauses", tuple(self.clauses))
+        base = self.base
+        if base is not None and (base.base is not None
+                                 or base.num_vars > self.num_vars):
+            raise ValueError("a base must be a Cnf of its own with no more "
+                             "variables than its extension")
+
+    def all_clauses(self) -> Iterable[tuple[int, ...]]:
+        """The base's clauses, if any, followed by the Cnf's own."""
+        if self.base is None:
+            return self.clauses
+        return chain(self.base.clauses, self.clauses)
 
 
 @dataclass
 class BlastMap:
-    """Tracked bit (name, bit index) to SAT variable, both directions."""
+    """Tracked bit (name, bit index) to SAT variable."""
 
     forward: dict[tuple[str, int], int] = field(default_factory=dict)
-    reverse: dict[int, tuple[str, int]] = field(default_factory=dict)
 
     def add(self, name: str, bit: int, var: int) -> None:
         self.forward[(name, bit)] = var
-        self.reverse[var] = (name, bit)
 
 
 @dataclass
@@ -62,10 +81,12 @@ class BlastError(Exception):
 class Blaster:
     def __init__(self, table: TermTable, base: Cnf | None = None) -> None:
         """An empty blaster, or one that goes on from a bit_blast result:
-        its clauses, variables, tracked bits and term gates."""
+        its variables, tracked bits and term gates. Either way, clauses
+        holds only the clauses this blaster adds."""
         self.table = table
+        self.clauses: list[tuple[int, ...]] = []
         if base is None:
-            self.cnf = Cnf()
+            self.num_vars = 0
             self.map = BlastMap()
             self._memo: dict[int, object] = {}  # term id -> lit or list of lits
             self._true: int | None = None
@@ -73,14 +94,14 @@ class Blaster:
         enc = base.encoding
         if enc is None:
             raise BlastError("the base CNF was not produced by bit_blast")
-        self.cnf = Cnf(base.num_vars, list(base.clauses), base=base)
+        self.num_vars = base.num_vars
         self.map = enc.map
         self._memo = dict(enc.memo)  # the base's own memo stays as it is
         self._true = enc.true
 
     def new_var(self) -> int:
-        self.cnf.num_vars += 1
-        return self.cnf.num_vars
+        self.num_vars += 1
+        return self.num_vars
 
     def add_clause(self, *lits: int) -> None:
         seen: dict[int, None] = {}
@@ -88,7 +109,7 @@ class Blaster:
             if -l in seen:
                 return  # tautology
             seen[l] = None
-        self.cnf.clauses.append(tuple(seen))
+        self.clauses.append(tuple(seen))
 
     def true_lit(self) -> int:
         if self._true is None:
@@ -373,23 +394,24 @@ def bit_blast(table: TermTable, decls: dict[str, Sort], assertions: list[int],
     All declared Bool/BitVec variables are allocated up front so tracked
     bits map to SAT variables even when unconstrained. With a base (an
     earlier result over the same decls), the assertions are blasted on
-    top of it instead: the Cnf extends the base, reuses its term gates
-    and blast map, and equals a blast of the base's assertions followed
-    by these ones."""
+    top of it instead: the Cnf extends the base, holding only the new
+    clauses, reuses its term gates and blast map, and equals a blast of
+    the base's assertions followed by these ones."""
     blaster = Blaster(table, base)
     if base is None:
         for name, sort in decls.items():
             blaster.declare(name, sort)
     for a in assertions:
         blaster.assert_term(a)
-    cnf = blaster.cnf
-    cnf.encoding = _Encoding(blaster.map, blaster._memo, blaster._true)
+    cnf = Cnf(blaster.num_vars, blaster.clauses, base=base,
+              encoding=_Encoding(blaster.map, blaster._memo, blaster._true))
     return cnf, blaster.map
 
 
 def to_dimacs(cnf: Cnf) -> str:
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for clause in cnf.clauses:
+    clauses = list(cnf.all_clauses())
+    lines = [f"p cnf {cnf.num_vars} {len(clauses)}"]
+    for clause in clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
 

@@ -32,11 +32,11 @@ from .sampler import (FormulaUnsatError, Mode, SampleResult, SamplerConfig,
 from .terms import Formula
 
 EXIT_TARGET = 0
-EXIT_UNSAT = 2
 EXIT_TIMEOUT = 3
 EXIT_ERROR = 4
 EXIT_STALL = 5
 EXIT_MAX_SOLUTIONS = 6
+EXIT_UNSAT = 7  # not 2, which argparse gives a usage error
 
 _REASON_EXIT = {
     "target": EXIT_TARGET,

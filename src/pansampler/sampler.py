@@ -92,7 +92,7 @@ class _Priors:
         self.projected = projected
         self.bmap = bmap
         self._dist: BitDistribution | None = None
-        self._blocking: list[tuple[int, ...]] | None = None
+        self._blocking: tuple[tuple[int, ...], ...] | None = None
 
     def holds(self, projected: list[Assignment], bmap: BlastMap) -> bool:
         return (bmap is self.bmap and len(projected) == len(self.projected)
@@ -103,18 +103,19 @@ class _Priors:
             self._dist = distribution_from(self.projected, self.bmap)
         return self._dist
 
-    def blocking(self) -> list[tuple[int, ...]]:
+    def blocking(self) -> tuple[tuple[int, ...], ...]:
         """One clause per solution, excluding its tracked bits."""
         if self._blocking is None:
             forward = self.bmap.forward
-            self._blocking = []
+            clauses = []
             for p in self.projected:
                 clause = []
                 for name, bit, v in p.scalar_bits():
                     var = forward.get((name, bit))
                     if var is not None:
                         clause.append(-var if v else var)
-                self._blocking.append(tuple(clause))
+                clauses.append(tuple(clause))
+            self._blocking = tuple(clauses)
         return self._blocking
 
 
@@ -135,11 +136,11 @@ class DiversitySmtEngine:
         self.lemma_bound = axiom_instance_bound(f, self.abs)
         self.lemma_rounds = 0
         # The base CNF and blast map for the lemma and declaration counts
-        # in _base_key, and, per extra tuple, the variable count and the
-        # clauses past the base of the CNF that extends it.
+        # in _base_key, and, per extra tuple, the variable count and own
+        # clauses of the CNF that extends it.
         self._base: tuple[Cnf, BlastMap] | None = None
         self._base_key: tuple[int, int] | None = None
-        self._suffixes: dict[tuple[int, ...], tuple[int, list]] = {}
+        self._suffixes: dict[tuple[int, ...], tuple[int, tuple]] = {}
         # The last solutions projected, by id, each with its projection,
         # for the atom count in _projected_atoms.
         self._projections: dict[int, tuple[Assignment, Assignment]] = {}
@@ -169,11 +170,10 @@ class DiversitySmtEngine:
         got = self._suffixes.get(extra)
         if got is None:
             cnf, _ = bit_blast(self.f.table, decls, extra_images, base=base)
-            self._suffixes[extra] = (cnf.num_vars,
-                                     cnf.clauses[len(base.clauses):])
+            self._suffixes[extra] = (cnf.num_vars, cnf.clauses)
             return cnf, bmap
-        num_vars, suffix = got
-        return Cnf(num_vars, base.clauses + suffix, base=base), bmap
+        num_vars, own = got
+        return Cnf(num_vars, own, base=base), bmap
 
     def project(self, solutions: list[Assignment]) -> list[Assignment]:
         """Projections onto the abstraction, each computed once per
@@ -229,7 +229,8 @@ class DiversitySmtEngine:
             if self.blocking:
                 dist = BitDistribution()
                 if prior_projected:
-                    cnf = Cnf(cnf.num_vars, cnf.clauses + priors.blocking(),
+                    own = cnf.clauses if cnf.base is not None else ()
+                    cnf = Cnf(cnf.num_vars, own + priors.blocking(),
                               base=cnf.base or cnf)
             else:
                 dist = priors.distribution()
@@ -342,8 +343,7 @@ class Unreachable:
             return False  # not blasted: only inside a theory atom
         if isinstance(lit, list):
             lit = lit[bit]
-        cnf = Cnf(base.num_vars, base.clauses + [(lit if v else -lit,)],
-                  base=base)
+        cnf = Cnf(base.num_vars, [(lit if v else -lit,)], base=base)
         try:
             return sat_solve(cnf, None, SolverConfig(
                 seed=0, conflict_budget=PROOF_CONFLICTS)) is None

@@ -19,24 +19,23 @@ level-0 state of its CNF, whatever its watch positions and watch-list
 order. Only what follows a conflict (the clause found, what is learned)
 depends on that layout.
 
-A CNF solved again therefore reuses the clause and watch lists its last
+A solve therefore starts on the clause and watch lists the CNF's last
 solve left behind, in place (`_Live`, kept on the Cnf by a `_Snapshot`
-from its second solve on), reset to their saved level-0 trail and value
-table. When a solve on such a state meets its first conflict, it starts
-over with the same seed on a pristine state, laid out as a fresh load of
-the CNF lays it out: a copy of that load, taken at the first replay.
-The live state, which learned nothing, goes back to the Cnf. A solve on
-a pristine state (a Cnf's first, or a replay) keeps going through its
-conflicts and hands nothing back.
+made at its first solve), reset to their saved level-0 trail and value
+table. When a solve meets its first conflict, it hands the live state,
+which learned nothing, back to the Cnf and starts over with the same
+seed on a pristine state, laid out as a fresh load of the CNF lays it
+out: a copy of that load, taken at the first replay. A replay keeps
+going through its conflicts and hands nothing back.
 
-A Cnf may extend a base Cnf (`Cnf.base`): a refinement deviation or a
-set of blocking clauses is the base's clauses plus a short suffix. Such
-a Cnf attaches its suffix to the base's live state at level 0, watching
-literals that are not false there, and detaches it after the solve, so
-the base keeps one copy of its clauses. Its replay loads the suffix on
-top of the base's pristine copy, which gives the same state as loading
-all its clauses. When the base is no longer a prefix of the Cnf (its
-clauses or num_vars changed), the Cnf is solved as a CNF of its own.
+A Cnf may extend a base Cnf (`Cnf.base`): a refinement deviation, a set
+of blocking clauses or an unreachability proof is the base's clauses
+plus a few of its own. Such a Cnf attaches its own clauses to the
+base's live state at level 0, watching literals that are not false
+there, and detaches them after the solve, so the base keeps one copy of
+its clauses. Its replay loads them on top of the base's pristine copy,
+which gives the same state as loading all its clauses. Clauses are only
+ever added, never changed, so a kept state never goes stale.
 
 Variable values live in one list indexed directly by the signed
 literal: value[lit] is +1 when lit is true, -1 when false, 0 when free.
@@ -212,42 +211,19 @@ class _Live:
 
 
 class _Snapshot:
-    """What a Cnf keeps from its second solve on, or from the first solve
-    of a Cnf that extends it: its live state, while no solver holds it,
-    and the pristine copy of its load, taken at its first replay.
-    `source` is the clause list both come from, so that a later change
-    to the Cnf shows."""
+    """What a Cnf keeps from its first solve on: its live state, while no
+    solver holds it, and the pristine copy of its load, taken at its
+    first replay."""
 
-    def __init__(self, cnf: Cnf) -> None:
-        self.num_vars = cnf.num_vars
-        self.source = list(cnf.clauses)
+    def __init__(self) -> None:
         self.live: _Live | None = None
         self.pristine: _Pristine | None = None
-
-    def matches(self, cnf: Cnf) -> bool:
-        return self.num_vars == cnf.num_vars and self.source == cnf.clauses
 
     def level0(self, cnf: Cnf) -> _Level0:
         """The Cnf as a fresh load lays it out."""
         if self.pristine is None:
             self.pristine = _Pristine(_load(cnf.clauses, cnf.num_vars))
         return self.pristine.restore()
-
-
-_SEEN_ONCE = object()  # Cnf.solver_cache after the first solver build
-
-
-def _kept(cnf: Cnf, extended: bool) -> _Snapshot | None:
-    """The Cnf's snapshot, made afresh when it is missing or stale, or
-    None on the first build of a Cnf that is not extended."""
-    snap = cnf.solver_cache
-    if isinstance(snap, _Snapshot) and snap.matches(cnf):
-        return snap
-    if snap is None and not extended:
-        cnf.solver_cache = _SEEN_ONCE
-        return None
-    snap = cnf.solver_cache = _Snapshot(cnf)
-    return snap
 
 
 def _grown(value: list[int], n: int) -> list[int]:
@@ -262,36 +238,33 @@ _REPLAY = object()  # _search's answer at the first conflict on a live state
 class CdclSolver:
     """One solve of a CNF.
 
-    A Cnf's first solve loads it. Later solves, and every solve of a Cnf
-    that extends a base, run on the live state of the Cnf (or the base)
-    until their first conflict, and replay on a pristine state when one
-    occurs; either way the model and conflict count are those of a
-    freshly loaded solver."""
+    It runs on the live state of the Cnf, or of the base it extends with
+    its own clauses attached, until its first conflict, and replays on a
+    pristine state when one occurs; either way the model and conflict
+    count are those of a freshly loaded solver."""
 
     def __init__(self, cnf: Cnf, dist: BitDistribution | None = None,
                  cfg: SolverConfig | None = None) -> None:
         self.cfg = cfg or SolverConfig()
         self.dist = dist or BitDistribution()
         n = self.num_vars = cnf.num_vars
-        owner, self._suffix = cnf, ()
-        base = cnf.base
-        if base is not None and base.num_vars <= n:
-            k = len(base.clauses)
-            if cnf.clauses[:k] == base.clauses:
-                owner, self._suffix = base, cnf.clauses[k:]
-                _check_literals(self._suffix, n)
-        self._owner = owner
+        owner = self._owner = cnf.base or cnf
+        self._own = cnf.clauses if owner is not cnf else ()
+        _check_literals(self._own, n)
         self._attached: list[list[int]] = []
-        self._snap = _kept(owner, owner is not cnf)
-        self._pristine = self._snap is None
-        if self._pristine:
-            self._start(_load(cnf.clauses, n), n)
-            return
-        live, self._snap.live = self._snap.live, None
+        self._replayed = False
+        snap = owner.solver_cache
+        if snap is None:
+            # Cnf is frozen; the solver state is the one thing it keeps
+            # that changes, and only here is it set.
+            snap = _Snapshot()
+            object.__setattr__(owner, "solver_cache", snap)
+        self._snap = snap
+        live, snap.live = snap.live, None
         self._live = live or self._load_live(owner)
         self._reset(self._live.watches, self._live.trail.copy(),
                     _grown(self._live.value, n), self._live.unsat)
-        self._attach(self._suffix)
+        self._attach(self._own)
 
     # -- states ---------------------------------------------------------
 
@@ -507,19 +480,18 @@ class CdclSolver:
     def solve(self) -> list[bool] | None:
         """A model as bools indexed 1..num_vars, or None when UNSAT."""
         model = self._search()
-        if not self._pristine:
-            self._hand_back()
-            if model is _REPLAY:
-                self._pristine = True
-                state = self._snap.level0(self._owner)
-                _load(self._suffix, self.num_vars, state)
-                self._start(state, self.num_vars)
-                model = self._search()
+        self._hand_back()
+        if model is _REPLAY:
+            self._replayed = True
+            state = self._snap.level0(self._owner)
+            _load(self._own, self.num_vars, state)
+            self._start(state, self.num_vars)
+            model = self._search()
         return model
 
     def _search(self):
         """The model, None when UNSAT, or _REPLAY at the first conflict
-        on a state that is not pristine."""
+        on the live state."""
         if self._unsat or self._propagate() is not None:
             return None
         restart_num = 0
@@ -528,7 +500,7 @@ class CdclSolver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                if not self._pristine:
+                if not self._replayed:
                     return _REPLAY
                 if self.heap is None:
                     self._start_vsids()
@@ -569,8 +541,8 @@ def solve(cnf: Cnf, dist: BitDistribution | None = None,
     model = CdclSolver(cnf, dist, cfg).solve()
     if model is not None:
         true_lits = {v if model[v] else -v for v in range(1, len(model))}
-        if any(map(true_lits.isdisjoint, cnf.clauses)):
-            bad = next(c for c in cnf.clauses if true_lits.isdisjoint(c))
+        bad = next(filter(true_lits.isdisjoint, cnf.all_clauses()), None)
+        if bad is not None:
             raise AssertionError(
                 f"solver produced a falsifying model: clause {bad} is false")
     return model

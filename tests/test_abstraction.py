@@ -13,7 +13,6 @@ def test_pure_bitvector_formula_passes_through():
     f = parse_formula(
         "(declare-const x (_ BitVec 4))(assert (bvult x #x9))")
     abs_ = abstract_formula(f)
-    assert abs_.is_pure
     assert abs_.atom_map == {}
     assert abs_.formula.assertions == f.assertions
     assert abs_.formula.decls == {"x": bv(4)}

@@ -204,7 +204,7 @@ def test_run_file_reaches_target_and_writes_artifacts(tmp_path):
 
 def test_run_file_exit_codes(tmp_path):
     cases = [
-        ("unsat.smt2", UNSAT, SamplerConfig(lam=2), 2, "unsat"),
+        ("unsat.smt2", UNSAT, SamplerConfig(lam=2), 7, "unsat"),
         ("taut.smt2", TAUT, SamplerConfig(lam=2), 5, "stall"),
         ("free.smt2", FREE3, SamplerConfig(lam=2, max_solutions=1), 6,
          "max_solutions"),
@@ -217,6 +217,14 @@ def test_run_file_exit_codes(tmp_path):
         rec, code = run_file(src, cfg)
         assert code == want_code, name
         assert rec.reason == want_reason, name
+
+
+def test_main_tells_unsat_from_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "unsat.smt2"
+    src.write_text(UNSAT)
+    assert main([str(src), "--lambda", "2"]) == 7
+    err = _usage_error(capsys, lambda: main([str(src), "--lambda", "0"]))
+    assert "lam" in err
 
 
 def test_run_file_handles_parse_errors(tmp_path):

@@ -1,5 +1,6 @@
 """CDCL solver, phase bias, and solution-set distributions."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -184,7 +185,7 @@ def _edge_case_cnf(seed: int) -> Cnf:
     rng = random.Random(seed)
     n = 24
     v = rng.randint(1, n)
-    clauses = _three_sat(seed, n, 100).clauses + [
+    clauses = list(_three_sat(seed, n, 100).clauses) + [
         (rng.choice((-1, 1)) * rng.randint(1, n),),
         (v, -rng.randint(1, n), v), (-v, v)]
     if seed % 5 == 0:
@@ -215,23 +216,14 @@ def test_snapshot_solver_matches_a_freshly_loaded_one():
             assert solve(cnf, dist, cfg) == got, (seed, run)
             sat += got is not None
             unsat += got is None
-        # From the second build on, solvers copy the snapshot.
+        # From the first build on, the Cnf keeps a snapshot.
         assert isinstance(cnf.solver_cache, _Snapshot)
     assert sat > 100 and unsat > 100 and conflicts > 1000
 
 
-def test_a_cnf_solved_once_keeps_no_snapshot():
-    cnf = random_cnf(3)
-    solve(cnf)
-    assert not isinstance(cnf.solver_cache, _Snapshot)
-    solve(cnf)
-    assert isinstance(cnf.solver_cache, _Snapshot)
-    assert Cnf(cnf.num_vars, list(cnf.clauses)).solver_cache is None
-
-
 def _solved_fresh(cnf: Cnf, dist=None, cfg=None):
-    """Model and conflict count of a solver that loads cnf's clauses."""
-    fresh = CdclSolver(Cnf(cnf.num_vars, list(cnf.clauses)), dist, cfg)
+    """Model and conflict count of a solver that loads all cnf's clauses."""
+    fresh = CdclSolver(Cnf(cnf.num_vars, list(cnf.all_clauses())), dist, cfg)
     return fresh.solve(), fresh.conflicts
 
 
@@ -240,27 +232,24 @@ def _solved(cnf: Cnf, dist=None, cfg=None):
     return solver.solve(), solver.conflicts
 
 
-def test_changing_the_cnf_after_a_solve_replaces_its_snapshot():
-    # Each change comes after solves that leave the CNF a live state to
-    # reuse; a stale one would give a model that breaks the new clauses.
+def test_a_cnf_refuses_change():
+    # A solver keeps state for a Cnf across solves, so its clauses and
+    # variable count must stay as they were made.
     cnf = Cnf(2, [(1, 2)])
+    assert cnf.clauses == ((1, 2),)
     for seed in range(3):
         assert _solved(cnf, cfg=SolverConfig(seed=seed)) == \
             _solved_fresh(cnf, cfg=SolverConfig(seed=seed))
-    cnf.clauses.append((-1,))
-    cnf.clauses.append((-2,))
-    assert solve(cnf) is None
-    assert solve(cnf) is None
-    cnf.clauses[-1] = (2,)  # replaced in place: same length, new clause
-    assert solve(cnf) == [False, False, True]
-    assert solve(cnf) == [False, False, True]
-    cnf.num_vars = 3
-    cnf.clauses.append((3,))
-    assert solve(cnf) == [False, False, True, True]
-    assert solve(cnf) == [False, False, True, True]
-    cnf.num_vars = 2
-    with pytest.raises(ValueError, match="outside"):
-        solve(cnf)
+    with pytest.raises(AttributeError):
+        cnf.clauses.append((-1,))
+    with pytest.raises(TypeError):
+        cnf.clauses[0] = (-1,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cnf.num_vars = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cnf.clauses = ((-1,), (-2,))
+    assert (cnf.num_vars, cnf.clauses) == (2, ((1, 2),))
+    assert solve(cnf) == solve(Cnf(2, [(1, 2)]))
 
 
 def _suffix(rng: random.Random, base: Cnf, n: int) -> list[tuple[int, ...]]:
@@ -287,14 +276,15 @@ def test_an_extension_solves_like_its_clauses_loaded_flat():
     for seed in range(80):
         rng = random.Random(seed)
         # Below the 3-SAT threshold, so that most suffixes keep it SAT.
-        base = Cnf(24, _three_sat(seed, 24, 80).clauses + [
-            (rng.choice((-1, 1)) * rng.randint(1, 24),) for _ in range(2)])
+        clauses = list(_three_sat(seed, 24, 80).clauses) + [
+            (rng.choice((-1, 1)) * rng.randint(1, 24),) for _ in range(2)]
         if seed % 10 == 0:
-            base.clauses.append(())
+            clauses.append(())
+        base = Cnf(24, clauses)
         for ext_no in range(4):
             n = base.num_vars + rng.choice((0, 0, 3, 8))
-            ext = Cnf(n, base.clauses + _suffix(rng, base, n), base=base)
-            flat = Cnf(n, list(ext.clauses))
+            ext = Cnf(n, _suffix(rng, base, n), base=base)
+            flat = Cnf(n, list(ext.all_clauses()))
             for run in range(3):
                 dist = BitDistribution({v: (rng.randrange(4), rng.randrange(4))
                                         for v in range(1, n + 1)
@@ -302,7 +292,7 @@ def test_an_extension_solves_like_its_clauses_loaded_flat():
                 cfg = SolverConfig(seed=rng.randrange(1 << 32),
                                    bias_p=rng.uniform(0.5, 1.0),
                                    restart_base=rng.choice((1, 4, 64)))
-                want = CdclSolver(Cnf(n, list(ext.clauses)), dist, cfg)
+                want = CdclSolver(Cnf(n, list(ext.all_clauses())), dist, cfg)
                 got = CdclSolver(ext, dist, cfg)
                 model = got.solve()
                 assert model == want.solve(), (seed, ext_no, run)
@@ -314,7 +304,7 @@ def test_an_extension_solves_like_its_clauses_loaded_flat():
             # The base's snapshot served the extension, which kept none.
             assert isinstance(base.solver_cache, _Snapshot)
             assert ext.solver_cache is None
-        # Loading suffixes on top left the base's own snapshot intact.
+        # Loading own clauses on top left the base's snapshot intact.
         cfg = SolverConfig(seed=seed)
         reused = CdclSolver(base, cfg=cfg)
         fresh = CdclSolver(Cnf(base.num_vars, list(base.clauses)), cfg=cfg)
@@ -323,40 +313,27 @@ def test_an_extension_solves_like_its_clauses_loaded_flat():
     assert sat > 100 and unsat > 100 and conflicts > 1000
 
 
-def test_an_extension_whose_base_changed_is_loaded_in_full():
+def test_a_nested_or_wider_base_is_rejected():
     base = Cnf(2, [(1, 2)])
-    ext = Cnf(2, base.clauses + [(-2,)], base=base)
+    ext = Cnf(2, [(-2,)], base=base)
+    # Solved on top of ext's base, a nested extension would lose
+    # base's clauses, and the re-check would miss them too.
+    with pytest.raises(ValueError, match="base"):
+        Cnf(2, [(-1,)], base=ext)
+    with pytest.raises(ValueError, match="base"):
+        Cnf(1, [(-1,)], base=base)
     for _ in range(2):
         assert solve(base) == [False, False, True]
         assert solve(ext) == [False, True, False]
-    # Base + the clauses past its old length would now read (1 2)(-1).
-    base.clauses.append((-1,))
-    for _ in range(2):
-        assert solve(ext) == [False, True, False]
-        assert solve(base) == [False, False, True]
-    base.clauses.pop()
-    base.num_vars = 3  # more variables than the extension has
-    for _ in range(2):
-        assert solve(ext) == [False, True, False]
-        assert solve(base) == [False, False, True, False]
-    # The base's clauses changed in place under an extension that still
-    # begins with the old ones.
-    base.num_vars = 2
-    ext2 = Cnf(2, base.clauses + [(-1,)], base=base)
-    assert solve(ext2) == [False, False, True]
-    base.clauses[0] = (-1, -2)
-    assert solve(base) == [False, False, False]
-    assert solve(ext2) == [False, False, True]
 
 
 def test_an_extension_literal_beyond_num_vars_is_rejected():
     base = Cnf(2, [(1, 2), (-1,)])
     assert solve(base) == [False, False, True]
-    for suffix in [[(3,)], [(1, -3)], [(-2, 3, 2)], [(0, 1)]]:
+    for own in [[(3,)], [(1, -3)], [(-2, 3, 2)], [(0, 1)]]:
         with pytest.raises(ValueError, match="outside"):
-            solve(Cnf(2, base.clauses + suffix, base=base))
-    assert solve(Cnf(3, base.clauses + [(3,)], base=base)) == [
-        False, False, True, True]
+            solve(Cnf(2, own, base=base))
+    assert solve(Cnf(3, [(3,)], base=base)) == [False, False, True, True]
 
 
 def test_long_runs_of_solves_match_freshly_loaded_solvers():
@@ -370,15 +347,16 @@ def test_long_runs_of_solves_match_freshly_loaded_solvers():
     for seed in range(24):
         rng = random.Random(seed)
         m = (40, 100, 104)[seed % 3]
-        base = Cnf(24, _three_sat(seed, 24, m).clauses + [
-            (rng.choice((-1, 1)) * rng.randint(1, 24),) for _ in range(3)])
+        clauses = list(_three_sat(seed, 24, m).clauses) + [
+            (rng.choice((-1, 1)) * rng.randint(1, 24),) for _ in range(3)]
         if seed % 8 == 7:
-            base.clauses.insert(rng.randrange(len(base.clauses)), ())
+            clauses.insert(rng.randrange(len(clauses)), ())
+        base = Cnf(24, clauses)
         for step in range(30):
             cnf = base
             if rng.random() < 0.4:
                 n = base.num_vars + rng.choice((0, 0, 3))
-                cnf = Cnf(n, base.clauses + _suffix(rng, base, n), base=base)
+                cnf = Cnf(n, _suffix(rng, base, n), base=base)
                 tally["extensions"] += 1
             dist = BitDistribution({v: (rng.randrange(4), rng.randrange(4))
                                     for v in range(1, cnf.num_vars + 1)
@@ -404,30 +382,33 @@ def test_a_solve_that_met_a_conflict_hands_no_state_back():
     seeds = {random.Random(s).random() < 0.5: s for s in range(20)}
     conflicted, clean = SolverConfig(seed=seeds[True]), \
         SolverConfig(seed=seeds[False])
-    first = CdclSolver(cnf, cfg=conflicted)  # a first build loads
-    assert first.solve() is not None and first.conflicts == 1
+    want = _solved_fresh(cnf, cfg=conflicted)
+    first = CdclSolver(cnf, cfg=conflicted)  # a first build starts live
+    live = first.watches
+    assert (first.solve(), first.conflicts) == want
+    # It replayed on a pristine state, which learned (-1) and stays with
+    # it; the next solve gets the live state back, as it was.
+    assert first.watches is not live
     second = CdclSolver(cnf, cfg=clean)
-    assert second.watches is not first.watches
+    assert second.watches is live
     model = second.solve()
     assert second.conflicts == 0
     third = CdclSolver(cnf, cfg=conflicted)
-    assert third.watches is second.watches  # the clean solve's state
-    assert third.solve() == _solved_fresh(cnf, cfg=conflicted)[0]
-    assert third.conflicts == 1
-    # It replayed on a pristine state, which learned (-1) and stays with
-    # it; the next solve gets the live state back, as it was.
-    assert third.watches is not second.watches
+    assert third.watches is live  # the clean solve's state
+    assert (third.solve(), third.conflicts) == want
+    assert third.watches is not live
     fourth = CdclSolver(cnf, cfg=clean)
-    assert fourth.watches is second.watches
+    assert fourth.watches is live
     assert fourth.solve() == model and fourth.conflicts == 0
 
 
 def test_the_vsids_heap_takes_over_from_the_cursor_at_the_first_conflict():
     # Phases are forced: x4 true, every other tracked variable false.
-    # Decisions take x1..x4 in index order; x4 meets a conflict on x7,
-    # which is learned away at level 0. Then the bumped x7 comes first,
-    # and the rest in index order, x5 included, though x5 was never
-    # decided before the conflict.
+    # Decisions take x1..x4 in index order; x4 meets a conflict on x7.
+    # The live attempt stops there, and the replay takes x1..x4 again,
+    # learns x7 away at level 0, then takes the bumped x7 first and the
+    # rest in index order, x5 included, though x5 was never decided
+    # before the conflict.
     cnf = Cnf(8, [(-4, 7), (-4, -7)])
     dist = BitDistribution({v: (0, 1) if v != 4 else (1, 0)
                             for v in range(1, 9)})
@@ -440,7 +421,7 @@ def test_the_vsids_heap_takes_over_from_the_cursor_at_the_first_conflict():
 
     solver = Recording(cnf, dist, SolverConfig(bias_p=1.0))
     model = solver.solve()
-    assert decisions == [1, 2, 3, 4, 7, 1, 2, 3, 5, 6, 8]
+    assert decisions == [1, 2, 3, 4] + [1, 2, 3, 4, 7, 1, 2, 3, 5, 6, 8]
     assert model == [False] * 9 and solver.conflicts == 1
 
 
@@ -468,7 +449,11 @@ def test_search_is_pinned_on_random_3sat():
 
 def test_recheck_rejects_a_falsifying_model(monkeypatch):
     # x1 and not x2: a solver answering all-true must be caught by the
-    # clause-by-clause re-check, however the model was found.
+    # clause-by-clause re-check, however the model was found. In the
+    # extension the false clause lies in the base, which a re-check of
+    # the extension's own clauses alone would miss.
     monkeypatch.setattr(CdclSolver, "solve", lambda self: [False, True, True])
-    with pytest.raises(AssertionError, match="falsifying"):
-        solve(Cnf(2, [(1, 2), (1,), (-2,)]))
+    for cnf in [Cnf(2, [(1, 2), (1,), (-2,)]),
+                Cnf(2, [(1,)], base=Cnf(2, [(1, 2), (-2,)]))]:
+        with pytest.raises(AssertionError, match=r"clause \(-2,\) is false"):
+            solve(cnf)
