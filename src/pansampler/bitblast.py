@@ -36,8 +36,9 @@ class Cnf:
     base: Cnf | None = field(default=None, repr=False)
     # Set by bit_blast: the encoding state behind these clauses.
     encoding: _Encoding | None = field(default=None, compare=False, repr=False)
-    # Set by sat.CdclSolver on the Cnf's first solve: the solver state it
-    # keeps for these clauses between solves. The one field that changes.
+    # Set by sat.CdclSolver on the Cnf's first solve: what it keeps for
+    # these clauses between solves, a base's solver state or an
+    # extension's prepared own clauses. The one field that changes.
     solver_cache: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -414,33 +415,3 @@ def to_dimacs(cnf: Cnf) -> str:
     for clause in clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def parse_dimacs(text: str) -> Cnf:
-    num_vars = 0
-    clauses: list[tuple[int, ...]] = []
-    cur: list[int] = []
-    seen_header = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad DIMACS header: {line}")
-            num_vars = int(parts[2])
-            seen_header = True
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(tuple(cur))
-                cur = []
-            else:
-                cur.append(lit)
-    if not seen_header:
-        raise ValueError("missing DIMACS header")
-    if cur:
-        clauses.append(tuple(cur))
-    return Cnf(num_vars, clauses)

@@ -37,6 +37,7 @@ EXIT_ERROR = 4
 EXIT_STALL = 5
 EXIT_MAX_SOLUTIONS = 6
 EXIT_UNSAT = 7  # not 2, which argparse gives a usage error
+EXIT_CONFLICT_BUDGET = 8
 
 _REASON_EXIT = {
     "target": EXIT_TARGET,
@@ -45,6 +46,7 @@ _REASON_EXIT = {
     "error": EXIT_ERROR,
     "stall": EXIT_STALL,
     "max_solutions": EXIT_MAX_SOLUTIONS,
+    "conflict_budget": EXIT_CONFLICT_BUDGET,
 }
 
 RECORD_FIELDS = ["benchmark", "logic", "mode", "r", "achieved",

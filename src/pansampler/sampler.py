@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable
 
 from .abstraction import Abstraction, abstract_formula, project_assignment
-from .bitblast import BlastMap, Cnf, bit_blast
+from .bitblast import BlastMap, Blaster, Cnf, bit_blast
 from .coverage import (AstBitUniverse, CoverState, build_universe, cover_set,
                        manhattan_score)
 from .evaluate import satisfies
@@ -78,7 +78,7 @@ class SampleResult:
     iterations: int
     wall_time: float
     phase_times: dict[str, float]
-    reason: str  # target | max_solutions | timeout | stall
+    reason: str  # target | max_solutions | timeout | stall | conflict_budget
     coverage: dict
     covered: int  # cover bitset of the solutions (see coverage.cover_set)
     unreachable: int  # slots proved unreachable, as a cover bitset
@@ -86,13 +86,15 @@ class SampleResult:
 
 class _Priors:
     """Prior solutions, projected, under one blast map: the bias
-    distribution and the blocking clauses, each computed on first use."""
+    distribution, the blocking clauses, and per CNF the extension that
+    blocks them, each computed on first use."""
 
     def __init__(self, projected: list[Assignment], bmap: BlastMap) -> None:
         self.projected = projected
         self.bmap = bmap
         self._dist: BitDistribution | None = None
         self._blocking: tuple[tuple[int, ...], ...] | None = None
+        self._blocked: dict[int, tuple[Cnf, Cnf]] = {}  # by id of the CNF
 
     def holds(self, projected: list[Assignment], bmap: BlastMap) -> bool:
         return (bmap is self.bmap and len(projected) == len(self.projected)
@@ -118,6 +120,16 @@ class _Priors:
             self._blocking = tuple(clauses)
         return self._blocking
 
+    def blocked(self, cnf: Cnf) -> Cnf:
+        """cnf plus the blocking clauses, as an extension of cnf's base:
+        one Cnf per cnf, which keeps its prepared clauses across solves."""
+        got = self._blocked.get(id(cnf))
+        if got is None:
+            own = cnf.clauses if cnf.base is not None else ()
+            got = self._blocked[id(cnf)] = (cnf, Cnf(
+                cnf.num_vars, own + self.blocking(), base=cnf.base or cnf))
+        return got[1]
+
 
 class DiversitySmtEngine:
     """Lazy-theory diversity solver with lemmas kept for its lifetime.
@@ -136,11 +148,10 @@ class DiversitySmtEngine:
         self.lemma_bound = axiom_instance_bound(f, self.abs)
         self.lemma_rounds = 0
         # The base CNF and blast map for the lemma and declaration counts
-        # in _base_key, and, per extra tuple, the variable count and own
-        # clauses of the CNF that extends it.
+        # in _base_key, and, per extra tuple, the CNF that extends it.
         self._base: tuple[Cnf, BlastMap] | None = None
         self._base_key: tuple[int, int] | None = None
-        self._suffixes: dict[tuple[int, ...], tuple[int, tuple]] = {}
+        self._suffixes: dict[tuple[int, ...], Cnf] = {}
         # The last solutions projected, by id, each with its projection,
         # for the atom count in _projected_atoms.
         self._projections: dict[int, tuple[Assignment, Assignment]] = {}
@@ -153,8 +164,9 @@ class DiversitySmtEngine:
         The assertions and lemma images are blasted once per lemma set
         into a base CNF, which a new one replaces when a lemma (and with
         it, maybe, fresh atoms) arrives. Extra constraints are blasted on
-        top of the base, once per extra tuple and base; the CNF extends
-        the base and equals one blast of all three."""
+        top of the base, once per extra tuple and base, into a CNF that
+        extends the base, equals one blast of all three and is returned
+        for that tuple until the base is replaced."""
         images = [self.abs.rewrite(l) for l in self.lemmas]
         extra_images = [self.abs.rewrite(t) for t in extra]
         decls = self.abs.formula.decls
@@ -170,10 +182,10 @@ class DiversitySmtEngine:
         got = self._suffixes.get(extra)
         if got is None:
             cnf, _ = bit_blast(self.f.table, decls, extra_images, base=base)
-            self._suffixes[extra] = (cnf.num_vars, cnf.clauses)
-            return cnf, bmap
-        num_vars, own = got
-        return Cnf(num_vars, own, base=base), bmap
+            # Without the encoding, whose term memo copies the base's.
+            got = self._suffixes[extra] = Cnf(cnf.num_vars, cnf.clauses,
+                                              base=base)
+        return got, bmap
 
     def project(self, solutions: list[Assignment]) -> list[Assignment]:
         """Projections onto the abstraction, each computed once per
@@ -229,9 +241,7 @@ class DiversitySmtEngine:
             if self.blocking:
                 dist = BitDistribution()
                 if prior_projected:
-                    own = cnf.clauses if cnf.base is not None else ()
-                    cnf = Cnf(cnf.num_vars, own + priors.blocking(),
-                              base=cnf.base or cnf)
+                    cnf = priors.blocked(cnf)
             else:
                 dist = priors.distribution()
             model = sat_solve(cnf, dist, SolverConfig(
@@ -297,12 +307,14 @@ class Unreachable:
 
     Slot 2k+v, entry k = (node n, bit b), is proved when the engine's base
     CNF plus the unit clause setting bit b of n's blasted image to v is
-    UNSAT. The abstraction over-approximates and every lemma is a valid
-    theory fact, so every solution, projected, is a model of the base CNF:
-    no solution covers a proved slot, and a proof holds for the rest of
-    the run. A slot whose proof failed, on SAT, on the conflict budget, or
-    for want of a blasted literal, is tried again only once the lemma
-    count changes. No proof draws from the sampler's rng or adds a lemma."""
+    UNSAT. A node that occurs only inside a theory atom has no gate in the
+    base; its image is blasted on top of it for the proof, and its gates
+    only define new variables. The abstraction over-approximates and every
+    lemma is a valid theory fact, so every solution, projected, is a
+    model of the base CNF: no solution covers a proved slot, and a proof
+    holds for the rest of the run. A slot whose proof failed, on SAT or on
+    the conflict budget, is tried again only once the lemma count changes.
+    No proof draws from the sampler's rng or adds a lemma."""
 
     def __init__(self, engine: DiversitySmtEngine,
                  universe: AstBitUniverse) -> None:
@@ -338,12 +350,16 @@ class Unreachable:
     def _proves(self, base: Cnf, slot: int) -> bool:
         k, v = divmod(slot, 2)
         tid, bit = self.universe.entries[k]
-        lit = base.encoding.memo.get(self.engine.abs.rewrite(tid))
-        if lit is None:
-            return False  # not blasted: only inside a theory atom
+        image = self.engine.abs.rewrite(tid)
+        lit = base.encoding.memo.get(image)
+        num_vars, gates = base.num_vars, []
+        if lit is None:  # only inside a theory atom
+            blaster = Blaster(self.engine.f.table, base)
+            lit = blaster.enc(image)
+            num_vars, gates = blaster.num_vars, blaster.clauses
         if isinstance(lit, list):
             lit = lit[bit]
-        cnf = Cnf(base.num_vars, [(lit if v else -lit,)], base=base)
+        cnf = Cnf(num_vars, gates + [(lit if v else -lit,)], base=base)
         try:
             return sat_solve(cnf, None, SolverConfig(
                 seed=0, conflict_budget=PROOF_CONFLICTS)) is None
@@ -371,69 +387,74 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
     def out_of_time() -> bool:
         return time.perf_counter() - start >= cfg.time_budget
 
-    while True:
-        if state.coverage_star() >= cfg.target_coverage:
-            reason = "target"
-            break
-        if len(solutions) >= cfg.max_solutions:
-            reason = "max_solutions"
-            break
-        if out_of_time():
-            reason = "timeout"
-            break
-        iterations += 1
-        t0 = time.perf_counter()
-        candidates: list[Assignment] = []
-        for _ in range(cfg.lam):
-            seed = master.randrange(1 << 32)
-            cand = engine.solve_once(solutions, seed)
-            if cand is None:
-                if engine.blocking and solutions:
-                    break  # blocked out: every solution already sampled
-                raise FormulaUnsatError("formula has no solution")
-            candidates.append(cand)
-            if out_of_time():
+    try:
+        while True:
+            if state.coverage_star() >= cfg.target_coverage:
+                reason = "target"
                 break
-        phases["sampling"] += time.perf_counter() - t0
-        if not candidates:
-            reason = "stall"
-            break
-        t0 = time.perf_counter()
-        best_idx = 0
-        best_score = -1
-        for i, cand in enumerate(candidates):
-            if cfg.mode is Mode.ALT2:
-                score = manhattan_score(solutions, cand)
-            else:
-                score = state.gain(cover_set(f, universe, cand))
-            if score > best_score:
-                best_idx, best_score = i, score
-        selected = candidates[best_idx]
-        phases["evaluation"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        if cfg.mode is not Mode.ALT3:
-            selected = post_opt(engine, universe, state, solutions, selected,
-                                master, out_of_time)
-        phases["optimization"] += time.perf_counter() - t0
-        slots = cover_set(f, universe, selected)
-        # A constant-only formula tracks nothing; absorbing one solution
-        # marks it vacuously covered.
-        vacuous = universe.num_entries == 0 and state.num_solutions == 0
-        if state.gain(slots) == 0 and not vacuous:
-            # Stall after lam zero-gain iterations in a row, or at once
-            # when no slot left uncovered can be covered.
-            consecutive_zero += 1
-            if consecutive_zero >= cfg.lam or unreachable.proves_rest(
-                    state.covered, out_of_time):
+            if len(solutions) >= cfg.max_solutions:
+                reason = "max_solutions"
+                break
+            if out_of_time():
+                reason = "timeout"
+                break
+            iterations += 1
+            t0 = time.perf_counter()
+            candidates: list[Assignment] = []
+            for _ in range(cfg.lam):
+                seed = master.randrange(1 << 32)
+                cand = engine.solve_once(solutions, seed)
+                if cand is None:
+                    if engine.blocking and solutions:
+                        break  # blocked out: every solution already sampled
+                    raise FormulaUnsatError("formula has no solution")
+                candidates.append(cand)
+                if out_of_time():
+                    break
+            phases["sampling"] += time.perf_counter() - t0
+            if not candidates:
                 reason = "stall"
                 break
-            continue
-        consecutive_zero = 0
-        if not satisfies(f, selected):
-            raise AssertionError("emitting a non-solution")
-        solutions.append(selected)
-        state.absorb(slots)
-        trace.append(state.coverage_star())
+            t0 = time.perf_counter()
+            best_idx = 0
+            best_score = -1
+            for i, cand in enumerate(candidates):
+                if cfg.mode is Mode.ALT2:
+                    score = manhattan_score(solutions, cand)
+                else:
+                    score = state.gain(cover_set(f, universe, cand))
+                if score > best_score:
+                    best_idx, best_score = i, score
+            selected = candidates[best_idx]
+            phases["evaluation"] += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            if cfg.mode is not Mode.ALT3:
+                selected = post_opt(engine, universe, state, solutions,
+                                    selected, master, out_of_time)
+            phases["optimization"] += time.perf_counter() - t0
+            slots = cover_set(f, universe, selected)
+            # A constant-only formula tracks nothing; absorbing one solution
+            # marks it vacuously covered.
+            vacuous = universe.num_entries == 0 and state.num_solutions == 0
+            if state.gain(slots) == 0 and not vacuous:
+                # Stall after lam zero-gain iterations in a row, or at once
+                # when no slot left uncovered can be covered.
+                consecutive_zero += 1
+                if consecutive_zero >= cfg.lam or unreachable.proves_rest(
+                        state.covered, out_of_time):
+                    reason = "stall"
+                    break
+                continue
+            consecutive_zero = 0
+            if not satisfies(f, selected):
+                raise AssertionError("emitting a non-solution")
+            solutions.append(selected)
+            state.absorb(slots)
+            trace.append(state.coverage_star())
+    except ConflictBudgetExceeded:
+        # A candidate or deviation solve gave up: the run ends, keeping
+        # the solutions absorbed so far.
+        reason = "conflict_budget"
 
     return SampleResult(
         solutions=solutions,

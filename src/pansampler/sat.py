@@ -35,7 +35,17 @@ base's live state at level 0, watching literals that are not false
 there, and detaches them after the solve, so the base keeps one copy of
 its clauses. Its replay loads them on top of the base's pristine copy,
 which gives the same state as loading all its clauses. Clauses are only
-ever added, never changed, so a kept state never goes stale.
+ever added, never changed, so a kept state never goes stale. An
+extension's own clauses are prepared on its first solve and kept on it:
+their literals checked, duplicate literals and tautologies dropped.
+
+Until its first conflict a solve runs one tight loop (`_descend`): it
+walks the cursor up the variable indices, draws one rng number per free
+variable, takes the phase from the distribution's table
+(`BitDistribution.phases`), writes the value, level and trail entries
+in place, and propagates only when some clause watches the literal the
+decision falsified. A replay goes on from its first conflict with the
+VSIDS heap.
 
 Variable values live in one list indexed directly by the signed
 literal: value[lit] is +1 when lit is true, -1 when false, 0 when free.
@@ -80,16 +90,25 @@ class BitDistribution:
 
     def __init__(self, counts: dict[int, tuple[int, int]] | None = None) -> None:
         self.counts = counts or {}
+        self._phases: tuple[float, list[float], list[int]] | None = None
 
-    def preferred_phase(self, var: int) -> bool | None:
-        """Minority phase, or None on a tie or an untracked variable."""
-        got = self.counts.get(var)
-        if got is None:
-            return None
-        c0, c1 = got
-        if c0 == c1:
-            return None
-        return c1 < c0  # ones seen less often -> prefer True
+    def phases(self, n: int, bias_p: float) -> tuple[list[float], list[int]]:
+        """The phase table over variables 0..n (or more): a decision on v
+        draws r from the rng and sets literal lits[v] when r < below[v],
+        else -lits[v]. A variable with a minority value (ones seen less
+        often: True) takes it with probability bias_p; a tie or an
+        untracked variable takes True with probability 1/2. Made once
+        per bias_p and largest n asked for."""
+        got = self._phases
+        if got is None or got[0] != bias_p or len(got[1]) <= n:
+            below = [0.5] * (n + 1)
+            lits = list(range(n + 1))
+            for v, (c0, c1) in self.counts.items():
+                if c0 != c1 and 0 < v <= n:
+                    below[v] = bias_p
+                    lits[v] = v if c1 < c0 else -v
+            got = self._phases = (bias_p, below, lits)
+        return got[1], got[2]
 
 
 def distribution_from(assignments: list[Assignment],
@@ -143,32 +162,48 @@ def _check_literals(clauses: Sequence[tuple[int, ...]], n: int) -> None:
         raise ValueError(f"clause {bad} has a literal outside ±1..{n}")
 
 
-def _load(clauses: Sequence[tuple[int, ...]], n: int,
+def _cleaned(clauses: Sequence[tuple[int, ...]]):
+    """The clauses that are not tautologies, each without repeated
+    literals (the first of each kept, in order); a clause without
+    repeats is yielded as it is."""
+    for clause in clauses:
+        lits = set(clause)
+        if lits.isdisjoint(map(neg, clause)):
+            yield (clause if len(lits) == len(clause)
+                   else tuple(dict.fromkeys(clause)))
+
+
+def _prepared(cnf: Cnf) -> tuple[tuple[int, ...], ...]:
+    """An extension's own clauses, literals checked, cleaned: made on its
+    first solve and kept on it (Cnf is frozen; solver_cache is the one
+    field that changes)."""
+    got = cnf.solver_cache
+    if got is None:
+        _check_literals(cnf.clauses, cnf.num_vars)
+        got = tuple(_cleaned(cnf.clauses))
+        object.__setattr__(cnf, "solver_cache", got)
+    return got
+
+
+def _load(clauses: Sequence[tuple[int, ...]],
           state: _Level0 | None = None) -> _Level0:
-    """Load clauses over variables 1..n onto state, or onto an empty
+    """Load clauses with checked literals onto state, or onto an empty
     state when none is given."""
-    _check_literals(clauses, n)
     if state is None:
         state = _Level0([], {}, [], False)
     watches = state.watches
     unit_set = set(state.units)
-    for clause in clauses:
-        seen: dict[int, None] = {}
-        for l in clause:
-            if -l in seen:
-                break  # tautology
-            seen[l] = None
-        else:
-            if len(seen) > 1:
-                lits = list(seen)
-                state.watched.append(lits)
-                watches.setdefault(lits[0], []).append(lits)
-                watches.setdefault(lits[1], []).append(lits)
-            elif not seen or -clause[0] in unit_set:
-                state.unsat = True
-            elif clause[0] not in unit_set:
-                unit_set.add(clause[0])
-                state.units.append(clause[0])
+    for clause in _cleaned(clauses):
+        if len(clause) > 1:
+            lits = list(clause)
+            state.watched.append(lits)
+            watches.setdefault(lits[0], []).append(lits)
+            watches.setdefault(lits[1], []).append(lits)
+        elif not clause or -clause[0] in unit_set:
+            state.unsat = True
+        elif clause[0] not in unit_set:
+            unit_set.add(clause[0])
+            state.units.append(clause[0])
     return state
 
 
@@ -222,7 +257,7 @@ class _Snapshot:
     def level0(self, cnf: Cnf) -> _Level0:
         """The Cnf as a fresh load lays it out."""
         if self.pristine is None:
-            self.pristine = _Pristine(_load(cnf.clauses, cnf.num_vars))
+            self.pristine = _Pristine(_load(cnf.clauses))
         return self.pristine.restore()
 
 
@@ -249,14 +284,11 @@ class CdclSolver:
         self.dist = dist or BitDistribution()
         n = self.num_vars = cnf.num_vars
         owner = self._owner = cnf.base or cnf
-        self._own = cnf.clauses if owner is not cnf else ()
-        _check_literals(self._own, n)
+        self._own = _prepared(cnf) if owner is not cnf else ()
         self._attached: list[list[int]] = []
         self._replayed = False
         snap = owner.solver_cache
         if snap is None:
-            # Cnf is frozen; the solver state is the one thing it keeps
-            # that changes, and only here is it set.
             snap = _Snapshot()
             object.__setattr__(owner, "solver_cache", snap)
         self._snap = snap
@@ -283,10 +315,6 @@ class CdclSolver:
         self.rng = random.Random(self.cfg.seed)
         self.conflicts = 0
         self.var_inc = 1.0
-        # Until the first conflict, decisions take the lowest free
-        # variable at or past the cursor; then the VSIDS heap takes over.
-        self.cursor = 1
-        self.heap: list[tuple[float, int]] | None = None
 
     def _start(self, state: _Level0, n: int) -> None:
         """Reset to a loaded state over variables 1..n, units enqueued."""
@@ -295,20 +323,19 @@ class CdclSolver:
             self._enqueue(lit, None)
 
     def _load_live(self, cnf: Cnf) -> _Live:
-        """Load the Cnf and propagate its units: its live state."""
-        self._start(_load(cnf.clauses, cnf.num_vars), cnf.num_vars)
+        """Check and load the Cnf and propagate its units: its live state."""
+        _check_literals(cnf.clauses, cnf.num_vars)
+        self._start(_load(cnf.clauses), cnf.num_vars)
         unsat = self._unsat or self._propagate() is not None
         return _Live(self.watches, self.trail, self.value, unsat)
 
     def _attach(self, clauses: Sequence[tuple[int, ...]]) -> None:
-        """Add clauses to a live state at level 0. Each watches two
-        literals that are not false, or its one such literal, enqueued
+        """Add prepared clauses to a live state at level 0. Each watches
+        two literals that are not false, or its one such literal, enqueued
         if free, and a false one; a clause with none makes it unsat."""
         value, watches = self.value, self.watches
         for clause in clauses:
-            lits = list(dict.fromkeys(clause))
-            if not set(lits).isdisjoint(map(neg, lits)):
-                continue  # tautology
+            lits = list(clause)
             if len(lits) < 2 or value[lits[0]] == -1 or value[lits[1]] == -1:
                 lits.sort(key=value.__getitem__, reverse=True)
                 if not lits or value[lits[0]] == -1:
@@ -347,12 +374,13 @@ class CdclSolver:
         self.trail.append(lit)
 
     def _propagate(self) -> list[int] | None:
-        value = self.value
-        watches = self.watches
-        trail = self.trail
-        while self.qhead < len(trail):
-            false_lit = -trail[self.qhead]
-            self.qhead += 1
+        value, watches, trail = self.value, self.watches, self.trail
+        level, reason, push = self.level, self.reason, trail.append
+        depth = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
             old = watches.get(false_lit)
             if not old:
                 continue
@@ -379,17 +407,26 @@ class CdclSolver:
                     if value[first] == -1:
                         kept.extend(old[idx + 1:])
                         watches[false_lit] = kept
+                        self.qhead = qhead
                         return clause
-                    self._enqueue(first, clause)
+                    value[first] = 1  # implied: enqueue first
+                    value[-first] = -1
+                    var = abs(first)
+                    level[var] = depth
+                    reason[var] = clause
+                    push(first)
             watches[false_lit] = kept
+        self.qhead = qhead
         return None
 
     def _start_vsids(self) -> None:
         """At the first conflict: zero activities, and a heap of the
-        variables the cursor has not passed, which a sorted list is."""
+        variables above the last decision, which the cursor has not
+        passed; a sorted list is a heap."""
         n = self.num_vars
         self.activity = [0.0] * (n + 1)
-        self.heap = [(0.0, v) for v in range(self.cursor, n + 1)]
+        cursor = abs(self.trail[self.trail_lim[-1]]) + 1
+        self.heap = [(0.0, v) for v in range(cursor, n + 1)]
 
     def _bump(self, var: int) -> None:
         self.activity[var] += self.var_inc
@@ -454,12 +491,6 @@ class CdclSolver:
 
     def _pick_var(self) -> int | None:
         heap = self.heap
-        if heap is None:
-            value, v, n = self.value, self.cursor, self.num_vars
-            while v <= n and value[v] != 0:
-                v += 1
-            self.cursor = v + 1
-            return v if v <= n else None
         while heap:
             neg_act, var = heapq.heappop(heap)
             if self.value[var] != 0:
@@ -469,14 +500,6 @@ class CdclSolver:
             return var
         return None
 
-    def _pick_phase(self, var: int) -> bool:
-        pref = self.dist.preferred_phase(var)
-        if pref is None:
-            return self.rng.random() < 0.5
-        if self.rng.random() < self.cfg.bias_p:
-            return pref
-        return not pref
-
     def solve(self) -> list[bool] | None:
         """A model as bools indexed 1..num_vars, or None when UNSAT."""
         model = self._search()
@@ -484,26 +507,67 @@ class CdclSolver:
         if model is _REPLAY:
             self._replayed = True
             state = self._snap.level0(self._owner)
-            _load(self._own, self.num_vars, state)
+            _load(self._own, state)
             self._start(state, self.num_vars)
             model = self._search()
         return model
+
+    def _model(self) -> list[bool]:
+        return [False] + [x == 1 for x in self.value[1:self.num_vars + 1]]
+
+    def _descend(self, below: list[float],
+                 lits: list[int]) -> list[int] | None:
+        """Decide the lowest free variable at or past a cursor, in index
+        order, and propagate, until every variable is set (None) or a
+        decision meets a conflict (the conflict clause). Until a conflict
+        VSIDS activity is zero, so this is the heap's order too.
+
+        Propagation is skipped after a decision whose falsified literal
+        nothing watches, which leaves qhead behind: nothing starts to
+        watch a false literal, so the literals passed over need none."""
+        value, level, watches = self.value, self.level, self.watches
+        trail, trail_lim = self.trail, self.trail_lim
+        push, mark = trail.append, trail_lim.append
+        draw = self.rng.random
+        n = self.num_vars
+        depth = len(trail_lim)
+        v = 1
+        while True:
+            while v <= n and value[v]:
+                v += 1
+            if v > n:
+                return None
+            lit = lits[v] if draw() < below[v] else -lits[v]
+            mark(len(trail))
+            depth += 1
+            value[lit] = 1
+            value[-lit] = -1
+            level[v] = depth
+            push(lit)
+            v += 1
+            if watches.get(-lit):
+                self.qhead = len(trail) - 1
+                conflict = self._propagate()
+                if conflict is not None:
+                    return conflict
 
     def _search(self):
         """The model, None when UNSAT, or _REPLAY at the first conflict
         on the live state."""
         if self._unsat or self._propagate() is not None:
             return None
+        below, lits = self.dist.phases(self.num_vars, self.cfg.bias_p)
+        conflict = self._descend(below, lits)
+        if conflict is None:
+            return self._model()
+        if not self._replayed:
+            return _REPLAY
+        self._start_vsids()
         restart_num = 0
         budget_mark = self.cfg.restart_base * _luby(restart_num + 1)
         conflicts_here = 0
         while True:
-            conflict = self._propagate()
             if conflict is not None:
-                if not self._replayed:
-                    return _REPLAY
-                if self.heap is None:
-                    self._start_vsids()
                 self.conflicts += 1
                 conflicts_here += 1
                 if self.conflicts > self.cfg.conflict_budget:
@@ -519,20 +583,19 @@ class CdclSolver:
                     self._watch(learnt)
                     self._enqueue(learnt[0], learnt)
                 self.var_inc /= _DECAY
-                continue
-            if conflicts_here >= budget_mark:
+            elif conflicts_here >= budget_mark:
                 restart_num += 1
                 budget_mark = self.cfg.restart_base * _luby(restart_num + 1)
                 conflicts_here = 0
                 self._cancel_until(0)
-                continue
-            var = self._pick_var()
-            if var is None:
-                return [False] + [x == 1 for x in
-                                  self.value[1:self.num_vars + 1]]
-            phase = self._pick_phase(var)
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(var if phase else -var, None)
+            else:
+                var = self._pick_var()
+                if var is None:
+                    return self._model()
+                self.trail_lim.append(len(self.trail))
+                self._enqueue(lits[var] if self.rng.random() < below[var]
+                              else -lits[var], None)
+            conflict = self._propagate()
 
 
 def solve(cnf: Cnf, dist: BitDistribution | None = None,

@@ -320,13 +320,3 @@ class Formula:
 
     def fun_vars(self) -> list[tuple[str, Sort]]:
         return [(n, s) for n, s in self.decls.items() if s.is_fun]
-
-
-def var_bits(f: Formula) -> list[tuple[str, int]]:
-    """Tracked bits: (name, bit) per Bool/BitVec variable, declaration
-    order, bit index ascending, LSB first. Bool counts as one bit.
-    Arrays and uninterpreted functions contribute none."""
-    out: list[tuple[str, int]] = []
-    for name, sort in f.bv_bool_vars():
-        out.extend((name, b) for b in range(sort.num_bits))
-    return out

@@ -19,8 +19,9 @@ from pansampler.parser import parse_formula
 from pansampler.sampler import (DiversitySmtEngine, FormulaUnsatError, Mode,
                                 SamplerConfig, sample)
 from pansampler.sat import solve
-from pansampler.terms import var_bits
 from pansampler.values import Assignment, BvVal
+
+from helpers import var_bits
 
 LOGICS = ("QF_BV", "QF_ABV", "QF_AUFBV")
 

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from pansampler.bitblast import (BlastError, Blaster, Cnf, bit_blast,
-                                 parse_dimacs, to_dimacs)
+from pansampler.bitblast import BlastError, Blaster, Cnf, bit_blast, to_dimacs
 from pansampler.evaluate import satisfies
 from pansampler.fuzz import random_formula
 from pansampler.parser import parse_formula
@@ -15,6 +14,8 @@ from pansampler.sat import solve
 from pansampler.sorts import array, bv
 from pansampler.terms import Formula, TermTable
 from pansampler.values import Assignment, BoolVal, BvVal
+
+from helpers import parse_dimacs
 
 
 def forced(cnf, blast_map, a):

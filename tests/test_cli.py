@@ -1,11 +1,12 @@
 """Command-line entry point, artifacts, and suite tables."""
 
 import dataclasses
+import functools
 import json
 
 import pytest
 
-from pansampler.bitblast import parse_dimacs
+from pansampler import sampler
 from pansampler.cli import (DEFAULT_TARGETS, NODE_CHARS, RECORD_FIELDS,
                             UNCOVERED_LISTED, BenchRecord,
                             _parse_targets, aggregate, aggregate_csv,
@@ -15,10 +16,15 @@ from pansampler.evaluate import satisfies
 from pansampler.parser import parse_file, parse_formula
 from pansampler.printer import parse_model_blocks
 from pansampler.sampler import Mode, SamplerConfig
+from pansampler.sat import SolverConfig
+
+from helpers import parse_dimacs
 
 FREE3 = "(declare-const x (_ BitVec 3))(assert (bvule x x))\n"
 TAUT = "(declare-const x Bool)(assert (or x (not x)))\n"
 UNSAT = "(declare-const x Bool)(assert x)(assert (not x))\n"
+SQUARE8 = ("(declare-const x (_ BitVec 8))(declare-const y (_ BitVec 8))"
+           "(assert (= (bvmul x x) (bvadd y #x11)))\n")
 
 
 def test_defaults():
@@ -217,6 +223,23 @@ def test_run_file_exit_codes(tmp_path):
         rec, code = run_file(src, cfg)
         assert code == want_code, name
         assert rec.reason == want_reason, name
+
+
+def test_a_conflict_budget_stop_has_its_own_exit_code(tmp_path,
+                                                      monkeypatch):
+    src = tmp_path / "square.smt2"
+    src.write_text(SQUARE8)
+    monkeypatch.setattr(sampler, "SolverConfig", functools.partial(
+        SolverConfig, conflict_budget=0))
+    rec, code = run_file(src, SamplerConfig(lam=4, seed=0))
+    assert (code, rec.reason) == (8, "conflict_budget")
+    assert rec.num_solutions > 0 and not rec.achieved
+    # The solutions found before the abort are written out.
+    samples = (tmp_path / "square.samples.smt2").read_text()
+    f = parse_file(str(src))
+    assert len(parse_model_blocks(samples, f)) == rec.num_solutions
+    report = json.loads((tmp_path / "square.report.json").read_text())
+    assert report["reason"] == "conflict_budget"
 
 
 def test_main_tells_unsat_from_a_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Diversity solving and the coverage-guided sampling loop."""
 
+import functools
 import gc
 import hashlib
 import random
@@ -18,7 +19,10 @@ from pansampler.parser import parse_formula
 from pansampler.printer import print_formula, print_models
 from pansampler.sampler import (DiversitySmtEngine, FormulaUnsatError, Mode,
                                 SamplerConfig, Unreachable, post_opt, sample)
+from pansampler.sat import SolverConfig
 from pansampler.values import Assignment, BoolVal, BvVal
+
+from helpers import clauses_held
 
 TAUT = "(declare-const x Bool)(assert (or x (not x)))"
 UNIQUE = "(declare-const m (_ BitVec 8))(assert (= m #x03))"
@@ -235,7 +239,15 @@ def test_refinement_keeps_one_base_cnf():
         state.absorb(cover_set(f, universe, best))
     base, _ = engine.blast()
     cnfs = _cnfs_reachable_from(engine)
-    assert len(cnfs) == 1 and cnfs[0] is base
+    assert [cnf for cnf in cnfs if cnf.base is None] == [base]
+    # Every other Cnf kept is an extension of the base that holds, with
+    # its solver state, its own clauses and no copy of the base's.
+    exts = [cnf for cnf in cnfs if cnf is not base]
+    assert exts and all(cnf.base is base for cnf in exts)
+    for cnf in exts:
+        assert set(cnf.clauses).isdisjoint(base.clauses)
+        assert clauses_held((cnf.clauses, cnf.solver_cache)) <= \
+            len(cnf.clauses)
 
 
 def test_projection_follows_each_assignment_not_its_id():
@@ -462,6 +474,30 @@ def test_refinement_stops_once_the_time_budget_is_spent(monkeypatch):
     assert len(deviations) <= 1
 
 
+# Squaring is hard on the cursor's index order: some solves meet conflicts.
+SQUARE8 = ("(declare-const x (_ BitVec 8))(declare-const y (_ BitVec 8))"
+           "(assert (= (bvmul x x) (bvadd y #x11)))")
+
+
+def test_a_solve_over_its_conflict_budget_ends_the_run(monkeypatch):
+    f = parse_formula(SQUARE8)
+    cfg = SamplerConfig(lam=4, seed=0)
+    full = sample(f, cfg)
+    assert full.reason == "stall"
+    # Every candidate and deviation solve now gives up at its first
+    # conflict; the unreachability proofs keep their own budget.
+    monkeypatch.setattr(sampler, "SolverConfig", functools.partial(
+        SolverConfig, conflict_budget=0))
+    got = sample(f, cfg)
+    assert got.reason == "conflict_budget" and not got.achieved
+    # The run kept what it had absorbed: the full run's first solutions.
+    assert 0 < len(got.solutions) < len(full.solutions)
+    assert [s.key() for s in got.solutions] == \
+        [s.key() for s in full.solutions[:len(got.solutions)]]
+    assert got.coverage_star_trace == \
+        full.coverage_star_trace[:len(got.solutions)]
+
+
 LOGICS = ("QF_BV", "QF_ABV", "QF_AUFBV")
 
 
@@ -469,32 +505,48 @@ def _without_proofs(monkeypatch):
     monkeypatch.setattr(Unreachable, "_proves", lambda self, base, slot: False)
 
 
+# (bvand i #b10) occurs only inside a select, so the base CNF has no gate
+# for it; i < 2 keeps both of its bits at 0.
+INSIDE_AN_ATOM = (
+    "(declare-const a (Array (_ BitVec 2) (_ BitVec 2)))"
+    "(declare-const i (_ BitVec 2))(assert (bvult i #b10))"
+    "(assert (= (select a (bvand i #b10)) #b01))")
+
+
 def test_proved_slots_are_unreachable_by_the_oracle():
     # Every slot, not only those a run gets to, is put to the proof.
     fixtures = proved = 0
-    for logic in LOGICS:
-        for seed in range(40):
-            f = random_formula(seed, logic=logic)
-            try:
-                rep = enumerate_solutions(f)
-            except OracleError:
-                continue
-            if not rep.solutions:
-                continue
-            fixtures += 1
-            res = sample(f, SamplerConfig(lam=4, seed=seed))
-            assert res.unreachable & rep.valid_mask == 0, (logic, seed)
-            engine = DiversitySmtEngine(f)
-            prior = []
-            for k in range(3):  # lemmas join the base CNF
-                prior.append(engine.solve_once(prior, seed=k))
-            audit = Unreachable(engine, rep.universe)
-            base, _ = engine.blast()
-            for slot in range(rep.universe.num_ast_bits):
-                if audit._proves(base, slot):
-                    assert not rep.valid_mask >> slot & 1, (logic, seed, slot)
-                    proved += 1
+    unblasted = []  # (seed, slot) proved on a node the base has no gate for
+    formulas = [(logic, seed, random_formula(seed, logic=logic))
+                for logic in LOGICS for seed in range(40)]
+    formulas.append(("QF_ABV", None, parse_formula(INSIDE_AN_ATOM)))
+    for logic, seed, f in formulas:
+        try:
+            rep = enumerate_solutions(f)
+        except OracleError:
+            continue
+        if not rep.solutions:
+            continue
+        fixtures += 1
+        res = sample(f, SamplerConfig(lam=4, seed=seed or 0))
+        assert res.unreachable & rep.valid_mask == 0, (logic, seed)
+        engine = DiversitySmtEngine(f)
+        prior = []
+        for k in range(3):  # lemmas join the base CNF
+            prior.append(engine.solve_once(prior, seed=k))
+        audit = Unreachable(engine, rep.universe)
+        base, _ = engine.blast()
+        for slot in range(rep.universe.num_ast_bits):
+            if audit._proves(base, slot):
+                assert not rep.valid_mask >> slot & 1, (logic, seed, slot)
+                proved += 1
+                tid = rep.universe.entries[slot // 2][0]
+                if engine.abs.rewrite(tid) not in base.encoding.memo:
+                    unblasted.append((seed, slot))
     assert fixtures >= 60 and proved >= 100
+    # Both bits of (bvand i #b10) at 1, and no more.
+    inside = [slot for seed, slot in unblasted if seed is None]
+    assert len(inside) == 2 and all(slot % 2 for slot in inside)
 
 
 def test_proofs_change_no_sample_and_no_reason(monkeypatch):
@@ -592,3 +644,30 @@ def test_sampler_output_is_pinned(name, mode):
     res = sample(f, SamplerConfig(lam=4, seed=3, mode=mode))
     out = print_models(f, res.solutions).encode()
     assert hashlib.sha256(out).hexdigest() == PINNED_DIGESTS[(name, mode)]
+
+
+# The shape of perfbench's ablation fixtures: a 224-bit free vector or'd
+# with a Bool circuit. Its runs repeat refinement deviations and, in
+# alt1, block each solution with a clause over all 230 tracked bits.
+ABLATION_SHAPE = (
+    "(declare-const x (_ BitVec 224))"
+    "(declare-const b1 Bool)(declare-const b2 Bool)(declare-const b3 Bool)"
+    "(declare-const b4 Bool)(declare-const b5 Bool)(declare-const b6 Bool)"
+    "(assert (or (distinct (distinct (and b1 b2) (and b3 b4)) (and b5 b6))"
+    " (bvule x x)))")
+
+# sha256 of print_models output at lam=3, seed=1.
+ABLATION_SHAPE_DIGESTS = {
+    "pansampler": "28a618d574aa1c134fca78ab51e38dc8efd892f570ab37e8fe972b491722fb6e",
+    "alt1": "36418d22b972da7db15256070471e5f90d62018545b9d66459de73b7e1b60c2e",
+    "alt2": "1d432b8e30533b97ecca292d655038bc511e9aa5d1c1a47dc2391aeb32bea024",
+    "alt3": "93f6393c57769c58eb13f26f72312f195a43dba621dc2ba004a02f881a3ae2a9",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ABLATION_SHAPE_DIGESTS))
+def test_wide_vector_output_is_pinned(mode):
+    f = parse_formula(ABLATION_SHAPE)
+    res = sample(f, SamplerConfig(lam=3, seed=1, mode=mode))
+    out = print_models(f, res.solutions).encode()
+    assert hashlib.sha256(out).hexdigest() == ABLATION_SHAPE_DIGESTS[mode]

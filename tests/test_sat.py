@@ -7,13 +7,15 @@ import random
 
 import pytest
 
-from pansampler.bitblast import BlastMap, Cnf, bit_blast, parse_dimacs
+from pansampler.bitblast import BlastMap, Cnf, bit_blast
 from pansampler.fuzz import random_cnf
 from pansampler.oracle import dpll
 from pansampler.parser import parse_formula
 from pansampler.sat import (BitDistribution, CdclSolver, ConflictBudgetExceeded,
                             SolverConfig, _Snapshot, distribution_from, solve)
 from pansampler.values import Assignment, BoolVal, BvVal
+
+from helpers import clauses_held, parse_dimacs
 
 
 def pigeonhole(pigeons: int, holes: int) -> Cnf:
@@ -81,10 +83,17 @@ def test_same_seed_same_model():
     assert solve(cnf, cfg=cfg) == solve(cnf, cfg=SolverConfig(seed=123))
 
 
+def preferred_phase(dist: BitDistribution, var: int) -> bool | None:
+    """The phase a decision on var takes at bias 1: the minority value,
+    or None (a fair coin) on a tie or an untracked variable."""
+    below, lits = dist.phases(var, 1.0)
+    return None if below[var] == 0.5 else lits[var] > 0
+
+
 def test_distribution_empty_solution_set():
     dist = distribution_from([], BlastMap())
     assert dist.counts == {}
-    assert dist.preferred_phase(1) is None
+    assert preferred_phase(dist, 1) is None
 
 
 def test_distribution_counts_and_minority_phase():
@@ -94,8 +103,8 @@ def test_distribution_counts_and_minority_phase():
     dist = distribution_from(sols, bmap)
     assert dist.counts == {1: (2, 0)}
     # Ones are the minority, so the preferred phase is True.
-    assert dist.preferred_phase(1) is True
-    assert dist.preferred_phase(99) is None
+    assert preferred_phase(dist, 1) is True
+    assert preferred_phase(dist, 99) is None
 
 
 def test_distribution_recounts_bv_bits():
@@ -106,15 +115,30 @@ def test_distribution_recounts_bv_bits():
     sols = [Assignment({"m": BvVal(3, v)}) for v in values]
     dist = distribution_from(sols, bmap)
     assert dist.counts == {1: (1, 4), 2: (3, 2), 3: (4, 1)}
-    assert dist.preferred_phase(1) is False
-    assert dist.preferred_phase(2) is True
+    assert preferred_phase(dist, 1) is False
+    assert preferred_phase(dist, 2) is True
 
 
 def test_distribution_tie_has_no_preference():
     bmap = BlastMap()
     bmap.add("x", 0, 1)
     sols = [Assignment({"x": BoolVal(False)}), Assignment({"x": BoolVal(True)})]
-    assert distribution_from(sols, bmap).preferred_phase(1) is None
+    assert preferred_phase(distribution_from(sols, bmap), 1) is None
+
+
+def test_the_phase_table_follows_the_counts_and_the_bias():
+    dist = BitDistribution({1: (2, 0), 2: (0, 3), 3: (1, 1), 9: (5, 0)})
+    below, lits = dist.phases(4, 0.85)
+    # x1 (minority 1) and x2 (minority 0) take it with chance 0.85; the
+    # tie x3 and the untracked x4 take True with chance 1/2.
+    assert below[1:5] == [0.85, 0.85, 0.5, 0.5]
+    assert lits[1:5] == [1, -2, 3, 4]
+    # Made once per bias and largest n: a smaller n reads the same table.
+    assert dist.phases(3, 0.85) == (below, lits)
+    assert dist.phases(3, 0.85)[0] is below
+    wider, _ = dist.phases(9, 0.85)
+    assert wider is not below and wider[9] == 0.85
+    assert dist.phases(4, 0.6)[0][1:3] == [0.6, 0.6]
 
 
 def test_distribution_skips_unmapped_names():
@@ -301,9 +325,10 @@ def test_an_extension_solves_like_its_clauses_loaded_flat():
                 conflicts += got.conflicts
                 sat += model is not None
                 unsat += model is None
-            # The base's snapshot served the extension, which kept none.
+            # The base's snapshot served the extension, which keeps its
+            # own clauses, prepared, and no copy of the base's.
             assert isinstance(base.solver_cache, _Snapshot)
-            assert ext.solver_cache is None
+            assert clauses_held(ext.solver_cache) <= len(ext.clauses)
         # Loading own clauses on top left the base's snapshot intact.
         cfg = SolverConfig(seed=seed)
         reused = CdclSolver(base, cfg=cfg)
@@ -415,9 +440,19 @@ def test_the_vsids_heap_takes_over_from_the_cursor_at_the_first_conflict():
     decisions = []
 
     class Recording(CdclSolver):
-        def _pick_phase(self, var):
-            decisions.append(var)
-            return super()._pick_phase(var)
+        """Records each decision as the trail takes it: a decision is the
+        literal pushed where the newest decision level starts."""
+
+        def _reset(self, watches, trail, value, unsat):
+            solver = self
+
+            class Trail(list):
+                def append(self, lit):
+                    if solver.trail_lim and solver.trail_lim[-1] == len(self):
+                        decisions.append(abs(lit))
+                    super().append(lit)
+
+            super()._reset(watches, Trail(trail), value, unsat)
 
     solver = Recording(cnf, dist, SolverConfig(bias_p=1.0))
     model = solver.solve()

@@ -3,7 +3,9 @@
 import pytest
 
 from pansampler.sorts import BOOL, SortKind, array, bv, fun
-from pansampler.terms import Formula, Op, TermTable, var_bits
+from pansampler.terms import Formula, Op, TermTable
+
+from helpers import var_bits
 
 
 def test_bv_sort_basics():
