@@ -36,9 +36,10 @@ class Cnf:
     base: Cnf | None = field(default=None, repr=False)
     # Set by bit_blast: the encoding state behind these clauses.
     encoding: _Encoding | None = field(default=None, compare=False, repr=False)
-    # Set by sat.CdclSolver on the Cnf's first solve: what it keeps for
-    # these clauses between solves, a base's solver state or an
-    # extension's prepared own clauses. The one field that changes.
+    # Set by sat.CdclSolver on the Cnf's first solve: its own clauses,
+    # prepared once for that solve and every later one and replay, and,
+    # for a base, its live solver state between solves. The one field
+    # that changes.
     solver_cache: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -366,9 +366,13 @@ def _parse_targets(raw: str) -> list[float]:
     out = []
     for tok in filter(str.strip, raw.split(",")):
         try:
-            out.append(float(tok))
+            r = float(tok)
         except ValueError:
             raise ValueError(f"--targets: invalid float value: {tok!r}") from None
+        # A target tags its artifacts and aggregate row as r:g.
+        if f"{r:g}" in map("{:g}".format, out):
+            raise ValueError(f"--targets: repeated value {r:g}")
+        out.append(r)
     if not out:
         return list(DEFAULT_TARGETS)
     return out

@@ -19,25 +19,27 @@ level-0 state of its CNF, whatever its watch positions and watch-list
 order. Only what follows a conflict (the clause found, what is learned)
 depends on that layout.
 
-A solve therefore starts on the clause and watch lists the CNF's last
-solve left behind, in place (`_Live`, kept on the Cnf by a `_Snapshot`
-made at its first solve), reset to their saved level-0 trail and value
-table. When a solve meets its first conflict, it hands the live state,
-which learned nothing, back to the Cnf and starts over with the same
-seed on a pristine state, laid out as a fresh load of the CNF lays it
-out: a copy of that load, taken at the first replay. A replay keeps
-going through its conflicts and hands nothing back.
+Each Cnf keeps one record (`_Kept`), made on its first solve: its own
+clauses, prepared once (their literals checked, duplicate literals and
+tautologies dropped), and, for a base, its live state (`_Live`) while no
+solver holds it. A solve starts on the clause and watch lists the CNF's
+last solve left behind, in place, reset to their saved level-0 trail
+and value table. When a solve meets its first conflict, it hands the
+live state, which learned nothing, back to the Cnf and starts over with
+the same seed on a fresh load of the prepared clauses. One routine
+(`CdclSolver._lay_out`) makes that load and the live state's first one,
+so a replay starts from the watch lists and trail a freshly loaded
+solver would. A replay keeps going through its conflicts and hands
+nothing back.
 
 A Cnf may extend a base Cnf (`Cnf.base`): a refinement deviation, a set
 of blocking clauses or an unreachability proof is the base's clauses
 plus a few of its own. Such a Cnf attaches its own clauses to the
 base's live state at level 0, watching literals that are not false
 there, and detaches them after the solve, so the base keeps one copy of
-its clauses. Its replay loads them on top of the base's pristine copy,
-which gives the same state as loading all its clauses. Clauses are only
-ever added, never changed, so a kept state never goes stale. An
-extension's own clauses are prepared on its first solve and kept on it:
-their literals checked, duplicate literals and tautologies dropped.
+its clauses. Its replay loads the base's prepared clauses and then its
+own, which gives the same state as loading all its clauses. Clauses are
+only ever added, never changed, so a kept state never goes stale.
 
 Until its first conflict a solve runs one tight loop (`_descend`): it
 walks the cursor up the variable indices, draws one rng number per free
@@ -58,7 +60,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from operator import neg
 from typing import Sequence
 
@@ -141,19 +143,6 @@ _RESCALE = 1e100
 _DECAY = 0.95  # VSIDS activity decay per conflict
 
 
-@dataclass
-class _Level0:
-    """A CNF as loaded, before any propagation or search: the clauses of
-    two or more literals, deduplicated and in load order, their watch
-    lists, the unit literals to enqueue at level 0, and whether an empty
-    clause or two opposite units were seen."""
-
-    watched: list[list[int]]
-    watches: dict[int, list[list[int]]]
-    units: list[int]
-    unsat: bool
-
-
 def _check_literals(clauses: Sequence[tuple[int, ...]], n: int) -> None:
     every = set(chain.from_iterable(clauses))
     if every and (0 in every or min(every) < -n or max(every) > n):
@@ -173,66 +162,6 @@ def _cleaned(clauses: Sequence[tuple[int, ...]]):
                    else tuple(dict.fromkeys(clause)))
 
 
-def _prepared(cnf: Cnf) -> tuple[tuple[int, ...], ...]:
-    """An extension's own clauses, literals checked, cleaned: made on its
-    first solve and kept on it (Cnf is frozen; solver_cache is the one
-    field that changes)."""
-    got = cnf.solver_cache
-    if got is None:
-        _check_literals(cnf.clauses, cnf.num_vars)
-        got = tuple(_cleaned(cnf.clauses))
-        object.__setattr__(cnf, "solver_cache", got)
-    return got
-
-
-def _load(clauses: Sequence[tuple[int, ...]],
-          state: _Level0 | None = None) -> _Level0:
-    """Load clauses with checked literals onto state, or onto an empty
-    state when none is given."""
-    if state is None:
-        state = _Level0([], {}, [], False)
-    watches = state.watches
-    unit_set = set(state.units)
-    for clause in _cleaned(clauses):
-        if len(clause) > 1:
-            lits = list(clause)
-            state.watched.append(lits)
-            watches.setdefault(lits[0], []).append(lits)
-            watches.setdefault(lits[1], []).append(lits)
-        elif not clause or -clause[0] in unit_set:
-            state.unsat = True
-        elif clause[0] not in unit_set:
-            unit_set.add(clause[0])
-            state.units.append(clause[0])
-    return state
-
-
-class _Pristine:
-    """A copy of a CNF's _Level0 as loaded, for replays.
-
-    The watch lists are stored as indices into `watched`: literal
-    `watch_lits[i]` watches the clauses numbered
-    `watch_order[watch_slices[i]]`, in order."""
-
-    def __init__(self, state: _Level0) -> None:
-        self.watched = list(map(list.copy, state.watched))
-        pos = {id(c): k for k, c in enumerate(state.watched)}
-        self.watch_lits = list(state.watches)
-        self.watch_order = [pos[id(c)] for lst in state.watches.values()
-                            for c in lst]
-        ends = list(accumulate(map(len, state.watches.values())))
-        self.watch_slices = list(map(slice, [0] + ends, ends))
-        self.units = state.units
-        self.unsat = state.unsat
-
-    def restore(self) -> _Level0:
-        watched = list(map(list.copy, self.watched))
-        flat = [watched[k] for k in self.watch_order]
-        watches = dict(zip(self.watch_lits,
-                           map(flat.__getitem__, self.watch_slices)))
-        return _Level0(watched, watches, list(self.units), self.unsat)
-
-
 @dataclass
 class _Live:
     """A CNF's state at level 0, kept between solves: its watch lists,
@@ -245,20 +174,25 @@ class _Live:
     unsat: bool
 
 
-class _Snapshot:
-    """What a Cnf keeps from its first solve on: its live state, while no
-    solver holds it, and the pristine copy of its load, taken at its
-    first replay."""
+@dataclass
+class _Kept:
+    """What a Cnf keeps for its solves: its own clauses, prepared (their
+    literals checked, duplicate literals and tautologies dropped), and,
+    for a base, its live state while no solver holds it."""
 
-    def __init__(self) -> None:
-        self.live: _Live | None = None
-        self.pristine: _Pristine | None = None
+    clauses: tuple[tuple[int, ...], ...]
+    live: _Live | None = None
 
-    def level0(self, cnf: Cnf) -> _Level0:
-        """The Cnf as a fresh load lays it out."""
-        if self.pristine is None:
-            self.pristine = _Pristine(_load(cnf.clauses))
-        return self.pristine.restore()
+
+def _kept(cnf: Cnf) -> _Kept:
+    """The Cnf's record, made on its first solve and kept on it (Cnf is
+    frozen; solver_cache is the one field that changes)."""
+    kept = cnf.solver_cache
+    if kept is None:
+        _check_literals(cnf.clauses, cnf.num_vars)
+        kept = _Kept(tuple(_cleaned(cnf.clauses)))
+        object.__setattr__(cnf, "solver_cache", kept)
+    return kept
 
 
 def _grown(value: list[int], n: int) -> list[int]:
@@ -275,27 +209,27 @@ class CdclSolver:
 
     It runs on the live state of the Cnf, or of the base it extends with
     its own clauses attached, until its first conflict, and replays on a
-    pristine state when one occurs; either way the model and conflict
-    count are those of a freshly loaded solver."""
+    fresh load of its clauses when one occurs; either way the model and
+    conflict count are those of a freshly loaded solver."""
 
     def __init__(self, cnf: Cnf, dist: BitDistribution | None = None,
                  cfg: SolverConfig | None = None) -> None:
         self.cfg = cfg or SolverConfig()
         self.dist = dist or BitDistribution()
         n = self.num_vars = cnf.num_vars
-        owner = self._owner = cnf.base or cnf
-        self._own = _prepared(cnf) if owner is not cnf else ()
+        owner = cnf.base or cnf
+        self._own = _kept(cnf).clauses if owner is not cnf else ()
         self._attached: list[list[int]] = []
         self._replayed = False
-        snap = owner.solver_cache
-        if snap is None:
-            snap = _Snapshot()
-            object.__setattr__(owner, "solver_cache", snap)
-        self._snap = snap
-        live, snap.live = snap.live, None
-        self._live = live or self._load_live(owner)
-        self._reset(self._live.watches, self._live.trail.copy(),
-                    _grown(self._live.value, n), self._live.unsat)
+        base = self._base = _kept(owner)
+        live, base.live = base.live, None
+        if live is None:
+            self._lay_out(owner.num_vars, base.clauses)
+            live = _Live(self.watches, self.trail, self.value,
+                         self._unsat or self._propagate() is not None)
+        self._live = live
+        self._reset(live.watches, live.trail.copy(), _grown(live.value, n),
+                    live.unsat)
         self._attach(self._own)
 
     # -- states ---------------------------------------------------------
@@ -316,18 +250,30 @@ class CdclSolver:
         self.conflicts = 0
         self.var_inc = 1.0
 
-    def _start(self, state: _Level0, n: int) -> None:
-        """Reset to a loaded state over variables 1..n, units enqueued."""
-        self._reset(state.watches, [], [0] * (2 * n + 1), state.unsat)
-        for lit in state.units:
-            self._enqueue(lit, None)
-
-    def _load_live(self, cnf: Cnf) -> _Live:
-        """Check and load the Cnf and propagate its units: its live state."""
-        _check_literals(cnf.clauses, cnf.num_vars)
-        self._start(_load(cnf.clauses), cnf.num_vars)
-        unsat = self._unsat or self._propagate() is not None
-        return _Live(self.watches, self.trail, self.value, unsat)
+    def _lay_out(self, n: int, *parts: Sequence[tuple[int, ...]]) -> None:
+        """Reset to a fresh load of prepared clauses over variables 1..n:
+        each clause of two or more literals watched in load order, then
+        the units enqueued in order, a repeated one skipped. An empty
+        clause or two opposite units make the state unsat."""
+        watches: dict[int, list[list[int]]] = {}
+        units: list[int] = []
+        unsat = False
+        for clause in chain.from_iterable(parts):
+            if len(clause) > 1:
+                lits = list(clause)
+                watches.setdefault(lits[0], []).append(lits)
+                watches.setdefault(lits[1], []).append(lits)
+            elif clause:
+                units.append(clause[0])
+            else:
+                unsat = True
+        self._reset(watches, [], [0] * (2 * n + 1), unsat)
+        value = self.value
+        for lit in units:
+            if value[lit] == 0:
+                self._enqueue(lit, None)
+            elif value[lit] == -1:
+                self._unsat = True
 
     def _attach(self, clauses: Sequence[tuple[int, ...]]) -> None:
         """Add prepared clauses to a live state at level 0. Each watches
@@ -356,7 +302,7 @@ class CdclSolver:
         attached = set(map(id, self._attached))
         for lit in {l for c in self._attached for l in c[:2]}:
             watches[lit] = [c for c in watches[lit] if id(c) not in attached]
-        self._snap.live = self._live
+        self._base.live = self._live
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -506,9 +452,7 @@ class CdclSolver:
         self._hand_back()
         if model is _REPLAY:
             self._replayed = True
-            state = self._snap.level0(self._owner)
-            _load(self._own, state)
-            self._start(state, self.num_vars)
+            self._lay_out(self.num_vars, self._base.clauses, self._own)
             model = self._search()
         return model
 

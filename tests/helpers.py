@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import types
 
 from pansampler.bitblast import Cnf
+from pansampler.fuzz import random_formula
 from pansampler.terms import Formula
 
 
@@ -68,3 +70,21 @@ def clauses_held(root) -> int:
             continue
         stack.extend(gc.get_referents(obj))
     return count
+
+
+def fuzzed_bv(max_width: int) -> list[tuple[int, Formula]]:
+    """(seed, formula) pairs of QF_BV formulas from fuzz.random_formula
+    for differential tests: seeds 0..59 at the fuzzer's default width of
+    4 bits; at a wider max_width, the first 30 formulas that declare a
+    vector that wide, under a bit budget that admits three of them."""
+    if max_width == 4:
+        return [(seed, random_formula(seed)) for seed in range(60)]
+    out = []
+    for seed in itertools.count():
+        f = random_formula(seed, max_width=max_width,
+                           bit_budget=3 * max_width)
+        if any(not sort.is_bool and sort.num_bits == max_width
+               for _, sort in f.bv_bool_vars()):
+            out.append((seed, f))
+            if len(out) == 30:
+                return out

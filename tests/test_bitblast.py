@@ -8,14 +8,13 @@ import pytest
 
 from pansampler.bitblast import BlastError, Blaster, Cnf, bit_blast, to_dimacs
 from pansampler.evaluate import satisfies
-from pansampler.fuzz import random_formula
 from pansampler.parser import parse_formula
 from pansampler.sat import solve
 from pansampler.sorts import array, bv
 from pansampler.terms import Formula, TermTable
 from pansampler.values import Assignment, BoolVal, BvVal
 
-from helpers import parse_dimacs
+from helpers import fuzzed_bv, parse_dimacs
 
 
 def forced(cnf, blast_map, a):
@@ -97,9 +96,9 @@ def test_contradiction_has_no_models():
     assert solve(cnf) is None
 
 
-def test_blaster_agrees_with_evaluator():
-    for seed in range(60):
-        f = random_formula(seed, logic="QF_BV")
+@pytest.mark.parametrize("max_width", [4, 8, 16, 32])
+def test_blaster_agrees_with_evaluator(max_width):
+    for seed, f in fuzzed_bv(max_width):
         cnf, bmap = bit_blast(f.table, f.decls, f.assertions)
         rng = random.Random(seed)
         for _ in range(8):

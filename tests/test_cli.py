@@ -111,8 +111,10 @@ def test_invalid_mode_is_rejected():
     (["--time-budget", "nan"], "time_budget", ["demo.smt2", "."]),
     (["--targets", "0.5,abc"], "--targets: invalid float value: 'abc'", ["."]),
     (["--targets", "1.5"], "target_coverage", ["."]),
+    (["--targets", "0.9,0.9"], "--targets: repeated value 0.9", ["."]),
 ], ids=["target-coverage", "lambda", "max-solutions", "bias-p",
-        "time-budget", "targets-not-a-number", "targets-out-of-range"])
+        "time-budget", "targets-not-a-number", "targets-out-of-range",
+        "targets-repeated"])
 def test_out_of_range_values_are_rejected_before_any_run(tmp_path, capsys,
                                                          flags, message, runs):
     (tmp_path / "demo.smt2").write_text(FREE3)

@@ -12,6 +12,8 @@ from pansampler.sorts import bv
 from pansampler.terms import Formula, Op, TermTable
 from pansampler.values import Assignment, BoolVal, BvVal
 
+from helpers import fuzzed_bv
+
 
 def random_scalar_assignment(f, rng):
     a = Assignment()
@@ -79,15 +81,20 @@ def test_cover_set_popcount_is_entry_count():
         assert cover_set(f, u, a).bit_count() == u.num_entries
 
 
-def test_cover_set_matches_slow_walker():
-    f = parse_formula(
+@pytest.mark.parametrize("max_width", [None, 8, 16, 32],
+                         ids=["fixed", "8", "16", "32"])
+def test_cover_set_matches_slow_walker(max_width):
+    fixed = parse_formula(
         "(declare-const l Bool)(declare-const m (_ BitVec 32))"
         "(assert (=> (= m #x00000003) l))")
-    u = build_universe(f)
-    rng = random.Random(3)
-    for _ in range(20):
-        a = random_scalar_assignment(f, rng)
-        assert cover_set(f, u, a) == slow_cover_set(f, u, a)
+    for seed, f in fuzzed_bv(max_width) if max_width else [(3, fixed)]:
+        u = build_universe(f)
+        rng = random.Random(seed)
+        for _ in range(20):
+            a = random_scalar_assignment(f, rng)
+            assert cover_set(f, u, a) == slow_cover_set(f, u, a), seed
+    if max_width:
+        return
     # Spot check one concrete point: m=3 with l=true drives the equality
     # and the implication both to 1.
     a = Assignment({"l": BoolVal(True), "m": BvVal(32, 3)})

@@ -1,0 +1,53 @@
+"""Repository rules that a reading of the source can check."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pansampler"
+# Reference code that tests compare the package against.
+REFERENCE = {"oracle.py", "fuzz.py"}
+
+
+def _names_used(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement refers to: identifiers, attributes,
+    imported names, and the dotted parts of strings such as the
+    "module:Class.method" targets of perfbench's probes."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.replace(":", ".").split("."))
+    return out
+
+
+def test_every_public_definition_in_the_package_is_used_outside_tests():
+    # src/ holds no helpers that only tests use: each public module-level
+    # function or class is named somewhere in src/, demos/ or perfbench/
+    # (not its tests), other than in its own definition.
+    used: set[str] = set()
+    defined: list[tuple[str, str]] = []
+    for path in sorted([*(ROOT / "src").rglob("*.py"),
+                        *(ROOT / "demos").rglob("*.py"),
+                        *(ROOT / "perfbench").rglob("*.py")]):
+        if (ROOT / "perfbench" / "tests") in path.parents:
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for stmt in tree.body:
+            names = _names_used(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.discard(stmt.name)
+                if (path.parent == PACKAGE and path.name not in REFERENCE
+                        and not stmt.name.startswith("_")):
+                    defined.append((path.name, stmt.name))
+            used |= names
+    assert defined
+    unused = [f"{file}: {name}" for file, name in defined
+              if name not in used]
+    assert unused == []

@@ -12,7 +12,8 @@ from pansampler.fuzz import random_cnf
 from pansampler.oracle import dpll
 from pansampler.parser import parse_formula
 from pansampler.sat import (BitDistribution, CdclSolver, ConflictBudgetExceeded,
-                            SolverConfig, _Snapshot, distribution_from, solve)
+                            SolverConfig, _cleaned, _Kept, distribution_from,
+                            solve)
 from pansampler.values import Assignment, BoolVal, BvVal
 
 from helpers import clauses_held, parse_dimacs
@@ -240,9 +241,35 @@ def test_snapshot_solver_matches_a_freshly_loaded_one():
             assert solve(cnf, dist, cfg) == got, (seed, run)
             sat += got is not None
             unsat += got is None
-        # From the first build on, the Cnf keeps a snapshot.
-        assert isinstance(cnf.solver_cache, _Snapshot)
+        # From the first build on, the Cnf keeps its record, with its
+        # live state handed back.
+        assert isinstance(cnf.solver_cache, _Kept)
+        assert cnf.solver_cache.live is not None
     assert sat > 100 and unsat > 100 and conflicts > 1000
+
+
+def test_each_cnf_is_prepared_once(monkeypatch):
+    # A Cnf's clauses are checked and cleaned at its first solve; neither
+    # the base's first live load nor a replay cleans them again.
+    cleaned = []
+
+    def spy(clauses):
+        cleaned.append(clauses)
+        return _cleaned(clauses)
+
+    monkeypatch.setattr("pansampler.sat._cleaned", spy)
+    base = _three_sat(5, 24, 100)
+    ext = Cnf(26, [(1, 25, 25), (-25, 26), (-26, 26), (2,)], base=base)
+    replays = clean = 0
+    for cnf in (base, ext):
+        for seed in range(6):
+            solver = CdclSolver(cnf, cfg=SolverConfig(seed=seed))
+            assert solver.solve() is not None
+            replays += solver.conflicts > 0
+            clean += solver.conflicts == 0
+    assert replays >= 2 and clean >= 2
+    assert len(cleaned) == 2
+    assert cleaned[0] is base.clauses and cleaned[1] is ext.clauses
 
 
 def _solved_fresh(cnf: Cnf, dist=None, cfg=None):
@@ -325,11 +352,12 @@ def test_an_extension_solves_like_its_clauses_loaded_flat():
                 conflicts += got.conflicts
                 sat += model is not None
                 unsat += model is None
-            # The base's snapshot served the extension, which keeps its
+            # The base's record served the extension, which keeps its
             # own clauses, prepared, and no copy of the base's.
-            assert isinstance(base.solver_cache, _Snapshot)
+            assert isinstance(base.solver_cache, _Kept)
+            assert base.solver_cache.live is not None
             assert clauses_held(ext.solver_cache) <= len(ext.clauses)
-        # Loading own clauses on top left the base's snapshot intact.
+        # Loading own clauses on top left the base's live state intact.
         cfg = SolverConfig(seed=seed)
         reused = CdclSolver(base, cfg=cfg)
         fresh = CdclSolver(Cnf(base.num_vars, list(base.clauses)), cfg=cfg)
@@ -411,7 +439,7 @@ def test_a_solve_that_met_a_conflict_hands_no_state_back():
     first = CdclSolver(cnf, cfg=conflicted)  # a first build starts live
     live = first.watches
     assert (first.solve(), first.conflicts) == want
-    # It replayed on a pristine state, which learned (-1) and stays with
+    # It replayed on a fresh load, which learned (-1) and stays with
     # it; the next solve gets the live state back, as it was.
     assert first.watches is not live
     second = CdclSolver(cnf, cfg=clean)
