@@ -42,7 +42,7 @@ def main() -> None:
         got = engine.solve_once(solutions, rng.randrange(1 << 32))
         if got is None:
             break
-        solutions.append(got)
+        solutions.append(got.assignment)
     print(f"lemma rounds used: {engine.lemma_rounds}, "
           f"lemmas learned: {len(engine.lemmas)}")
 

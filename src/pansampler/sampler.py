@@ -19,13 +19,12 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .abstraction import Abstraction, abstract_formula, project_assignment
 from .bitblast import BlastMap, Blaster, Cnf, bit_blast
-from .coverage import (AstBitUniverse, CoverState, build_universe, cover_set,
-                       manhattan_score)
-from .evaluate import satisfies
+from .coverage import CoverState, build_universe, cover_set, manhattan_score
+from .evaluate import Evaluator, assertions_hold, satisfies
 from .sat import (BitDistribution, ConflictBudgetExceeded, SolverConfig,
                   distribution_from)
 from .sat import solve as sat_solve
@@ -82,6 +81,13 @@ class SampleResult:
     coverage: dict
     covered: int  # cover bitset of the solutions (see coverage.cover_set)
     unreachable: int  # slots proved unreachable, as a cover bitset
+
+
+class Candidate(NamedTuple):
+    """A solution with the cover bitset of its AST-bits."""
+
+    assignment: Assignment
+    slots: int
 
 
 class _Priors:
@@ -142,6 +148,7 @@ class DiversitySmtEngine:
         self.f = f
         self.cfg = cfg or SamplerConfig()
         self.blocking = self.cfg.mode is Mode.ALT1
+        self.universe = build_universe(f)
         self.abs: Abstraction = abstract_formula(f)
         self.lemmas: list[int] = []
         self._lemma_set: set[int] = set()
@@ -229,9 +236,11 @@ class DiversitySmtEngine:
         return a
 
     def solve_once(self, prior: list[Assignment], seed: int,
-                   extra: tuple[int, ...] = ()) -> Assignment | None:
+                   extra: tuple[int, ...] = ()) -> Candidate | None:
         """One diversity solve: None means the blasted problem (with any
-        blocking or extra constraints) is unsatisfiable."""
+        blocking or extra constraints) is unsatisfiable. The solution is
+        evaluated once, in one pass over the formula, which gives both the
+        check that it satisfies the formula and its cover bitset."""
         seeds = random.Random(seed)
         prior_projected = self.project(prior)
         rounds = 0
@@ -266,33 +275,34 @@ class DiversitySmtEngine:
                     raise AssertionError("theory conflict produced no new lemma")
                 continue
             solution = verdict.assignment
-            if not satisfies(self.f, solution):
+            memo = Evaluator(self.f.table, solution).fill(self.universe.order)
+            if not assertions_hold(self.f, memo):
                 raise AssertionError("theory-consistent candidate fails the formula")
-            return solution
+            return Candidate(solution, cover_set(self.universe, memo))
 
 
-def post_opt(engine: DiversitySmtEngine, universe: AstBitUniverse,
-             state: CoverState, solutions: list[Assignment],
-             alpha: Assignment, seeds: random.Random,
-             out_of_time: Callable[[], bool] = lambda: False) -> Assignment:
+def post_opt(engine: DiversitySmtEngine, state: CoverState,
+             solutions: list[Assignment], seeds: random.Random,
+             alpha: Candidate,
+             out_of_time: Callable[[], bool] = lambda: False) -> Candidate:
     """Refine alpha by re-solving with one variable forced off its value.
 
     Keeps deviants scoring at least alpha's gain; ties return alpha. Once
     out_of_time says so, returns the best found so far."""
     f = engine.f
     best = alpha
-    best_score = state.gain(cover_set(f, universe, alpha))
+    best_score = state.gain(alpha.slots)
     for name, sort in f.bv_bool_vars():
         if out_of_time():
             break
-        val = alpha[name]
+        val = alpha.assignment[name]
         const = f.table.mk_const_of_sort(sort, val.as_int())
         deviation = f.table.mk_distinct(f.table.mk_var(name, sort), const)
         res = engine.solve_once(solutions, seeds.randrange(1 << 32),
                                 extra=(deviation,))
         if res is None:
             continue  # no solution deviates on this variable
-        score = state.gain(cover_set(f, universe, res))
+        score = state.gain(res.slots)
         if score > best_score:
             best = res
             best_score = score
@@ -316,10 +326,9 @@ class Unreachable:
     the conflict budget, is tried again only once the lemma count changes.
     No proof draws from the sampler's rng or adds a lemma."""
 
-    def __init__(self, engine: DiversitySmtEngine,
-                 universe: AstBitUniverse) -> None:
+    def __init__(self, engine: DiversitySmtEngine) -> None:
         self.engine = engine
-        self.universe = universe
+        self.universe = engine.universe
         self.proved = 0
         self._failed = 0  # slots not proved under _failed_at lemmas
         self._failed_at = -1
@@ -372,10 +381,10 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
 
     Raises FormulaUnsatError when f has no solution at all."""
     start = time.perf_counter()
-    universe = build_universe(f)
-    state = CoverState(universe)
     engine = DiversitySmtEngine(f, cfg)
-    unreachable = Unreachable(engine, universe)
+    universe = engine.universe
+    state = CoverState(universe)
+    unreachable = Unreachable(engine)
     master = random.Random(cfg.seed)
     solutions: list[Assignment] = []
     trace: list[float] = []
@@ -400,7 +409,7 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
                 break
             iterations += 1
             t0 = time.perf_counter()
-            candidates: list[Assignment] = []
+            candidates: list[Candidate] = []
             for _ in range(cfg.lam):
                 seed = master.randrange(1 << 32)
                 cand = engine.solve_once(solutions, seed)
@@ -420,19 +429,19 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
             best_score = -1
             for i, cand in enumerate(candidates):
                 if cfg.mode is Mode.ALT2:
-                    score = manhattan_score(solutions, cand)
+                    score = manhattan_score(solutions, cand.assignment)
                 else:
-                    score = state.gain(cover_set(f, universe, cand))
+                    score = state.gain(cand.slots)
                 if score > best_score:
                     best_idx, best_score = i, score
             selected = candidates[best_idx]
             phases["evaluation"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             if cfg.mode is not Mode.ALT3:
-                selected = post_opt(engine, universe, state, solutions,
-                                    selected, master, out_of_time)
+                selected = post_opt(engine, state, solutions, master,
+                                    selected, out_of_time)
             phases["optimization"] += time.perf_counter() - t0
-            slots = cover_set(f, universe, selected)
+            assignment, slots = selected
             # A constant-only formula tracks nothing; absorbing one solution
             # marks it vacuously covered.
             vacuous = universe.num_entries == 0 and state.num_solutions == 0
@@ -446,9 +455,9 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
                     break
                 continue
             consecutive_zero = 0
-            if not satisfies(f, selected):
+            if not satisfies(f, assignment):
                 raise AssertionError("emitting a non-solution")
-            solutions.append(selected)
+            solutions.append(assignment)
             state.absorb(slots)
             trace.append(state.coverage_star())
     except ConflictBudgetExceeded:

@@ -7,8 +7,12 @@ import itertools
 import types
 
 from pansampler.bitblast import Cnf
+from pansampler.coverage import AstBitUniverse, cover_set
+from pansampler.evaluate import Evaluator
 from pansampler.fuzz import random_formula
+from pansampler.parser import parse_formula
 from pansampler.terms import Formula
+from pansampler.values import Assignment, BoolVal, BvVal
 
 
 def var_bits(f: Formula) -> list[tuple[str, int]]:
@@ -88,3 +92,46 @@ def fuzzed_bv(max_width: int) -> list[tuple[int, Formula]]:
             out.append((seed, f))
             if len(out) == 30:
                 return out
+
+
+def cover(f: Formula, universe: AstBitUniverse, a: Assignment) -> int:
+    """coverage.cover_set of an assignment, evaluated from scratch."""
+    return cover_set(universe, Evaluator(f.table, a).fill(universe.order))
+
+
+def manhattan_score_per_bit(solutions: list[Assignment],
+                            assignment: Assignment) -> int:
+    """coverage.manhattan_score as first written: one step per prior
+    solution and tracked bit."""
+    bits = assignment.scalar_bits()
+    total = 0
+    for other in solutions:
+        for name, bit, v in bits:
+            o = other.get(name)
+            if isinstance(o, BoolVal):
+                total += v ^ o.as_int()
+            elif isinstance(o, BvVal):
+                total += v ^ o.bit(bit)
+            else:
+                raise ValueError(f"solutions disagree on inventory at {name}")
+    return total
+
+
+def wide_formulas() -> list[tuple[int, Formula]]:
+    """(seed, formula) pairs in the shape of perfbench's ablation
+    fixtures, a 224-, 256- or 288-bit x or'd with a Bool gate circuit of
+    two or three levels, plus one Bool-only circuit per seed."""
+    gates = ("and", "or", "distinct")
+    out = []
+    for seed in range(6):
+        w = (224, 256, 288)[seed % 3]
+        a, b, c, d = (gates[(seed + k) % 3] for k in range(4))
+        bools = "".join(f"(declare-const b{i} Bool)" for i in range(1, 7))
+        circuit = f"({d} ({c} ({a} b1 b2) ({b} b3 b4)) ({a} b5 b6))"
+        if seed % 2:
+            circuit = f"({c} ({a} b1 b2) ({b} b3 b4))"
+        out.append((seed, parse_formula(
+            f"(declare-const x (_ BitVec {w})){bools}"
+            f"(assert (or {circuit} (bvule x x)))")))
+        out.append((seed, parse_formula(f"{bools}(assert {circuit})")))
+    return out

@@ -10,7 +10,7 @@ the whole file runs in a few minutes.
 import random
 
 from pansampler.cli import main
-from pansampler.coverage import CoverState, build_universe, cover_set
+from pansampler.coverage import CoverState, build_universe
 from pansampler.fuzz import random_cnf, random_formula
 from pansampler.oracle import (OracleError, dpll, enumerate_solutions,
                                exact_coverage, exact_score, min_cover,
@@ -59,7 +59,7 @@ def test_one_absorbed_solution_covers_exactly_half(capsys):
                 continue
             universe = build_universe(f)
             state = CoverState(universe)
-            state.absorb(cover_set(f, universe, got))
+            state.absorb(got.slots)
             assert state.coverage_star() == 0.5, (logic, seed)
             checked += 1
     assert checked >= 100
@@ -100,12 +100,12 @@ def test_greedy_candidate_choice_matches_exact_scoring(capsys):
                     break
                 best_idx, best = 0, -1
                 for i, c in enumerate(cands):
-                    s = state.gain(cover_set(f, universe, c))
+                    s = state.gain(c.slots)
                     if s > best:
                         best_idx, best = i, s
                 oracle_idx, oracle_best = 0, -1
                 for i, c in enumerate(cands):
-                    cov = slow_cover_set(f, universe, c)
+                    cov = slow_cover_set(f, universe, c.assignment)
                     # Real solutions only ever land on attainable bits.
                     assert cov & ~rep.valid_mask == 0, (logic, seed)
                     s = exact_score(rep, oracle_covered, cov)
@@ -114,9 +114,9 @@ def test_greedy_candidate_choice_matches_exact_scoring(capsys):
                 assert best_idx == oracle_idx, (logic, seed)
                 ran += 1
                 sel = cands[best_idx]
-                state.absorb(cover_set(f, universe, sel))
-                oracle_covered |= slow_cover_set(f, universe, sel)
-                chosen.append(sel)
+                state.absorb(sel.slots)
+                oracle_covered |= slow_cover_set(f, universe, sel.assignment)
+                chosen.append(sel.assignment)
             if ran:
                 fixtures += 1
                 iterations += ran
@@ -214,13 +214,13 @@ def test_phase_bias_drives_hamming_distance(capsys):
         flipped = DiversitySmtEngine(
             f, SamplerConfig(bias_p=1.0)).solve_once([zero], seed=11)
         assert flipped is not None
-        assert flipped["x"].as_int() == (1 << k) - 1, k
+        assert flipped.assignment["x"].as_int() == (1 << k) - 1, k
 
         total = 0
         for t in range(200):
             got = DiversitySmtEngine(
                 f, SamplerConfig(bias_p=0.85)).solve_once([zero], seed=1000 + t)
-            total += got["x"].as_int().bit_count()
+            total += got.assignment["x"].as_int().bit_count()
         mean = total / 200
         assert mean >= 0.75 * k, (k, mean)
         means.append((k, mean))
@@ -291,7 +291,7 @@ def test_theory_lemma_loops_stay_inside_the_static_bound(capsys):
             got = engine.solve_once(sols, rng.randrange(1 << 32))
             if got is None:
                 break
-            sols.append(got)
+            sols.append(got.assignment)
         return engine
 
     fixtures = 0

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pansampler.coverage import CoverState, cover_set
+from pansampler.coverage import CoverState
 from pansampler.fuzz import random_cnf, random_formula
 from pansampler.oracle import (DomainCapError, OracleError, dpll,
                                enumerate_solutions, exact_coverage,
@@ -12,6 +12,8 @@ from pansampler.oracle import (DomainCapError, OracleError, dpll,
                                slow_satisfies)
 from pansampler.parser import parse_formula
 from pansampler.values import Assignment, BvVal
+
+from helpers import cover
 
 TAUT = "(declare-const x Bool)(assert (or x (not x)))"
 UNSAT = "(declare-const x Bool)(assert x)(assert (not x))"
@@ -197,7 +199,7 @@ def test_surrogate_coverage_never_exceeds_exact():
         chosen = rng.sample(rep.solutions, n)
         state = CoverState(rep.universe)
         for a in chosen:
-            state.absorb(cover_set(f, rep.universe, a))
+            state.absorb(cover(f, rep.universe, a))
         star = state.coverage_star()
         exact = exact_coverage(rep, chosen)
         assert star <= exact + 1e-12, f"seed {seed}"

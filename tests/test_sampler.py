@@ -4,6 +4,7 @@ import functools
 import gc
 import hashlib
 import random
+import sys
 import types
 
 import pytest
@@ -11,18 +12,20 @@ import pytest
 from pansampler import sampler
 from pansampler.abstraction import project_assignment
 from pansampler.bitblast import Cnf, bit_blast
-from pansampler.coverage import CoverState, build_universe, cover_set
-from pansampler.evaluate import satisfies
+from pansampler.coverage import CoverState, build_universe
+from pansampler.evaluate import Evaluator, satisfies
 from pansampler.fuzz import random_formula
 from pansampler.oracle import OracleError, enumerate_solutions
 from pansampler.parser import parse_formula
 from pansampler.printer import print_formula, print_models
-from pansampler.sampler import (DiversitySmtEngine, FormulaUnsatError, Mode,
-                                SamplerConfig, Unreachable, post_opt, sample)
+from pansampler.sampler import (Candidate, DiversitySmtEngine,
+                                FormulaUnsatError, Mode, SamplerConfig,
+                                Unreachable, post_opt, sample)
 from pansampler.sat import SolverConfig
+from pansampler.theory import Conflict, Consistent
 from pansampler.values import Assignment, BoolVal, BvVal
 
-from helpers import clauses_held
+from helpers import clauses_held, cover
 
 TAUT = "(declare-const x Bool)(assert (or x (not x)))"
 UNIQUE = "(declare-const m (_ BitVec 8))(assert (= m #x03))"
@@ -51,7 +54,7 @@ def test_diversity_solve_finds_the_only_solution():
     f = parse_formula("(declare-const x Bool)(assert x)")
     got = DiversitySmtEngine(f).solve_once([], seed=0)
     assert got is not None
-    assert got["x"] == BoolVal(True)
+    assert got.assignment["x"] == BoolVal(True)
 
 
 def test_diversity_solve_reports_unsat():
@@ -65,7 +68,7 @@ def test_full_bias_flips_every_free_bit():
     got = DiversitySmtEngine(f, SamplerConfig(bias_p=1.0)).solve_once(
         prior, seed=3)
     assert got is not None
-    assert got["x"].as_int() == 0b1111
+    assert got.assignment["x"].as_int() == 0b1111
 
 
 def test_extra_constraints_steer_the_solve():
@@ -75,7 +78,7 @@ def test_extra_constraints_steer_the_solve():
     zero = f.table.mk_bv_const(3, 0)
     got = engine.solve_once([], seed=1, extra=(f.table.mk_distinct(x, zero),))
     assert got is not None
-    assert got["x"].as_int() != 0
+    assert got.assignment["x"].as_int() != 0
 
 
 def test_engine_keeps_lemmas_within_the_static_bound():
@@ -88,8 +91,8 @@ def test_engine_keeps_lemmas_within_the_static_bound():
     for k in range(5):
         got = engine.solve_once(sols, seed=k)
         assert got is not None
-        assert satisfies(f, got)
-        sols.append(got)
+        assert satisfies(f, got.assignment)
+        sols.append(got.assignment)
     assert engine.lemma_rounds <= engine.lemma_bound
     assert len(engine.lemmas) == len(set(engine.lemmas))
 
@@ -111,8 +114,8 @@ def _full_blast(engine, extra, projected):
 
 def _solve_checking_cnfs(monkeypatch, engine, prior, extra, blocking):
     """solve_once, in alt1 mode when blocking, asserting that every CNF
-    handed to the solver equals the full blast; returns the result and
-    those CNFs."""
+    handed to the solver equals the full blast; returns the solution, or
+    None, and those CNFs."""
     handed = []
     real = sampler.sat_solve
     # solve_once projects the prior solutions once, before any lemma.
@@ -129,7 +132,7 @@ def _solve_checking_cnfs(monkeypatch, engine, prior, extra, blocking):
     engine.blocking = blocking
     got = engine.solve_once(prior, seed=7, extra=extra)
     monkeypatch.setattr(sampler, "sat_solve", real)
-    return got, handed
+    return got and got.assignment, handed
 
 
 def _deviation(f, name, value):
@@ -198,7 +201,7 @@ def test_deviation_cnfs_after_a_lemma_extend_the_new_base(monkeypatch):
     new_base, _ = engine.blast()
     assert new_base is not old_base
     assert [cnf.base for cnf in handed] == [old_base, new_base]
-    sols = [engine.solve_once([], seed=1)]
+    sols = [engine.solve_once([], seed=1).assignment]
     assert sols[0]["i"].as_int() == 1
     got, handed = _solve_checking_cnfs(monkeypatch, engine, sols,
                                        (_deviation(f, "i", 0),), False)
@@ -228,15 +231,14 @@ def test_refinement_keeps_one_base_cnf():
         "(declare-const x (_ BitVec 6))(declare-const y (_ BitVec 6))"
         "(declare-const p Bool)(assert (or p (bvult x y)))")
     engine = DiversitySmtEngine(f)
-    universe = build_universe(f)
-    state = CoverState(universe)
+    state = CoverState(engine.universe)
     seeds = random.Random(4)
     solutions = []
     for _ in range(15):
         alpha = engine.solve_once(solutions, seeds.randrange(1 << 32))
-        best = post_opt(engine, universe, state, solutions, alpha, seeds)
-        solutions.append(best)
-        state.absorb(cover_set(f, universe, best))
+        best = post_opt(engine, state, solutions, seeds, alpha)
+        solutions.append(best.assignment)
+        state.absorb(best.slots)
     base, _ = engine.blast()
     cnfs = _cnfs_reachable_from(engine)
     assert [cnf for cnf in cnfs if cnf.base is None] == [base]
@@ -386,22 +388,24 @@ def test_blocking_mode_enumerates_both_solutions():
 def test_post_opt_returns_alpha_when_nothing_deviates():
     f = parse_formula(UNIQUE)
     engine = DiversitySmtEngine(f)
-    universe = build_universe(f)
+    universe = engine.universe
     state = CoverState(universe)
-    alpha = Assignment({"m": BvVal(8, 3)})
-    got = post_opt(engine, universe, state, [], alpha, random.Random(0))
+    m3 = Assignment({"m": BvVal(8, 3)})
+    alpha = Candidate(m3, cover(f, universe, m3))
+    got = post_opt(engine, state, [], random.Random(0), alpha)
     assert got is alpha
 
 
 def test_post_opt_keeps_alpha_on_ties():
     f = parse_formula(TAUT)
     engine = DiversitySmtEngine(f)
-    universe = build_universe(f)
+    universe = engine.universe
     state = CoverState(universe)
     # Either value of x newly covers all three entries; a tie must not
     # replace the incumbent.
-    alpha = Assignment({"x": BoolVal(True)})
-    got = post_opt(engine, universe, state, [], alpha, random.Random(1))
+    x = Assignment({"x": BoolVal(True)})
+    alpha = Candidate(x, cover(f, universe, x))
+    got = post_opt(engine, state, [], random.Random(1), alpha)
     assert got is alpha
 
 
@@ -417,14 +421,13 @@ def test_post_opt_never_scores_below_alpha():
         sols = []
         for _ in range(2):
             got = engine.solve_once(sols, rng.randrange(1 << 32))
-            state.absorb(cover_set(f, universe, got))
-            sols.append(got)
+            state.absorb(got.slots)
+            sols.append(got.assignment)
         alpha = engine.solve_once(sols, rng.randrange(1 << 32))
-        refined = post_opt(engine, universe, state, sols, alpha, rng)
-        before = state.gain(cover_set(f, universe, alpha))
-        after = state.gain(cover_set(f, universe, refined))
-        assert after >= before
-        assert satisfies(f, refined)
+        refined = post_opt(engine, state, sols, rng, alpha)
+        assert refined.slots == cover(f, universe, refined.assignment)
+        assert state.gain(refined.slots) >= state.gain(alpha.slots)
+        assert satisfies(f, refined.assignment)
 
 
 def test_no_refinement_mode_is_a_plain_greedy_loop():
@@ -446,11 +449,10 @@ def test_no_refinement_mode_is_a_plain_greedy_loop():
             if state.coverage_star() >= cfg.target_coverage:
                 break
             cand = engine.solve_once(sols, master.randrange(1 << 32))
-            slots = cover_set(f, universe, cand)
-            if state.gain(slots) == 0:
+            if state.gain(cand.slots) == 0:
                 break  # a single zero-gain candidate is the stall bound
-            sols.append(cand)
-            state.absorb(slots)
+            sols.append(cand.assignment)
+            state.absorb(cand.slots)
         assert [s.key() for s in res.solutions] == [s.key() for s in sols]
 
 
@@ -472,6 +474,63 @@ def test_refinement_stops_once_the_time_budget_is_spent(monkeypatch):
     res = sample(f, cfg)
     assert res.reason == "timeout" and len(res.solutions) == 1
     assert len(deviations) <= 1
+
+
+def test_a_theory_consistent_non_solution_trips_the_solve_guard(monkeypatch):
+    f = parse_formula("(declare-const x Bool)(assert x)")
+    monkeypatch.setattr(sampler, "theory_check", lambda f, abs_, a: Consistent(
+        Assignment({"x": BoolVal(False)})))
+    with pytest.raises(AssertionError,
+                       match="theory-consistent candidate fails the formula"):
+        DiversitySmtEngine(f).solve_once([], seed=0)
+
+
+def test_the_absorb_guard_checks_each_solution_afresh(monkeypatch):
+    # The solve guard reads the solution's one evaluation; the absorb
+    # guard evaluates again and is the one this satisfies rejects.
+    real = sampler.satisfies
+
+    def satisfies_except_in_sample(f, a):
+        return sys._getframe(1).f_code.co_name != "sample" and real(f, a)
+
+    monkeypatch.setattr(sampler, "satisfies", satisfies_except_in_sample)
+    with pytest.raises(AssertionError, match="emitting a non-solution"):
+        sample(parse_formula(FREE3), SamplerConfig(lam=2, seed=1))
+
+
+def test_each_returned_solution_is_evaluated_once(monkeypatch):
+    # Lemma rounds evaluate terms for the theory check and the projection;
+    # only the returned solutions, and the absorbed ones again, have the
+    # whole formula evaluated.
+    f = parse_formula(
+        "(declare-const a (Array (_ BitVec 4) (_ BitVec 4)))"
+        "(declare-const i (_ BitVec 4))(declare-const j (_ BitVec 4))"
+        "(assert (= (select (store a i #x5) j) #x7))")
+    counts = {"fill": 0, "returned": 0, "conflicts": 0}
+    real_fill = Evaluator.fill
+    real_solve = DiversitySmtEngine.solve_once
+    real_check = sampler.theory_check
+
+    def fill(self, order):
+        counts["fill"] += 1
+        return real_fill(self, order)
+
+    def solve_once(self, prior, seed, extra=()):
+        got = real_solve(self, prior, seed, extra)
+        counts["returned"] += got is not None
+        return got
+
+    def theory_check(f, abs_, a):
+        got = real_check(f, abs_, a)
+        counts["conflicts"] += isinstance(got, Conflict)
+        return got
+
+    monkeypatch.setattr(Evaluator, "fill", fill)
+    monkeypatch.setattr(DiversitySmtEngine, "solve_once", solve_once)
+    monkeypatch.setattr(sampler, "theory_check", theory_check)
+    res = sample(f, SamplerConfig(lam=4, seed=1))
+    assert counts["conflicts"] > 0 and len(res.solutions) > 1
+    assert counts["fill"] == counts["returned"] + len(res.solutions)
 
 
 # Squaring is hard on the cursor's index order: some solves meet conflicts.
@@ -533,8 +592,8 @@ def test_proved_slots_are_unreachable_by_the_oracle():
         engine = DiversitySmtEngine(f)
         prior = []
         for k in range(3):  # lemmas join the base CNF
-            prior.append(engine.solve_once(prior, seed=k))
-        audit = Unreachable(engine, rep.universe)
+            prior.append(engine.solve_once(prior, seed=k).assignment)
+        audit = Unreachable(engine)
         base, _ = engine.blast()
         for slot in range(rep.universe.num_ast_bits):
             if audit._proves(base, slot):
