@@ -6,10 +6,9 @@ variables in encoding order. Constant bits share one lazily allocated
 TRUE variable pinned by a unit clause.
 
 A blast keeps its encoding state (the gate of every encoded term and the
-TRUE variable) on the Cnf it returns, so that more terms can be blasted
-on top of it later. The result is an extension of that base: it holds
-only the new clauses, and stands for the base's clauses followed by
-them, numbered as one blast of everything would number them.
+TRUE variable) on the Cnf it returns, so that a Blaster made from it
+can encode more terms on top of it, numbered as one blast of everything
+would number them, for an extension of that Cnf.
 """
 
 from __future__ import annotations
@@ -389,23 +388,18 @@ class Blaster:
         self.add_clause(lit)
 
 
-def bit_blast(table: TermTable, decls: dict[str, Sort], assertions: list[int],
-              base: Cnf | None = None) -> tuple[Cnf, BlastMap]:
+def bit_blast(table: TermTable, decls: dict[str, Sort],
+              assertions: list[int]) -> tuple[Cnf, BlastMap]:
     """Blast assertions over the given tracked variables.
 
     All declared Bool/BitVec variables are allocated up front so tracked
-    bits map to SAT variables even when unconstrained. With a base (an
-    earlier result over the same decls), the assertions are blasted on
-    top of it instead: the Cnf extends the base, holding only the new
-    clauses, reuses its term gates and blast map, and equals a blast of
-    the base's assertions followed by these ones."""
-    blaster = Blaster(table, base)
-    if base is None:
-        for name, sort in decls.items():
-            blaster.declare(name, sort)
+    bits map to SAT variables even when unconstrained."""
+    blaster = Blaster(table)
+    for name, sort in decls.items():
+        blaster.declare(name, sort)
     for a in assertions:
         blaster.assert_term(a)
-    cnf = Cnf(blaster.num_vars, blaster.clauses, base=base,
+    cnf = Cnf(blaster.num_vars, blaster.clauses,
               encoding=_Encoding(blaster.map, blaster._memo, blaster._true))
     return cnf, blaster.map
 

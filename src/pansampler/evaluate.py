@@ -144,7 +144,7 @@ def _extract(a: Assignment, term: Term, vals: list[Value]) -> Value:
 
 _RULES: dict[Op, _Rule] = {
     Op.VAR: _var,
-    Op.CONST: lambda a, term, vals: value_of_sort(term.sort, term.value),
+    Op.CONST: lambda a, term, vals: term.const,
     Op.AND: _truth(lambda vals: all(v.value for v in vals)),
     Op.OR: _truth(lambda vals: any(v.value for v in vals)),
     Op.NOT: _truth(lambda vals: not vals[0].value),

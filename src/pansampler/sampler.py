@@ -2,7 +2,9 @@
 
 Each iteration draws a batch of candidate solutions from the diversity
 solver, scores them against the accumulated coverage, keeps the best,
-refines it by per-variable deviation re-solves, and absorbs it. A run
+refines it by per-variable deviation re-solves, and absorbs it. A
+deviation (variable, value) is one clause over the variable's SAT bits,
+saying that some bit differs from the value, added to the base CNF. A run
 stalls once lam iterations in a row absorb nothing, or as soon as every
 AST-bit left uncovered is proved unreachable (see Unreachable). Modes:
 
@@ -26,7 +28,7 @@ from .bitblast import BlastMap, Blaster, Cnf, bit_blast
 from .coverage import CoverState, build_universe, cover_set, manhattan_score
 from .evaluate import Evaluator, assertions_hold, satisfies
 from .sat import (BitDistribution, ConflictBudgetExceeded, SolverConfig,
-                  distribution_from)
+                  distribution_from, joined)
 from .sat import solve as sat_solve
 from .terms import Formula
 from .theory import Conflict, axiom_instance_bound, theory_check
@@ -92,15 +94,14 @@ class Candidate(NamedTuple):
 
 class _Priors:
     """Prior solutions, projected, under one blast map: the bias
-    distribution, the blocking clauses, and per CNF the extension that
-    blocks them, each computed on first use."""
+    distribution, and the blocking clauses as one extension of the base,
+    each computed on first use."""
 
     def __init__(self, projected: list[Assignment], bmap: BlastMap) -> None:
         self.projected = projected
         self.bmap = bmap
         self._dist: BitDistribution | None = None
-        self._blocking: tuple[tuple[int, ...], ...] | None = None
-        self._blocked: dict[int, tuple[Cnf, Cnf]] = {}  # by id of the CNF
+        self._blocks: Cnf | None = None
 
     def holds(self, projected: list[Assignment], bmap: BlastMap) -> bool:
         return (bmap is self.bmap and len(projected) == len(self.projected)
@@ -111,30 +112,20 @@ class _Priors:
             self._dist = distribution_from(self.projected, self.bmap)
         return self._dist
 
-    def blocking(self) -> tuple[tuple[int, ...], ...]:
-        """One clause per solution, excluding its tracked bits."""
-        if self._blocking is None:
-            forward = self.bmap.forward
-            clauses = []
-            for p in self.projected:
-                clause = []
-                for name, bit, v in p.scalar_bits():
-                    var = forward.get((name, bit))
-                    if var is not None:
-                        clause.append(-var if v else var)
-                clauses.append(tuple(clause))
-            self._blocking = tuple(clauses)
-        return self._blocking
-
     def blocked(self, cnf: Cnf) -> Cnf:
-        """cnf plus the blocking clauses, as an extension of cnf's base:
-        one Cnf per cnf, which keeps its prepared clauses across solves."""
-        got = self._blocked.get(id(cnf))
-        if got is None:
-            own = cnf.clauses if cnf.base is not None else ()
-            got = self._blocked[id(cnf)] = (cnf, Cnf(
-                cnf.num_vars, own + self.blocking(), base=cnf.base or cnf))
-        return got[1]
+        """cnf plus one clause per solution excluding its tracked bits, as
+        an extension of the base that bmap maps. The blocking clauses are
+        one extension, which keeps its prepared clauses across solves; a
+        deviation joins it after its own clause."""
+        if self._blocks is None:
+            forward = self.bmap.forward
+            clauses = [tuple(-var if v else var
+                             for name, bit, v in p.scalar_bits()
+                             if (var := forward.get((name, bit))) is not None)
+                       for p in self.projected]
+            base = cnf.base or cnf
+            self._blocks = Cnf(base.num_vars, clauses, base=base)
+        return self._blocks if cnf.base is None else joined(cnf, self._blocks)
 
 
 class DiversitySmtEngine:
@@ -155,44 +146,42 @@ class DiversitySmtEngine:
         self.lemma_bound = axiom_instance_bound(f, self.abs)
         self.lemma_rounds = 0
         # The base CNF and blast map for the lemma and declaration counts
-        # in _base_key, and, per extra tuple, the CNF that extends it.
+        # in _base_key.
         self._base: tuple[Cnf, BlastMap] | None = None
         self._base_key: tuple[int, int] | None = None
-        self._suffixes: dict[tuple[int, ...], Cnf] = {}
         # The last solutions projected, by id, each with its projection,
         # for the atom count in _projected_atoms.
         self._projections: dict[int, tuple[Assignment, Assignment]] = {}
         self._projected_atoms = -1
         self._priors: _Priors | None = None
 
-    def blast(self, extra: tuple[int, ...] = ()) -> tuple[Cnf, BlastMap]:
-        """CNF of abstracted assertions, lemmas, and extra constraints.
+    def blast(self, deviation: tuple[str, int] | None = None
+              ) -> tuple[Cnf, BlastMap]:
+        """CNF of abstracted assertions and lemmas, and a deviation.
 
         The assertions and lemma images are blasted once per lemma set
         into a base CNF, which a new one replaces when a lemma (and with
-        it, maybe, fresh atoms) arrives. Extra constraints are blasted on
-        top of the base, once per extra tuple and base, into a CNF that
-        extends the base, equals one blast of all three and is returned
-        for that tuple until the base is replaced."""
-        images = [self.abs.rewrite(l) for l in self.lemmas]
-        extra_images = [self.abs.rewrite(t) for t in extra]
+        it, maybe, fresh atoms) arrives. A deviation (name, value) extends
+        the base with one clause over the variable's bits, false exactly
+        when every bit equals the value's: the asserted term
+        distinct(name, value) in Plaisted-Greenbaum form. It has the
+        models of a blast of that term over the base's variables and,
+        where the blast makes a new gate (fixed at level 0), the same
+        unit propagation."""
         decls = self.abs.formula.decls
         key = (len(self.lemmas), len(decls))
         if key != self._base_key:
+            images = [self.abs.rewrite(l) for l in self.lemmas]
             assertions = list(self.abs.formula.assertions) + images
             self._base = bit_blast(self.f.table, decls, assertions)
             self._base_key = key
-            self._suffixes = {}
         base, bmap = self._base
-        if not extra:
+        if deviation is None:
             return base, bmap
-        got = self._suffixes.get(extra)
-        if got is None:
-            cnf, _ = bit_blast(self.f.table, decls, extra_images, base=base)
-            # Without the encoding, whose term memo copies the base's.
-            got = self._suffixes[extra] = Cnf(cnf.num_vars, cnf.clauses,
-                                              base=base)
-        return got, bmap
+        name, value = deviation
+        bits = [bmap.forward[(name, b)] for b in range(decls[name].num_bits)]
+        clause = tuple(-v if value >> b & 1 else v for b, v in enumerate(bits))
+        return Cnf(base.num_vars, (clause,), base=base), bmap
 
     def project(self, solutions: list[Assignment]) -> list[Assignment]:
         """Projections onto the abstraction, each computed once per
@@ -236,16 +225,17 @@ class DiversitySmtEngine:
         return a
 
     def solve_once(self, prior: list[Assignment], seed: int,
-                   extra: tuple[int, ...] = ()) -> Candidate | None:
+                   deviation: tuple[str, int] | None = None
+                   ) -> Candidate | None:
         """One diversity solve: None means the blasted problem (with any
-        blocking or extra constraints) is unsatisfiable. The solution is
+        blocking clauses or deviation) is unsatisfiable. The solution is
         evaluated once, in one pass over the formula, which gives both the
         check that it satisfies the formula and its cover bitset."""
         seeds = random.Random(seed)
         prior_projected = self.project(prior)
         rounds = 0
         while True:
-            cnf, bmap = self.blast(extra)
+            cnf, bmap = self.blast(deviation)
             priors = self._priors_under(prior_projected, bmap)
             if self.blocking:
                 dist = BitDistribution()
@@ -289,17 +279,13 @@ def post_opt(engine: DiversitySmtEngine, state: CoverState,
 
     Keeps deviants scoring at least alpha's gain; ties return alpha. Once
     out_of_time says so, returns the best found so far."""
-    f = engine.f
     best = alpha
     best_score = state.gain(alpha.slots)
-    for name, sort in f.bv_bool_vars():
+    for name, _ in engine.f.bv_bool_vars():
         if out_of_time():
             break
-        val = alpha.assignment[name]
-        const = f.table.mk_const_of_sort(sort, val.as_int())
-        deviation = f.table.mk_distinct(f.table.mk_var(name, sort), const)
         res = engine.solve_once(solutions, seeds.randrange(1 << 32),
-                                extra=(deviation,))
+                                (name, alpha.assignment[name].as_int()))
         if res is None:
             continue  # no solution deviates on this variable
         score = state.gain(res.slots)
@@ -359,16 +345,14 @@ class Unreachable:
     def _proves(self, base: Cnf, slot: int) -> bool:
         k, v = divmod(slot, 2)
         tid, bit = self.universe.entries[k]
-        image = self.engine.abs.rewrite(tid)
-        lit = base.encoding.memo.get(image)
-        num_vars, gates = base.num_vars, []
-        if lit is None:  # only inside a theory atom
-            blaster = Blaster(self.engine.f.table, base)
-            lit = blaster.enc(image)
-            num_vars, gates = blaster.num_vars, blaster.clauses
+        # A node with a gate in the base adds no clause; one only inside a
+        # theory atom adds its image's gates.
+        blaster = Blaster(self.engine.f.table, base)
+        lit = blaster.enc(self.engine.abs.rewrite(tid))
         if isinstance(lit, list):
             lit = lit[bit]
-        cnf = Cnf(num_vars, gates + [(lit if v else -lit,)], base=base)
+        cnf = Cnf(blaster.num_vars, blaster.clauses + [(lit if v else -lit,)],
+                  base=base)
         try:
             return sat_solve(cnf, None, SolverConfig(
                 seed=0, conflict_budget=PROOF_CONFLICTS)) is None

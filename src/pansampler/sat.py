@@ -39,7 +39,11 @@ base's live state at level 0, watching literals that are not false
 there, and detaches them after the solve, so the base keeps one copy of
 its clauses. Its replay loads the base's prepared clauses and then its
 own, which gives the same state as loading all its clauses. Clauses are
-only ever added, never changed, so a kept state never goes stale.
+only ever added, never changed, so a kept state never goes stale. An
+extension made by `joined` takes its record from its parts, other
+extensions of its base: alt1's blocking clauses are one extension per
+prior set, prepared on its first solve, which each deviation joins
+after its own clause.
 
 Until its first conflict a solve runs one tight loop (`_descend`): it
 walks the cursor up the variable indices, draws one rng number per free
@@ -185,14 +189,28 @@ class _Kept:
 
 
 def _kept(cnf: Cnf) -> _Kept:
-    """The Cnf's record, made on its first solve and kept on it (Cnf is
-    frozen; solver_cache is the one field that changes)."""
+    """The Cnf's record, made on its first solve (or by joined) and kept
+    on it (Cnf is frozen; solver_cache is the one field that changes)."""
     kept = cnf.solver_cache
     if kept is None:
         _check_literals(cnf.clauses, cnf.num_vars)
         kept = _Kept(tuple(_cleaned(cnf.clauses)))
         object.__setattr__(cnf, "solver_cache", kept)
     return kept
+
+
+def joined(*parts: Cnf) -> Cnf:
+    """The extension of one base whose own clauses are its parts', in
+    order; each part is prepared once, on itself, however many
+    extensions join it."""
+    base = parts[0].base
+    if base is None or any(p.base is not base for p in parts):
+        raise ValueError("joined parts must extend one base")
+    cnf = Cnf(max(p.num_vars for p in parts),
+              chain.from_iterable(p.clauses for p in parts), base=base)
+    object.__setattr__(cnf, "solver_cache", _Kept(tuple(
+        chain.from_iterable(_kept(p).clauses for p in parts))))
+    return cnf
 
 
 def _grown(value: list[int], n: int) -> list[int]:

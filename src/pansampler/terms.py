@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .sorts import BOOL, Sort, bv
+from .values import Value, value_of_sort
 
 
 class Op(str, Enum):
@@ -56,6 +58,11 @@ class Term:
     value: int = 0  # CONST payload (Bool as 0/1, BitVec as unsigned int)
     hi: int = 0  # EXTRACT upper bit
     lo: int = 0  # EXTRACT lower bit
+
+    @cached_property
+    def const(self) -> Value:
+        """A CONST's value, made on first use and shared from then on."""
+        return value_of_sort(self.sort, self.value)
 
 
 class TermTable:
@@ -254,13 +261,6 @@ class TermTable:
 
     def mk_apply(self, name: str, fun_sort: Sort, args: tuple[int, ...]) -> int:
         return self.mk(Op.APPLY, args, name=name, fun_sort=fun_sort)
-
-    def mk_const_of_sort(self, sort: Sort, value: int) -> int:
-        if sort.is_bool:
-            return self.mk_bool_const(bool(value))
-        if sort.is_bv:
-            return self.mk_bv_const(sort.width, value)
-        raise ValueError(f"no literal form for sort {sort!r}")
 
     # -- traversal ------------------------------------------------------
 

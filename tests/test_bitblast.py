@@ -193,7 +193,9 @@ def test_dimacs_round_trip():
     # of all the terms would.
     more = [f.table.mk_distinct(f.table.mk_var("a", f.decls["a"]),
                                 f.table.mk_bv_const(3, 5))]
-    ext, _ = bit_blast(f.table, f.decls, more, base=cnf)
+    blaster = Blaster(f.table, cnf)
+    blaster.assert_term(more[0])
+    ext = Cnf(blaster.num_vars, blaster.clauses, base=cnf)
     flat, _ = bit_blast(f.table, f.decls, list(f.assertions) + more)
     assert ext.base is cnf and 0 < len(ext.clauses) < len(flat.clauses)
     assert to_dimacs(ext) == to_dimacs(flat)

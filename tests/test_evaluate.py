@@ -170,6 +170,23 @@ def test_fast_and_slow_evaluators_agree():
                 assert fast == slow, f"seed {seed} term {t}: {fast} vs {slow}"
 
 
+def test_fill_gives_every_constant_its_value_of_sort():
+    t = TermTable()
+    consts = [t.mk_true(), t.mk_false(), t.mk_bv_const(1, 1),
+              t.mk_bv_const(8, 0xA5), t.mk_bv_const(256, (1 << 256) - 3),
+              t.mk_bv_const(300, 1 << 299)]
+    consts.append(t.mk_bv_const(8, 0xA5))  # hash-consed: the same id
+    for _ in range(2):
+        memo = Evaluator(t, Assignment()).fill(sorted(set(consts)))
+        for tid in consts:
+            term = t[tid]
+            assert memo[tid] == value_of_sort(term.sort, term.value)
+            assert type(memo[tid]) is (BoolVal if term.sort.is_bool else BvVal)
+    # Built once per table: every evaluation shares the one value.
+    again = Evaluator(t, Assignment()).fill(consts)
+    assert all(again[tid] is memo[tid] for tid in consts)
+
+
 def test_satisfies_is_conjunction():
     f = parse_formula(
         "(declare-const b Bool)(declare-const c Bool)(assert b)(assert c)")

@@ -3,19 +3,20 @@
 import functools
 import gc
 import hashlib
+import itertools
 import random
 import sys
 import types
 
 import pytest
 
-from pansampler import sampler
+from pansampler import sampler, sat
 from pansampler.abstraction import project_assignment
 from pansampler.bitblast import Cnf, bit_blast
 from pansampler.coverage import CoverState, build_universe
 from pansampler.evaluate import Evaluator, satisfies
 from pansampler.fuzz import random_formula
-from pansampler.oracle import OracleError, enumerate_solutions
+from pansampler.oracle import OracleError, dpll, enumerate_solutions
 from pansampler.parser import parse_formula
 from pansampler.printer import print_formula, print_models
 from pansampler.sampler import (Candidate, DiversitySmtEngine,
@@ -74,9 +75,7 @@ def test_full_bias_flips_every_free_bit():
 def test_extra_constraints_steer_the_solve():
     f = parse_formula(FREE3)
     engine = DiversitySmtEngine(f)
-    x = f.table.mk_var("x", f.decls["x"])
-    zero = f.table.mk_bv_const(3, 0)
-    got = engine.solve_once([], seed=1, extra=(f.table.mk_distinct(x, zero),))
+    got = engine.solve_once([], seed=1, deviation=("x", 0))
     assert got is not None
     assert got.assignment["x"].as_int() != 0
 
@@ -97,14 +96,27 @@ def test_engine_keeps_lemmas_within_the_static_bound():
     assert len(engine.lemmas) == len(set(engine.lemmas))
 
 
-def _full_blast(engine, extra, projected):
-    """What one blast of everything gives: the abstracted assertions, the
-    lemma images and the extra terms, then one blocking clause per
-    projected prior solution."""
-    abs_ = engine.abs
+def _models(cnf, bits):
+    """The values of the SAT variables bits that extend to a model of
+    cnf, found by the reference DPLL over every combination."""
+    clauses = list(cnf.all_clauses())
+    return {vals for vals in itertools.product((False, True), repeat=len(bits))
+            if dpll(cnf.num_vars, clauses + [(v if on else -v,) for v, on
+                                             in zip(bits, vals)]) is not None}
+
+
+def _blasted_with(engine, deviation, projected):
+    """One blast of the abstracted assertions, the lemma images and the
+    term distinct(name, value), then one blocking clause per projected
+    prior solution."""
+    abs_, table = engine.abs, engine.f.table
+    name, value = deviation
+    sort = abs_.formula.decls[name]
+    const = (table.mk_bool_const(bool(value)) if sort.is_bool
+             else table.mk_bv_const(sort.width, value))
+    distinct = table.mk_distinct(table.mk_var(name, sort), const)
     terms = (list(abs_.formula.assertions)
-             + [abs_.rewrite(l) for l in engine.lemmas]
-             + [abs_.rewrite(t) for t in extra])
+             + [abs_.rewrite(l) for l in engine.lemmas] + [distinct])
     cnf, bmap = bit_blast(engine.f.table, abs_.formula.decls, terms)
     blocking = [tuple(-var if v else var for name, bit, v in p.scalar_bits()
                       if (var := bmap.forward.get((name, bit))))
@@ -112,104 +124,120 @@ def _full_blast(engine, extra, projected):
     return Cnf(cnf.num_vars, cnf.clauses + tuple(blocking))
 
 
-def _solve_checking_cnfs(monkeypatch, engine, prior, extra, blocking):
-    """solve_once, in alt1 mode when blocking, asserting that every CNF
-    handed to the solver equals the full blast; returns the solution, or
-    None, and those CNFs."""
-    handed = []
-    real = sampler.sat_solve
-    # solve_once projects the prior solutions once, before any lemma.
+def _check_deviation_solves(monkeypatch, engine, prior, deviation):
+    """solve_once with a deviation, without and then with blocking
+    clauses: every CNF handed to the solver extends the base current at
+    that call, and has the models, over the declared bits, of one blast
+    of the base's terms and distinct(name, value) (and the blocking
+    clauses). Returns the two solutions, or None, and the bases."""
     projected = [project_assignment(engine.abs, a) for a in prior]
+    real = sampler.sat_solve
+    got, bases = [], []
 
     def checked(cnf, dist, cfg):
-        want = _full_blast(engine, extra, projected if blocking else [])
-        assert cnf.num_vars == want.num_vars
-        assert tuple(cnf.all_clauses()) == want.clauses
-        handed.append(cnf)
+        base, bmap = engine.blast()
+        assert cnf.base is base
+        bases.append(base)
+        bits = [bmap.forward[(name, b)]
+                for name, sort in engine.abs.formula.decls.items()
+                if sort.is_bool or sort.is_bv for b in range(sort.num_bits)]
+        want = _blasted_with(engine, deviation,
+                             projected if engine.blocking else [])
+        assert _models(cnf, bits) == _models(want, bits)
         return real(cnf, dist, cfg)
 
     monkeypatch.setattr(sampler, "sat_solve", checked)
-    engine.blocking = blocking
-    got = engine.solve_once(prior, seed=7, extra=extra)
+    for blocking in (False, True):
+        engine.blocking = blocking
+        res = engine.solve_once(prior, seed=7, deviation=deviation)
+        got.append(res and res.assignment)
     monkeypatch.setattr(sampler, "sat_solve", real)
-    return got and got.assignment, handed
+    engine.blocking = False
+    return got, bases
 
 
-def _deviation(f, name, value):
-    sort = f.decls[name]
-    return f.table.mk_distinct(f.table.mk_var(name, sort),
-                               f.table.mk_const_of_sort(sort, value))
-
-
-def test_a_deviation_already_in_the_formula_reuses_its_gate(monkeypatch):
-    f = parse_formula(
-        "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
-        "(assert (or (distinct x #x3) (bvult y x)))")
-    engine = DiversitySmtEngine(f)
-    dev = _deviation(f, "x", 3)
-    base, _ = engine.blast()
-    prior = []
-    for blocking in (False, True, True):
-        got, handed = _solve_checking_cnfs(monkeypatch, engine, prior,
-                                           (dev,), blocking)
-        assert got is not None and got["x"].as_int() != 3
-        for cnf in handed:
-            assert cnf.base is base
-        prior.append(got)
-    # The deviation's gate exists, so asserting it is one unit clause.
-    cnf, _ = engine.blast((dev,))
-    assert cnf.base is base
-    assert len(cnf.clauses) == 1 and len(cnf.clauses[0]) == 1
-
-
-def test_a_constant_free_base_gets_true_in_the_suffix(monkeypatch):
-    f = parse_formula(
-        "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
-        "(assert (bvult x y))")
-    engine = DiversitySmtEngine(f)
-    base, _ = engine.blast()
-    assert base.encoding.true is None
-    prior = []
-    # y != 5 finds #x5 encoded by x != 5, but in that CNF's own gates.
-    for name, value in [("x", 5), ("x", 0), ("y", 5), ("x", 5)]:
-        for blocking in (False, True):
-            got, handed = _solve_checking_cnfs(
-                monkeypatch, engine, prior, (_deviation(f, name, value),),
-                blocking)
-            assert got is not None and got[name].as_int() != value
-            assert [cnf.base for cnf in handed] == [base]
-            prior.append(got)
-    cnf, _ = bit_blast(f.table, f.decls, [_deviation(f, "x", 5)], base=base)
-    true = cnf.encoding.true
-    assert true == base.num_vars + 1
-    assert cnf.clauses[0] == (true,)
-
-
-def test_deviation_cnfs_after_a_lemma_extend_the_new_base(monkeypatch):
+def test_a_deviation_clause_has_the_models_of_the_blasted_distinct(
+        monkeypatch):
+    # A Bool, a 1-bit and a 4-bit variable over a base without constants,
+    # and a base that already holds a gate for one deviation.
+    fixtures = [
+        ("(declare-const p Bool)(declare-const q (_ BitVec 1))"
+         "(declare-const x (_ BitVec 4))"
+         "(assert (or p (bvult x (concat q ((_ extract 3 1) x)))))", False,
+         [("p", 1), ("p", 0), ("q", 1), ("x", 0), ("x", 9)]),
+        ("(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
+         "(assert (or (distinct x #x3) (bvult y x)))", True,
+         [("x", 3), ("y", 0), ("y", 15)]),
+    ]
+    for text, has_true, deviations in fixtures:
+        f = parse_formula(text)
+        engine = DiversitySmtEngine(f)
+        base, _ = engine.blast()
+        assert (base.encoding.true is not None) == has_true
+        prior = []
+        for name, value in deviations:
+            got, bases = _check_deviation_solves(monkeypatch, engine, prior,
+                                                 (name, value))
+            assert bases == [base, base]
+            for a in got:
+                assert a is not None and a[name].as_int() != value
+                assert satisfies(f, a)
+            prior.append(got[0])
+        cnf, _ = engine.blast(("x", 3))
+        assert cnf.base is base and cnf.num_vars == base.num_vars
+        assert len(cnf.clauses) == 1 and len(cnf.clauses[0]) == 4
     # i is 0 or 1, and only i = 1 keeps the two reads apart. Forcing
     # i != 1 makes the first candidate read one cell twice: a lemma
-    # arrives and the deviation is blasted again on the new base.
+    # arrives and the deviation is made again on the new base.
     f = parse_formula(
         "(declare-const a (Array (_ BitVec 2) (_ BitVec 2)))"
         "(declare-const i (_ BitVec 2))(assert (bvule i #b01))"
         "(assert (= (select a i) #b01))(assert (= (select a #b00) #b10))")
     engine = DiversitySmtEngine(f)
     old_base, _ = engine.blast()
-    got, handed = _solve_checking_cnfs(monkeypatch, engine, [],
-                                       (_deviation(f, "i", 1),), False)
-    assert got is None and engine.lemmas
+    got, bases = _check_deviation_solves(monkeypatch, engine, [], ("i", 1))
+    assert got == [None, None] and engine.lemmas
     new_base, _ = engine.blast()
     assert new_base is not old_base
-    assert [cnf.base for cnf in handed] == [old_base, new_base]
+    assert bases[:2] == [old_base, new_base]
+    assert set(bases[2:]) == {new_base}
     sols = [engine.solve_once([], seed=1).assignment]
     assert sols[0]["i"].as_int() == 1
-    got, handed = _solve_checking_cnfs(monkeypatch, engine, sols,
-                                       (_deviation(f, "i", 0),), False)
-    assert got is not None and satisfies(f, got)
+    got, bases = _check_deviation_solves(monkeypatch, engine, sols, ("i", 0))
     # Blocking the only solution leaves nothing.
-    assert _solve_checking_cnfs(monkeypatch, engine, sols,
-                                (_deviation(f, "i", 0),), True)[0] is None
-    assert engine.blast()[0] is new_base
+    assert satisfies(f, got[0]) and got[1] is None
+    assert set(bases) == {new_base} and engine.blast()[0] is new_base
+
+
+def test_blocking_clauses_are_prepared_once_per_prior_set(monkeypatch):
+    f = parse_formula(
+        "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
+        "(declare-const p Bool)(assert (or p (bvult x y)))")
+    engine = DiversitySmtEngine(f, SamplerConfig(mode=Mode.ALT1))
+    state = CoverState(engine.universe)
+    seeds = random.Random(2)
+    prepared = []
+    real = sat._cleaned
+
+    def cleaned(clauses):
+        prepared.extend(clauses)
+        return real(clauses)
+
+    monkeypatch.setattr(sat, "_cleaned", cleaned)
+    solutions = []
+    for _ in range(4):
+        alpha = engine.solve_once(solutions, seeds.randrange(1 << 32))
+        best = post_opt(engine, state, solutions, seeds, alpha)
+        if len(solutions) >= 2:
+            forward = engine.blast()[1].forward
+            blocking = [tuple(-forward[(n, b)] if v else forward[(n, b)]
+                              for n, b, v in p.scalar_bits())
+                        for p in engine.project(solutions)]
+            # One candidate and three deviation solves, one preparation.
+            assert [prepared.count(c) for c in blocking] == [1] * len(blocking)
+        prepared.clear()
+        solutions.append(best.assignment)
+        state.absorb(best.slots)
 
 
 def _cnfs_reachable_from(root) -> list[Cnf]:
@@ -230,26 +258,29 @@ def test_refinement_keeps_one_base_cnf():
     f = parse_formula(
         "(declare-const x (_ BitVec 6))(declare-const y (_ BitVec 6))"
         "(declare-const p Bool)(assert (or p (bvult x y)))")
-    engine = DiversitySmtEngine(f)
-    state = CoverState(engine.universe)
-    seeds = random.Random(4)
-    solutions = []
-    for _ in range(15):
-        alpha = engine.solve_once(solutions, seeds.randrange(1 << 32))
-        best = post_opt(engine, state, solutions, seeds, alpha)
-        solutions.append(best.assignment)
-        state.absorb(best.slots)
-    base, _ = engine.blast()
-    cnfs = _cnfs_reachable_from(engine)
-    assert [cnf for cnf in cnfs if cnf.base is None] == [base]
-    # Every other Cnf kept is an extension of the base that holds, with
-    # its solver state, its own clauses and no copy of the base's.
-    exts = [cnf for cnf in cnfs if cnf is not base]
-    assert exts and all(cnf.base is base for cnf in exts)
-    for cnf in exts:
-        assert set(cnf.clauses).isdisjoint(base.clauses)
-        assert clauses_held((cnf.clauses, cnf.solver_cache)) <= \
-            len(cnf.clauses)
+    # Deviations are kept by no one; alt1 keeps its blocking clauses.
+    for mode, kept in ((Mode.PANSAMPLER, 0), (Mode.ALT1, 1)):
+        engine = DiversitySmtEngine(f, SamplerConfig(mode=mode))
+        state = CoverState(engine.universe)
+        seeds = random.Random(4)
+        solutions = []
+        for _ in range(15):
+            alpha = engine.solve_once(solutions, seeds.randrange(1 << 32))
+            best = post_opt(engine, state, solutions, seeds, alpha)
+            solutions.append(best.assignment)
+            state.absorb(best.slots)
+        base, _ = engine.blast()
+        cnfs = _cnfs_reachable_from(engine)
+        assert [cnf for cnf in cnfs if cnf.base is None] == [base]
+        # Every other Cnf kept is an extension of the base that holds,
+        # with its solver state, its own clauses and no copy of the base's.
+        exts = [cnf for cnf in cnfs if cnf is not base]
+        assert len(exts) == kept and all(cnf.base is base for cnf in exts)
+        for cnf in exts:
+            assert len(cnf.clauses) == 14  # the last iteration's priors
+            assert set(cnf.clauses).isdisjoint(base.clauses)
+            assert clauses_held((cnf.clauses, cnf.solver_cache)) <= \
+                len(cnf.clauses)
 
 
 def test_projection_follows_each_assignment_not_its_id():
@@ -464,9 +495,9 @@ def test_refinement_stops_once_the_time_budget_is_spent(monkeypatch):
     real = DiversitySmtEngine.solve_once
     deviations = []
 
-    def solve_once(self, prior, seed, extra=()):
-        deviations.extend(extra)
-        got = real(self, prior, seed, extra)
+    def solve_once(self, prior, seed, deviation=None):
+        deviations.extend([deviation] if deviation else [])
+        got = real(self, prior, seed, deviation)
         cfg.time_budget = 0.0  # spent once the first candidate is drawn
         return got
 
@@ -515,8 +546,8 @@ def test_each_returned_solution_is_evaluated_once(monkeypatch):
         counts["fill"] += 1
         return real_fill(self, order)
 
-    def solve_once(self, prior, seed, extra=()):
-        got = real_solve(self, prior, seed, extra)
+    def solve_once(self, prior, seed, deviation=None):
+        got = real_solve(self, prior, seed, deviation)
         counts["returned"] += got is not None
         return got
 

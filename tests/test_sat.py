@@ -13,7 +13,7 @@ from pansampler.oracle import dpll
 from pansampler.parser import parse_formula
 from pansampler.sat import (BitDistribution, CdclSolver, ConflictBudgetExceeded,
                             SolverConfig, _cleaned, _Kept, distribution_from,
-                            solve)
+                            joined, solve)
 from pansampler.values import Assignment, BoolVal, BvVal
 
 from helpers import clauses_held, parse_dimacs
@@ -364,6 +364,46 @@ def test_an_extension_solves_like_its_clauses_loaded_flat():
         assert reused.solve() == fresh.solve()
         assert reused.conflicts == fresh.conflicts
     assert sat > 100 and unsat > 100 and conflicts > 1000
+
+
+def test_a_joined_extension_solves_like_its_parts_loaded_flat(monkeypatch):
+    cleaned = []
+
+    def spy(clauses):
+        cleaned.append(clauses)
+        return _cleaned(clauses)
+
+    monkeypatch.setattr("pansampler.sat._cleaned", spy)
+    sat = conflicts = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        base = _three_sat(seed, 24, 80)
+        shared = Cnf(24 + rng.choice((0, 3)), _suffix(rng, base, 24),
+                     base=base)
+        owns = []
+        for _ in range(3):
+            n = shared.num_vars + rng.choice((0, 2))
+            own = Cnf(n, _suffix(rng, base, n), base=base)
+            ext = joined(own, shared)
+            assert ext.base is base and ext.num_vars == n
+            assert ext.clauses == own.clauses + shared.clauses
+            for run in range(2):
+                cfg = SolverConfig(seed=rng.randrange(1 << 32),
+                                   restart_base=rng.choice((1, 4, 64)))
+                got = _solved(ext, cfg=cfg)
+                assert got == _solved_fresh(ext, cfg=cfg), (seed, run)
+                assert solve(ext, cfg=cfg) == got[0]
+                sat += got[0] is not None
+                conflicts += got[1]
+            owns.append(own)
+        # The shared part was prepared once, on its first join.
+        assert [c for c in cleaned if c is shared.clauses] == [shared.clauses]
+        assert all(any(c is own.clauses for c in cleaned) for own in owns)
+    assert sat > 50 and conflicts > 100
+    other = Cnf(24, [(1,)], base=_three_sat(0, 24, 80))
+    for parts in ((other, shared), (base,), (shared, base)):
+        with pytest.raises(ValueError, match="one base"):
+            joined(*parts)
 
 
 def test_a_nested_or_wider_base_is_rejected():
