@@ -156,36 +156,60 @@ def _check_deviation_solves(monkeypatch, engine, prior, deviation):
     return got, bases
 
 
-def test_a_deviation_clause_has_the_models_of_the_blasted_distinct(
-        monkeypatch):
-    # A Bool, a 1-bit and a 4-bit variable over a base without constants,
-    # and a base that already holds a gate for one deviation.
-    fixtures = [
-        ("(declare-const p Bool)(declare-const q (_ BitVec 1))"
-         "(declare-const x (_ BitVec 4))"
-         "(assert (or p (bvult x (concat q ((_ extract 3 1) x)))))", False,
-         [("p", 1), ("p", 0), ("q", 1), ("x", 0), ("x", 9)]),
-        ("(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
-         "(assert (or (distinct x #x3) (bvult y x)))", True,
-         [("x", 3), ("y", 0), ("y", 15)]),
-    ]
-    for text, has_true, deviations in fixtures:
-        f = parse_formula(text)
-        engine = DiversitySmtEngine(f)
-        base, _ = engine.blast()
-        assert (base.encoding.true is not None) == has_true
-        prior = []
-        for name, value in deviations:
-            got, bases = _check_deviation_solves(monkeypatch, engine, prior,
-                                                 (name, value))
-            assert bases == [base, base]
-            for a in got:
-                assert a is not None and a[name].as_int() != value
-                assert satisfies(f, a)
-            prior.append(got[0])
-        cnf, _ = engine.blast(("x", 3))
+def _check_deviations_on_one_base(monkeypatch, engine, f, deviations):
+    """Each deviation in turn, without and then with blocking clauses of
+    the solutions before it: every solve runs on the one base, and finds
+    a model of f away from the deviated value. Returns the base."""
+    base, _ = engine.blast()
+    prior = []
+    for name, value in deviations:
+        got, bases = _check_deviation_solves(monkeypatch, engine, prior,
+                                             (name, value))
+        assert bases == [base, base]
+        for a in got:
+            assert a is not None and a[name].as_int() != value
+            assert satisfies(f, a)
+        prior.append(got[0])
+    return base
+
+
+def test_a_deviation_already_in_the_formula_reuses_its_gate(monkeypatch):
+    # The base already holds a gate for distinct(x, #x3). A deviation
+    # needs no gate: it is one clause over x's four bits on that base,
+    # with the models of the blasted distinct.
+    f = parse_formula(
+        "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
+        "(assert (or (distinct x #x3) (bvult y x)))")
+    engine = DiversitySmtEngine(f)
+    base = _check_deviations_on_one_base(
+        monkeypatch, engine, f, [("x", 3), ("y", 0), ("y", 15)])
+    assert base.encoding.true is not None
+    cnf, _ = engine.blast(("x", 3))
+    assert cnf.base is base and cnf.num_vars == base.num_vars
+    assert len(cnf.clauses) == 1 and len(cnf.clauses[0]) == 4
+
+
+def test_a_constant_free_base_gets_true_in_the_suffix(monkeypatch):
+    # A Bool, a 1-bit and a 4-bit variable over a base without constants.
+    # A deviation clause names only the variable's bits, so the suffix
+    # needs no TRUE variable and the base gains none.
+    f = parse_formula(
+        "(declare-const p Bool)(declare-const q (_ BitVec 1))"
+        "(declare-const x (_ BitVec 4))"
+        "(assert (or p (bvult x (concat q ((_ extract 3 1) x)))))")
+    engine = DiversitySmtEngine(f)
+    base = _check_deviations_on_one_base(
+        monkeypatch, engine, f,
+        [("p", 1), ("p", 0), ("q", 1), ("x", 0), ("x", 9)])
+    assert base.encoding.true is None
+    for deviation, width in [(("p", 1), 1), (("q", 0), 1), (("x", 5), 4)]:
+        cnf, _ = engine.blast(deviation)
         assert cnf.base is base and cnf.num_vars == base.num_vars
-        assert len(cnf.clauses) == 1 and len(cnf.clauses[0]) == 4
+        assert len(cnf.clauses) == 1 and len(cnf.clauses[0]) == width
+    assert engine.blast()[0].encoding.true is None
+
+
+def test_deviation_cnfs_after_a_lemma_extend_the_new_base(monkeypatch):
     # i is 0 or 1, and only i = 1 keeps the two reads apart. Forcing
     # i != 1 makes the first candidate read one cell twice: a lemma
     # arrives and the deviation is made again on the new base.
