@@ -14,6 +14,8 @@ error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -23,7 +25,6 @@ from pathlib import Path
 
 from .abstraction import abstract_formula
 from .bitblast import bit_blast, to_dimacs
-from .coverage import build_universe
 from .oracle import OracleError, enumerate_solutions, exact_coverage, slow_satisfies
 from .parser import ParseError, parse_file
 from .printer import print_models, print_term
@@ -190,7 +191,7 @@ def _reachability(f: Formula, result: SampleResult) -> dict:
     """Coverage over the slots not proved unreachable, and the first
     uncovered slots, the ones not proved unreachable first. A slot the
     run never tried to prove counts as not proved."""
-    universe = build_universe(f)
+    universe = result.universe
     total = universe.num_ast_bits
     unreachable = result.unreachable
     reachable = total - unreachable.bit_count()
@@ -347,9 +348,13 @@ def aggregate(records: list[BenchRecord], targets: list[float]) -> dict:
 
 
 def records_csv(records: list[BenchRecord]) -> str:
-    lines = [",".join(RECORD_FIELDS)]
-    lines += [",".join(rec.csv_row()) for rec in records]
-    return "\n".join(lines) + "\n"
+    """The header and one row per record; a field that holds a comma, a
+    quote or a line break is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(RECORD_FIELDS)
+    writer.writerows(rec.csv_row() for rec in records)
+    return out.getvalue()
 
 
 def aggregate_csv(agg: dict) -> str:
@@ -425,8 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         path, configs[0], out_dir=args.out_dir,
         emit_dimacs=args.emit_dimacs, oracle_check=args.oracle_check,
         deterministic_timing=args.deterministic_timing)
-    print(",".join(RECORD_FIELDS))
-    print(",".join(rec.csv_row()))
+    print(records_csv([rec]), end="")
     return code
 
 

@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple
 
 from .abstraction import Abstraction, abstract_formula, project_assignment
 from .bitblast import BlastMap, Blaster, Cnf, bit_blast
-from .coverage import CoverState, build_universe, cover_set, manhattan_score
+from .coverage import (AstBitUniverse, CoverState, build_universe, cover_set,
+                       manhattan_score)
 from .evaluate import Evaluator, assertions_hold, satisfies
 from .sat import (BitDistribution, ConflictBudgetExceeded, SolverConfig,
                   distribution_from, joined)
@@ -83,6 +84,7 @@ class SampleResult:
     coverage: dict
     covered: int  # cover bitset of the solutions (see coverage.cover_set)
     unreachable: int  # slots proved unreachable, as a cover bitset
+    universe: AstBitUniverse  # the AST-bits the bitsets index
 
 
 class Candidate(NamedTuple):
@@ -95,36 +97,53 @@ class Candidate(NamedTuple):
 class _Priors:
     """Prior solutions, projected, under one blast map: the bias
     distribution, and the blocking clauses as one extension of the base,
-    each computed on first use."""
+    each computed on first use. A set that extends an earlier one under
+    the same map takes, at once, what the earlier one computed plus the
+    new solutions' part: their counts added, and their blocking clauses
+    joined after the earlier ones, which are not prepared again."""
 
-    def __init__(self, projected: list[Assignment], bmap: BlastMap) -> None:
+    def __init__(self, projected: list[Assignment], bmap: BlastMap,
+                 earlier: _Priors | None = None) -> None:
         self.projected = projected
         self.bmap = bmap
         self._dist: BitDistribution | None = None
         self._blocks: Cnf | None = None
+        if earlier is not None:
+            new = projected[len(earlier.projected):]
+            if earlier._dist is not None:
+                self._dist = distribution_from(new, bmap, earlier._dist)
+            if earlier._blocks is not None:
+                self._blocks = joined(earlier._blocks, self._blocking(
+                    new, earlier._blocks.base))
 
-    def holds(self, projected: list[Assignment], bmap: BlastMap) -> bool:
-        return (bmap is self.bmap and len(projected) == len(self.projected)
-                and all(map(operator.is_, projected, self.projected)))
+    def starts(self, projected: list[Assignment], bmap: BlastMap) -> bool:
+        """Whether projected, under bmap, begins with these solutions."""
+        k = len(self.projected)
+        return (bmap is self.bmap and len(projected) >= k
+                and all(map(operator.is_, projected[:k], self.projected)))
 
     def distribution(self) -> BitDistribution:
         if self._dist is None:
             self._dist = distribution_from(self.projected, self.bmap)
         return self._dist
 
+    def _blocking(self, solutions: list[Assignment], base: Cnf) -> Cnf:
+        """One clause per solution excluding its tracked bits, as an
+        extension of base."""
+        forward = self.bmap.forward
+        clauses = [tuple(-var if v else var
+                         for name, bit, v in p.scalar_bits()
+                         if (var := forward.get((name, bit))) is not None)
+                   for p in solutions]
+        return Cnf(base.num_vars, clauses, base=base)
+
     def blocked(self, cnf: Cnf) -> Cnf:
-        """cnf plus one clause per solution excluding its tracked bits, as
-        an extension of the base that bmap maps. The blocking clauses are
-        one extension, which keeps its prepared clauses across solves; a
-        deviation joins it after its own clause."""
+        """cnf plus the blocking clauses, as an extension of the base that
+        bmap maps. The blocking clauses are one extension, which keeps its
+        prepared clauses across solves; a deviation joins it after its own
+        clause."""
         if self._blocks is None:
-            forward = self.bmap.forward
-            clauses = [tuple(-var if v else var
-                             for name, bit, v in p.scalar_bits()
-                             if (var := forward.get((name, bit))) is not None)
-                       for p in self.projected]
-            base = cnf.base or cnf
-            self._blocks = Cnf(base.num_vars, clauses, base=base)
+            self._blocks = self._blocking(self.projected, cnf.base or cnf)
         return self._blocks if cnf.base is None else joined(cnf, self._blocks)
 
 
@@ -205,10 +224,12 @@ class DiversitySmtEngine:
     def _priors_under(self, projected: list[Assignment],
                       bmap: BlastMap) -> _Priors:
         """The projected prior solutions under a blast map, kept until
-        either changes."""
+        either changes; a set that only gains solutions extends the last."""
         got = self._priors
-        if got is None or not got.holds(projected, bmap):
+        if got is None or not got.starts(projected, bmap):
             got = self._priors = _Priors(projected, bmap)
+        elif len(projected) > len(got.projected):
+            got = self._priors = _Priors(projected, bmap, got)
         return got
 
     def _lift(self, model: list[bool], bmap: BlastMap) -> Assignment:
@@ -460,4 +481,5 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
         coverage=state.report(),
         covered=state.covered,
         unreachable=unreachable.proved,
+        universe=universe,
     )

@@ -15,22 +15,27 @@ its first conflict a solve does not depend on how its state is laid out:
 - After each decision, the closure under unit propagation is unique, and
   whether it holds a conflict does not depend on propagation order.
 So a solve that meets no conflict returns the same model from any valid
-level-0 state of its CNF, whatever its watch positions and watch-list
+level-0 state of its CNF, however propagation reaches a clause (through
+two watched literals or a list of every occurrence) and in whatever
 order. Only what follows a conflict (the clause found, what is learned)
 depends on that layout.
 
 Each Cnf keeps one record (`_Kept`), made on its first solve: its own
 clauses, prepared once (their literals checked, duplicate literals and
 tautologies dropped), and, for a base, its live state (`_Live`) while no
-solver holds it. A solve starts on the clause and watch lists the CNF's
-last solve left behind, in place, reset to their saved level-0 trail
-and value table. When a solve meets its first conflict, it hands the
-live state, which learned nothing, back to the Cnf and starts over with
-the same seed on a fresh load of the prepared clauses. One routine
-(`CdclSolver._lay_out`) makes that load and the live state's first one,
-so a replay starts from the watch lists and trail a freshly loaded
-solver would. A replay keeps going through its conflicts and hands
-nothing back.
+solver holds it. The live state lists each of the base's 2- and
+3-literal clauses under each of its literals, once: when a literal
+turns false, a solve reads the other literals of every such clause that
+holds it, in place, and moves nothing. Only the longer clauses, and the
+clauses an extension attaches, keep two watched literals. A solve
+starts on the live state the CNF's last solve left behind, reset to its
+saved level-0 trail and value table. It writes no reason for what it
+implies, because it never analyses a conflict: at its first conflict it
+hands the live state, which learned nothing, back to the Cnf and starts
+over with the same seed on a fresh load of the prepared clauses
+(`CdclSolver._lay_out`), every clause of two or more literals watched
+in load order, as in a freshly loaded solver. A replay keeps going
+through its conflicts and hands nothing back.
 
 A Cnf may extend a base Cnf (`Cnf.base`): a refinement deviation, a set
 of blocking clauses or an unreachability proof is the base's clauses
@@ -49,8 +54,9 @@ Until its first conflict a solve runs one tight loop (`_descend`): it
 walks the cursor up the variable indices, draws one rng number per free
 variable, takes the phase from the distribution's table
 (`BitDistribution.phases`), writes the value, level and trail entries
-in place, and propagates only when some clause watches the literal the
-decision falsified. A replay goes on from its first conflict with the
+in place, and propagates only when the literal the decision falsified
+is hot: some clause holds it that may need a visit. A replay propagates
+after every decision, and goes on from its first conflict with the
 VSIDS heap.
 
 Variable values live in one list indexed directly by the signed
@@ -64,9 +70,9 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import neg
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bitblast import BlastMap, Cnf
 from .values import Assignment
@@ -117,9 +123,11 @@ class BitDistribution:
         return got[1], got[2]
 
 
-def distribution_from(assignments: list[Assignment],
-                      blast_map: BlastMap) -> BitDistribution:
-    counts: dict[int, list[int]] = {}
+def distribution_from(assignments: list[Assignment], blast_map: BlastMap,
+                      start: BitDistribution | None = None
+                      ) -> BitDistribution:
+    """The counts over the assignments, added to start's when given."""
+    counts = {k: list(v) for k, v in start.counts.items()} if start else {}
     for a in assignments:
         for name, bit, v in a.scalar_bits():
             var = blast_map.forward.get((name, bit))
@@ -168,10 +176,19 @@ def _cleaned(clauses: Sequence[tuple[int, ...]]):
 
 @dataclass
 class _Live:
-    """A CNF's state at level 0, kept between solves: its watch lists,
-    and the trail and value table its units propagate to, or unsat when
-    that propagation met a conflict."""
+    """A base's state at level 0, kept between solves.
 
+    Two tables indexed by literal, as the value table is, are the same
+    at the start of every solve. occurs[lit] lists the base's 3-literal
+    clauses that hold lit, and its 2-literal ones with literal 0 added:
+    the value table holds -1 at slot 0, so literal 0 is false. hot[lit]
+    is 1 when some clause may need a visit as lit turns false. Beside
+    them: the watch lists of the longer clauses, and the trail and value
+    table the units propagate to, or unsat when that propagation met a
+    conflict."""
+
+    occurs: list[Sequence[tuple[int, ...]]]
+    hot: list[int]
     watches: dict[int, list[list[int]]]
     trail: list[int]
     value: list[int]
@@ -213,13 +230,15 @@ def joined(*parts: Cnf) -> Cnf:
     return cnf
 
 
-def _grown(value: list[int], n: int) -> list[int]:
-    """A copy of a value table, grown to variables 1..n."""
-    m = len(value) // 2
-    return value[:m + 1] + [0] * (2 * (n - m)) + value[m + 1:]
+def _grown(table: list, n: int, fill=0) -> list:
+    """A copy of a table indexed by literal, grown to variables 1..n."""
+    m = len(table) // 2
+    return table[:m + 1] + [fill] * (2 * (n - m)) + table[m + 1:]
 
 
 _REPLAY = object()  # _search's answer at the first conflict on a live state
+# A propagation routine: None, or what it answers at a conflict.
+_Propagate = Callable[[], list[int] | bool | None]
 
 
 class CdclSolver:
@@ -238,16 +257,19 @@ class CdclSolver:
         owner = cnf.base or cnf
         self._own = _kept(cnf).clauses if owner is not cnf else ()
         self._attached: list[list[int]] = []
+        self._marked: list[int] = []  # literals hot for this solve only
         self._replayed = False
         base = self._base = _kept(owner)
         live, base.live = base.live, None
         if live is None:
-            self._lay_out(owner.num_vars, base.clauses)
-            live = _Live(self.watches, self.trail, self.value,
-                         self._unsat or self._propagate() is not None)
+            live = self._load_live(owner.num_vars, base.clauses)
         self._live = live
         self._reset(live.watches, live.trail.copy(), _grown(live.value, n),
                     live.unsat)
+        self._occurs, self._hot = live.occurs, live.hot
+        if n > owner.num_vars:  # no base clause holds the new variables
+            self._occurs = _grown(live.occurs, n, ())
+            self._hot = _grown(live.hot, n)
         self._attach(self._own)
 
     # -- states ---------------------------------------------------------
@@ -293,6 +315,37 @@ class CdclSolver:
             elif value[lit] == -1:
                 self._unsat = True
 
+    def _load_live(self, n: int, clauses: Sequence[tuple[int, ...]]
+                   ) -> _Live:
+        """The live state of a base's prepared clauses over variables
+        1..n: its 2- and 3-literal clauses listed by literal, the rest
+        laid out as a fresh load lays them out, and the units propagated."""
+        listed: dict[int, list[tuple[int, ...]]] = {}
+        rest = []
+        for clause in clauses:
+            if len(clause) == 2:
+                padded = clause + (0,)
+                for lit in clause:
+                    listed.setdefault(lit, []).append(padded)
+            elif len(clause) == 3:
+                for lit in clause:
+                    listed.setdefault(lit, []).append(clause)
+            else:
+                rest.append(clause)
+        self._lay_out(n, rest)
+        self.value[0] = -1  # literal 0, which pads a 2-literal clause
+        size = 2 * n + 1
+        occurs, hot = self._occurs, self._hot = [()] * size, [0] * size
+        for lit, got in listed.items():
+            occurs[lit] = got
+            hot[lit] = 1
+        for clause in rest:  # a long clause's watch may move to any literal
+            for lit in clause:
+                hot[lit] = 1
+        unsat = self._unsat or self._spread() is not None
+        return _Live(occurs, hot, self.watches, self.trail, self.value,
+                     unsat)
+
     def _attach(self, clauses: Sequence[tuple[int, ...]]) -> None:
         """Add prepared clauses to a live state at level 0. Each watches
         two literals that are not false, or its one such literal, enqueued
@@ -311,15 +364,26 @@ class CdclSolver:
             if len(lits) > 1:
                 watches.setdefault(lits[0], []).append(lits)
                 watches.setdefault(lits[1], []).append(lits)
+                self._mark(lits[0])
+                self._mark(lits[1])
                 self._attached.append(lits)
 
+    def _mark(self, lit: int) -> None:
+        """Make a literal hot until the live state is handed back."""
+        if not self._hot[lit]:
+            self._hot[lit] = 1
+            self._marked.append(lit)
+
     def _hand_back(self) -> None:
-        """Detach the attached clauses and return the live state, which
-        learned nothing, to the Cnf it came from."""
+        """Detach the attached clauses, cool the literals they made hot,
+        and return the live state, which learned nothing, to the Cnf it
+        came from."""
         watches = self.watches
         attached = set(map(id, self._attached))
         for lit in {l for c in self._attached for l in c[:2]}:
             watches[lit] = [c for c in watches[lit] if id(c) not in attached]
+        for lit in self._marked:
+            self._hot[lit] = 0
         self._base.live = self._live
 
     # -- bookkeeping ----------------------------------------------------
@@ -381,6 +445,66 @@ class CdclSolver:
                     push(first)
             watches[false_lit] = kept
         self.qhead = qhead
+        return None
+
+    def _spread(self) -> bool | None:
+        """Propagate on the live state: for each false literal, the
+        clauses listed under it, read in place, then the clauses watching
+        it. Writes no level or reason, and answers True at a conflict, not
+        a clause: a live solve hands over to a replay at its first one."""
+        value, watches, trail = self.value, self.watches, self.trail
+        occurs, hot, push = self._occurs, self._hot, trail.append
+        # A list iterator also yields what is appended while it runs.
+        for lit in islice(trail, self.qhead, None):
+            false_lit = -lit
+            for a, b, c in occurs[false_lit]:
+                # Values are 1, 0 or -1, and false_lit is one of the three:
+                # a sum below -1 means none is true and at most one free.
+                if value[a] + value[b] + value[c] >= -1:
+                    continue
+                if value[a] == 0:
+                    free = a
+                elif value[b] == 0:
+                    free = b
+                elif value[c] == 0:
+                    free = c
+                else:
+                    return True
+                value[free] = 1
+                value[-free] = -1
+                push(free)
+            old = watches.get(false_lit)
+            if not old:
+                continue
+            kept: list[list[int]] = []
+            for idx, clause in enumerate(old):
+                if clause[0] == false_lit:
+                    clause[0] = clause[1]
+                    clause[1] = false_lit
+                first = clause[0]
+                if value[first] == 1:
+                    kept.append(clause)
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] != -1:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        watches.setdefault(lit, []).append(clause)
+                        if not hot[lit]:
+                            self._mark(lit)
+                        break
+                else:
+                    kept.append(clause)
+                    if value[first] == -1:
+                        kept.extend(old[idx + 1:])
+                        watches[false_lit] = kept
+                        return True
+                    value[first] = 1
+                    value[-first] = -1
+                    push(first)
+            watches[false_lit] = kept
+        self.qhead = len(trail)
         return None
 
     def _start_vsids(self) -> None:
@@ -466,39 +590,46 @@ class CdclSolver:
 
     def solve(self) -> list[bool] | None:
         """A model as bools indexed 1..num_vars, or None when UNSAT."""
-        model = self._search()
+        model = self._search(self._hot, self._spread)
         self._hand_back()
         if model is _REPLAY:
             self._replayed = True
             self._lay_out(self.num_vars, self._base.clauses, self._own)
-            model = self._search()
+            # A replay propagates after every decision.
+            model = self._search([1] * (2 * self.num_vars + 1),
+                                 self._propagate)
         return model
 
     def _model(self) -> list[bool]:
-        return [False] + [x == 1 for x in self.value[1:self.num_vars + 1]]
+        return [False, *map((1).__eq__, self.value[1:self.num_vars + 1])]
 
-    def _descend(self, below: list[float],
-                 lits: list[int]) -> list[int] | None:
+    def _descend(self, below: list[float], lits: list[int], hot: list[int],
+                 propagate: _Propagate) -> list[int] | bool | None:
         """Decide the lowest free variable at or past a cursor, in index
         order, and propagate, until every variable is set (None) or a
-        decision meets a conflict (the conflict clause). Until a conflict
-        VSIDS activity is zero, so this is the heap's order too.
+        decision meets a conflict (what propagate answered). Until a
+        conflict VSIDS activity is zero, so this is the heap's order too.
 
         Propagation is skipped after a decision whose falsified literal
-        nothing watches, which leaves qhead behind: nothing starts to
-        watch a false literal, so the literals passed over need none."""
-        value, level, watches = self.value, self.level, self.watches
+        is not hot, which leaves qhead behind: no clause needs a visit
+        when such a literal turns false, and a watch only ever moves to
+        a literal that is not false, so the literals passed over need
+        none."""
+        value, level = self.value, self.level
         trail, trail_lim = self.trail, self.trail_lim
-        push, mark = trail.append, trail_lim.append
+        push, mark, free = trail.append, trail_lim.append, value.index
         draw = self.rng.random
         n = self.num_vars
         depth = len(trail_lim)
         v = 1
         while True:
-            while v <= n and value[v]:
-                v += 1
             if v > n:
                 return None
+            if value[v]:  # skip the variables already set in one call
+                try:
+                    v = free(0, v, n + 1)
+                except ValueError:
+                    return None
             lit = lits[v] if draw() < below[v] else -lits[v]
             mark(len(trail))
             depth += 1
@@ -507,19 +638,20 @@ class CdclSolver:
             level[v] = depth
             push(lit)
             v += 1
-            if watches.get(-lit):
+            if hot[-lit]:
                 self.qhead = len(trail) - 1
-                conflict = self._propagate()
+                conflict = propagate()
                 if conflict is not None:
                     return conflict
 
-    def _search(self):
+    def _search(self, hot: list[int], propagate: _Propagate):
         """The model, None when UNSAT, or _REPLAY at the first conflict
-        on the live state."""
-        if self._unsat or self._propagate() is not None:
+        on the live state. Until the first conflict, propagate runs after
+        each decision whose falsified literal is hot."""
+        if self._unsat or propagate() is not None:
             return None
         below, lits = self.dist.phases(self.num_vars, self.cfg.bias_p)
-        conflict = self._descend(below, lits)
+        conflict = self._descend(below, lits, hot, propagate)
         if conflict is None:
             return self._model()
         if not self._replayed:

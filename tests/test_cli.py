@@ -1,12 +1,14 @@
 """Command-line entry point, artifacts, and suite tables."""
 
+import csv
 import dataclasses
 import functools
+import io
 import json
 
 import pytest
 
-from pansampler import sampler
+from pansampler import coverage, sampler
 from pansampler.cli import (DEFAULT_TARGETS, NODE_CHARS, RECORD_FIELDS,
                             UNCOVERED_LISTED, BenchRecord,
                             _parse_targets, aggregate, aggregate_csv,
@@ -425,3 +427,44 @@ def test_main_suite_on_empty_directory(tmp_path):
     assert records == ",".join(RECORD_FIELDS) + "\n"
     agg = json.loads((sub / "suite_aggregate.json").read_text())
     assert agg["targets"][0]["num_benchmarks"] == 0
+
+
+def test_run_file_builds_the_coverage_universe_once(tmp_path, monkeypatch):
+    # The report reads its slots from the universe the sampler built.
+    made = []
+
+    class Counted(coverage.AstBitUniverse):
+        def __init__(self, *args) -> None:
+            made.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(coverage, "AstBitUniverse", Counted)
+    src = tmp_path / "demo.smt2"
+    src.write_text(FREE3)
+    run_file(src, SamplerConfig(target_coverage=0.995, lam=2))
+    assert len(made) == 1
+    report = json.loads((tmp_path / "demo.report.json").read_text())
+    assert report["uncovered"] and report["coverage_reachable"] == 1.0
+
+
+def test_a_file_name_with_a_comma_stays_one_csv_field(tmp_path, capsys):
+    # Rows without special characters are written as before; a name
+    # holding a comma or a quote is quoted, so every row reads back as
+    # the header's nine fields.
+    for name in ("a,b.smt2", 'q"uote.smt2', "plain.smt2"):
+        (tmp_path / name).write_text(FREE3)
+    assert main([str(tmp_path), "--targets", "0.5", "--lambda", "2",
+                 "--deterministic-timing"]) == 0
+    text = (tmp_path / "suite_records.csv").read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == RECORD_FIELDS
+    assert [len(row) for row in rows] == [len(RECORD_FIELDS)] * 4
+    assert [row[0] for row in rows[1:]] == [
+        str(tmp_path / name) for name in ("a,b.smt2", "plain.smt2",
+                                          'q"uote.smt2')]
+    assert text.splitlines()[2] == ",".join(rows[2])  # plain, unquoted
+    capsys.readouterr()
+    main([str(tmp_path / "a,b.smt2"), "--target-coverage", "0.5",
+          "--lambda", "2"])
+    out = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert out[0] == RECORD_FIELDS and out[1][0] == str(tmp_path / "a,b.smt2")

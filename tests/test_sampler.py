@@ -257,11 +257,42 @@ def test_blocking_clauses_are_prepared_once_per_prior_set(monkeypatch):
             blocking = [tuple(-forward[(n, b)] if v else forward[(n, b)]
                               for n, b, v in p.scalar_bits())
                         for p in engine.project(solutions)]
-            # One candidate and three deviation solves, one preparation.
+            # One candidate and three deviation solves per prior set, and
+            # a set that extends the last one prepares only its new
+            # solution's clause: each is prepared once over the run.
             assert [prepared.count(c) for c in blocking] == [1] * len(blocking)
-        prepared.clear()
         solutions.append(best.assignment)
         state.absorb(best.slots)
+
+
+def test_an_extended_prior_set_counts_only_its_new_solutions(monkeypatch):
+    # Each absorb extends the prior set by one solution: its bias
+    # distribution adds that solution's bits to the last set's counts,
+    # and equals a recount over all of them.
+    f = parse_formula(
+        "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
+        "(declare-const p Bool)(assert (or p (bvult x y)))")
+    engine = DiversitySmtEngine(f)
+    counted = []
+    real = sat.distribution_from
+
+    def spy(assignments, blast_map, start=None):
+        counted.append(len(assignments))
+        return real(assignments, blast_map, start)
+
+    monkeypatch.setattr(sampler, "distribution_from", spy)
+    seeds = random.Random(3)
+    solutions = []
+    for _ in range(5):
+        got = engine.solve_once(solutions, seeds.randrange(1 << 32))
+        priors = engine._priors
+        assert priors.distribution().counts == \
+            real(engine.project(solutions), priors.bmap).counts
+        solutions.append(got.assignment)
+    assert counted == [0, 1, 1, 1, 1]
+    # A set that is not an extension of the last one is counted afresh.
+    engine.solve_once(solutions[1:], 0)
+    assert counted[-1] == 4
 
 
 def _cnfs_reachable_from(root) -> list[Cnf]:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from typing import Sequence
 
 import pytest
 
@@ -493,6 +494,144 @@ def test_a_solve_that_met_a_conflict_hands_no_state_back():
     fourth = CdclSolver(cnf, cfg=clean)
     assert fourth.watches is live
     assert fourth.solve() == model and fourth.conflicts == 0
+
+
+class Watched(CdclSolver):
+    """A solver that loads every clause with two watched literals, as a
+    replay does, and searches from there: the reference for the live
+    state's occurrence lists."""
+
+    def solve(self):
+        self._hand_back()
+        self._replayed = True
+        self._lay_out(self.num_vars, self._base.clauses, self._own)
+        return self._search([1] * (2 * self.num_vars + 1), self._propagate)
+
+
+def _solved_watched(cnf: Cnf, dist=None, cfg=None):
+    solver = Watched(Cnf(cnf.num_vars, list(cnf.all_clauses())), dist, cfg)
+    return solver.solve(), solver.conflicts
+
+
+def _mixed_clauses(rng: random.Random, variables: Sequence[int],
+                   m: int) -> list[tuple[int, ...]]:
+    """m clauses over the variables, of 1 to 6 literals, most of 2 and 3,
+    with now and then a repeated literal or a tautology."""
+    out = []
+    for _ in range(m):
+        k = rng.choices((1, 2, 3, 4, 5, 6), (1, 12, 30, 4, 2, 1))[0]
+        clause = [rng.choice((-1, 1)) * rng.choice(variables)
+                  for _ in range(k)]
+        if rng.random() < 0.03:
+            clause.append(rng.choice((clause[0], -clause[0])))
+        out.append(tuple(clause))
+    return out
+
+
+def _extensions(rng: random.Random, base: Cnf) -> list[Cnf]:
+    """Extensions of base shaped as the sampler's: a proof's new gates
+    over new variables, 2- and 3-literal clauses and a unit; a
+    deviation's one long clause; blocking clauses over every variable;
+    and a deviation joined with the blocking clauses."""
+    n = base.num_vars
+    wide = n + rng.randint(1, 6)
+    proof = Cnf(wide, _mixed_clauses(rng, range(n - 3, wide + 1),
+                                     rng.randint(2, 8))
+                + [(rng.choice((-1, 1)) * rng.randint(1, wide),)], base=base)
+    bits = rng.sample(range(1, n + 1), rng.randint(1, 8))
+    deviation = Cnf(n, [tuple(rng.choice((-1, 1)) * v for v in bits)],
+                    base=base)
+    blocks = Cnf(n, [tuple(rng.choice((-1, 1)) * v for v in range(1, n + 1))
+                     for _ in range(rng.randint(1, 5))], base=base)
+    return [proof, deviation, blocks, joined(deviation, blocks)]
+
+
+def test_the_live_kernel_solves_like_a_two_watched_literal_load():
+    # Random CNFs of 1- to 6-literal clauses, solved as bases and through
+    # extensions that attach short and long clauses: each solve gives
+    # the model and conflict count of a solver that watches every clause,
+    # whether the live state met no conflict, replayed, or was unsat.
+    tally = {"clean": 0, "conflicted": 0, "unsat": 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        # Up to half the variables are in no base clause, as the bits of
+        # a free vector are: only attached clauses make their literals hot.
+        n = rng.randint(8, 30)
+        used = rng.sample(range(1, n + 1), n - rng.randint(0, n // 2))
+        base = Cnf(n, _mixed_clauses(rng, used,
+                                     int(len(used) * rng.uniform(1.5, 3.2))))
+        cnfs = [base] + _extensions(rng, base) + [base]
+        for step in range(12):
+            cnf = rng.choice(cnfs)
+            dist = BitDistribution({v: (rng.randrange(4), rng.randrange(4))
+                                    for v in range(1, cnf.num_vars + 1)
+                                    if rng.random() < 0.7})
+            cfg = SolverConfig(seed=rng.randrange(1 << 32),
+                               bias_p=rng.uniform(0.5, 1.0),
+                               restart_base=rng.choice((1, 4, 64)))
+            want = _solved_watched(cnf, dist, cfg)
+            assert _solved(cnf, dist, cfg) == want, (seed, step)
+            model, conflicts = want
+            tally["unsat" if model is None else
+                  "conflicted" if conflicts else "clean"] += 1
+    assert min(tally.values()) > 60, tally
+
+
+def test_a_conflict_only_a_ternary_clause_sees_starts_the_replay():
+    # Deciding x1 and then x2 true falsifies -1 and -2: listed under -2,
+    # (-1, -2, 3) implies 3, and (-1, -2, -3) is then all false. Every
+    # clause has three literals, so no watch list could find it.
+    cnf = Cnf(4, [(-1, -2, 3), (-1, -2, -3), (2, 3, 4)])
+    dist = BitDistribution({1: (1, 0), 2: (1, 0)})
+    cfg = SolverConfig(bias_p=1.0)
+    solver = CdclSolver(cnf, dist, cfg)
+    assert solver._occurs[-2] == [(-1, -2, 3), (-1, -2, -3)]
+    model = solver.solve()
+    assert solver._replayed and solver.conflicts == 1
+    assert (model, 1) == _solved_watched(cnf, dist, cfg)
+    assert model[1] and not model[2]
+
+
+def test_a_watch_moved_to_a_literal_in_no_base_clause_makes_it_hot():
+    # x3..x6 are in no base clause, and every phase is false. Deciding
+    # x3 and x4 moves the attached clause's watches to 5 and 6; deciding
+    # x5 must then visit it, and x6 comes out implied true.
+    base = Cnf(6, [(1, 2)])
+    ext = Cnf(6, [(3, 4, 5, 6)], base=base)
+    dist = BitDistribution({v: (0, 1) for v in range(1, 7)})
+    cfg = SolverConfig(bias_p=1.0)
+    solver = CdclSolver(ext, dist, cfg)
+    model = solver.solve()
+    assert (model, solver.conflicts) == _solved_watched(ext, dist, cfg)
+    assert model == [False, False, True, False, False, False, True]
+    assert not any(base.solver_cache.live.hot[l] for l in (3, 4, 5, 6))
+
+
+def test_hand_back_leaves_the_occurrence_lists_untouched():
+    # 3-SAT near the threshold over 1..12 meets conflicts; 13..20 are in
+    # no clause, so attached clauses make their literals hot.
+    rng = random.Random(3)
+    base = Cnf(20, list(_three_sat(3, 12, 46).clauses)
+               + _mixed_clauses(rng, range(1, 13), 8))
+    assert solve(base) is not None
+    live = base.solver_cache.live
+    occurs, hot = live.occurs, live.hot
+    saved = ([list(o) for o in occurs], hot.copy())
+    extensions = _extensions(rng, base)
+    replays = marked = 0
+    for step in range(40):
+        cnf = rng.choice([base] + extensions)
+        solver = CdclSolver(cnf, cfg=SolverConfig(seed=step))
+        # A wider extension reads copies that cover its new variables.
+        assert len(solver._occurs) == len(solver._hot) == len(solver.value)
+        assert solver._occurs is occurs or cnf.num_vars > base.num_vars
+        marked += len(solver._marked)
+        solver.solve()
+        replays += solver._replayed
+        live = base.solver_cache.live
+        assert live.occurs is occurs and live.hot is hot
+        assert ([list(o) for o in occurs], hot) == saved, step
+    assert replays and marked
 
 
 def test_the_vsids_heap_takes_over_from_the_cursor_at_the_first_conflict():
