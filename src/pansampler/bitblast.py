@@ -58,12 +58,15 @@ class Cnf:
 
 @dataclass
 class BlastMap:
-    """Tracked bit (name, bit index) to SAT variable."""
+    """Each tracked name's SAT variables, LSB first (one for a Bool), and
+    each tracked bit (name, bit index) to its SAT variable."""
 
+    bits: dict[str, list[int]] = field(default_factory=dict)
     forward: dict[tuple[str, int], int] = field(default_factory=dict)
 
-    def add(self, name: str, bit: int, var: int) -> None:
-        self.forward[(name, bit)] = var
+    def add(self, name: str, bits: list[int]) -> None:
+        self.bits[name] = bits
+        self.forward.update(((name, b), var) for b, var in enumerate(bits))
 
 
 @dataclass
@@ -264,16 +267,9 @@ class Blaster:
 
     def declare(self, name: str, sort: Sort) -> None:
         """Allocate SAT variables for a tracked variable."""
-        if sort.is_bool:
-            self.map.add(name, 0, self.new_var())
-        elif sort.is_bv:
-            for b in range(sort.width):
-                self.map.add(name, b, self.new_var())
-        else:
+        if not (sort.is_bool or sort.is_bv):
             raise BlastError(f"cannot blast sort {sort!r}")
-
-    def _var_bits(self, name: str, sort: Sort) -> list[int]:
-        return [self.map.forward[(name, b)] for b in range(sort.num_bits)]
+        self.map.add(name, [self.new_var() for _ in range(sort.num_bits)])
 
     def enc(self, term_id: int):
         """The literal (Bool) or LSB-first literals (bitvector) of a term.
@@ -296,7 +292,7 @@ class Blaster:
             term = self.table[tid]
             op = term.op
             if op is Op.VAR:
-                bits = self._var_bits(term.name, term.sort)
+                bits = self.map.bits[term.name]
                 memo[tid] = bits[0] if term.sort.is_bool else bits
             elif op is Op.CONST:
                 if term.sort.is_bool:

@@ -181,10 +181,6 @@ _RULES: dict[Op, _Rule] = {
 }
 
 
-def evaluate(f: Formula, term_id: int, assignment: Assignment) -> Value:
-    return Evaluator(f.table, assignment).value(term_id)
-
-
 def assertions_hold(f: Formula, memo: dict[int, Value]) -> bool:
     """True when every assertion of f is true in memo, which holds the
     values of the assertions (see Evaluator.fill)."""

@@ -198,8 +198,8 @@ class DiversitySmtEngine:
         if deviation is None:
             return base, bmap
         name, value = deviation
-        bits = [bmap.forward[(name, b)] for b in range(decls[name].num_bits)]
-        clause = tuple(-v if value >> b & 1 else v for b, v in enumerate(bits))
+        clause = tuple(-v if value >> b & 1 else v
+                       for b, v in enumerate(bmap.bits[name]))
         return Cnf(base.num_vars, (clause,), base=base), bmap
 
     def project(self, solutions: list[Assignment]) -> list[Assignment]:
@@ -235,12 +235,13 @@ class DiversitySmtEngine:
     def _lift(self, model: list[bool], bmap: BlastMap) -> Assignment:
         a = Assignment()
         for name, sort in self.abs.formula.decls.items():
+            bits = bmap.bits[name]
             if sort.is_bool:
-                a.set(name, BoolVal(model[bmap.forward[(name, 0)]]))
+                a.set(name, BoolVal(model[bits[0]]))
             else:
                 raw = 0
-                for b in range(sort.width):
-                    if model[bmap.forward[(name, b)]]:
+                for b, var in enumerate(bits):
+                    if model[var]:
                         raw |= 1 << b
                 a.set(name, BvVal(sort.width, raw))
         return a

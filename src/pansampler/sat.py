@@ -24,18 +24,22 @@ Each Cnf keeps one record (`_Kept`), made on its first solve: its own
 clauses, prepared once (their literals checked, duplicate literals and
 tautologies dropped), and, for a base, its live state (`_Live`) while no
 solver holds it. The live state lists each of the base's 2- and
-3-literal clauses under each of its literals, once: when a literal
-turns false, a solve reads the other literals of every such clause that
-holds it, in place, and moves nothing. Only the longer clauses, and the
-clauses an extension attaches, keep two watched literals. A solve
-starts on the live state the CNF's last solve left behind, reset to its
-saved level-0 trail and value table. It writes no reason for what it
-implies, because it never analyses a conflict: at its first conflict it
-hands the live state, which learned nothing, back to the Cnf and starts
-over with the same seed on a fresh load of the prepared clauses
-(`CdclSolver._lay_out`), every clause of two or more literals watched
-in load order, as in a freshly loaded solver. A replay keeps going
-through its conflicts and hands nothing back.
+3-literal clauses under each of its literals, once; only the longer
+clauses, and the clauses an extension attaches, keep two watched
+literals. A solve starts on the live state the CNF's last solve left
+behind, reset to its saved level-0 trail and value table. At its first
+conflict it hands the live state, which learned nothing, back to the
+Cnf and starts over with the same seed on a fresh load of the prepared
+clauses (`CdclSolver._lay_out`): no clause listed, every clause of two
+or more literals watched in load order, as in a freshly loaded solver.
+A replay keeps going through its conflicts and hands nothing back.
+
+One routine, `CdclSolver._propagate`, serves both. For each literal
+that turns false it reads the other literals of every clause listed
+under it, in place, moving nothing, and then visits the clauses that
+watch it. Only a watched clause is recorded as the reason for what it
+implies: a listed clause implies only in a live solve, which never
+analyses a conflict.
 
 A Cnf may extend a base Cnf (`Cnf.base`): a refinement deviation, a set
 of blocking clauses or an unreachability proof is the base's clauses
@@ -55,8 +59,8 @@ walks the cursor up the variable indices, draws one rng number per free
 variable, takes the phase from the distribution's table
 (`BitDistribution.phases`), writes the value, level and trail entries
 in place, and propagates only when the literal the decision falsified
-is hot: some clause holds it that may need a visit. A replay propagates
-after every decision, and goes on from its first conflict with the
+is hot: some clause holds it that may need a visit. In a replay every
+literal is hot, and the replay goes on from its first conflict with the
 VSIDS heap.
 
 Variable values live in one list indexed directly by the signed
@@ -72,7 +76,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import neg
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bitblast import BlastMap, Cnf
 from .values import Assignment
@@ -179,13 +183,13 @@ class _Live:
     """A base's state at level 0, kept between solves.
 
     Two tables indexed by literal, as the value table is, are the same
-    at the start of every solve. occurs[lit] lists the base's 3-literal
-    clauses that hold lit, and its 2-literal ones with literal 0 added:
-    the value table holds -1 at slot 0, so literal 0 is false. hot[lit]
-    is 1 when some clause may need a visit as lit turns false. Beside
-    them: the watch lists of the longer clauses, and the trail and value
-    table the units propagate to, or unsat when that propagation met a
-    conflict."""
+    at the start of every solve; _propagate reads them. occurs[lit]
+    lists the base's 3-literal clauses that hold lit, and its 2-literal
+    ones with literal 0 added: the value table holds -1 at slot 0, so
+    literal 0 is false. hot[lit] is 1 when some clause may need a visit
+    as lit turns false. Beside them: the watch lists of the longer
+    clauses, and the trail and value table the units propagate to, or
+    unsat when that propagation met a conflict."""
 
     occurs: list[Sequence[tuple[int, ...]]]
     hot: list[int]
@@ -237,8 +241,6 @@ def _grown(table: list, n: int, fill=0) -> list:
 
 
 _REPLAY = object()  # _search's answer at the first conflict on a live state
-# A propagation routine: None, or what it answers at a conflict.
-_Propagate = Callable[[], list[int] | bool | None]
 
 
 class CdclSolver:
@@ -292,28 +294,21 @@ class CdclSolver:
 
     def _lay_out(self, n: int, *parts: Sequence[tuple[int, ...]]) -> None:
         """Reset to a fresh load of prepared clauses over variables 1..n:
-        each clause of two or more literals watched in load order, then
-        the units enqueued in order, a repeated one skipped. An empty
-        clause or two opposite units make the state unsat."""
-        watches: dict[int, list[list[int]]] = {}
-        units: list[int] = []
-        unsat = False
+        no clause listed and every literal hot, each clause of two or more
+        literals watched in load order, and the units enqueued in order, a
+        repeated one skipped. An empty clause or two opposite units make
+        the state unsat."""
+        size = 2 * n + 1
+        self._reset({}, [], [0] * size, False)
+        self._occurs, self._hot = [()] * size, [1] * size
+        value = self.value
         for clause in chain.from_iterable(parts):
             if len(clause) > 1:
-                lits = list(clause)
-                watches.setdefault(lits[0], []).append(lits)
-                watches.setdefault(lits[1], []).append(lits)
-            elif clause:
-                units.append(clause[0])
-            else:
-                unsat = True
-        self._reset(watches, [], [0] * (2 * n + 1), unsat)
-        value = self.value
-        for lit in units:
-            if value[lit] == 0:
-                self._enqueue(lit, None)
-            elif value[lit] == -1:
+                self._watch(list(clause))
+            elif not clause or value[clause[0]] == -1:
                 self._unsat = True
+            elif not value[clause[0]]:
+                self._enqueue(clause[0], None)
 
     def _load_live(self, n: int, clauses: Sequence[tuple[int, ...]]
                    ) -> _Live:
@@ -342,7 +337,7 @@ class CdclSolver:
         for clause in rest:  # a long clause's watch may move to any literal
             for lit in clause:
                 hot[lit] = 1
-        unsat = self._unsat or self._spread() is not None
+        unsat = self._unsat or self._propagate() is not None
         return _Live(occurs, hot, self.watches, self.trail, self.value,
                      unsat)
 
@@ -350,7 +345,7 @@ class CdclSolver:
         """Add prepared clauses to a live state at level 0. Each watches
         two literals that are not false, or its one such literal, enqueued
         if free, and a false one; a clause with none makes it unsat."""
-        value, watches = self.value, self.watches
+        value = self.value
         for clause in clauses:
             lits = list(clause)
             if len(lits) < 2 or value[lits[0]] == -1 or value[lits[1]] == -1:
@@ -362,8 +357,7 @@ class CdclSolver:
                         value[lits[0]] == 0:
                     self._enqueue(lits[0], None)
             if len(lits) > 1:
-                watches.setdefault(lits[0], []).append(lits)
-                watches.setdefault(lits[1], []).append(lits)
+                self._watch(lits)
                 self._mark(lits[0])
                 self._mark(lits[1])
                 self._attached.append(lits)
@@ -401,59 +395,17 @@ class CdclSolver:
         self.reason[var] = reason
         self.trail.append(lit)
 
-    def _propagate(self) -> list[int] | None:
-        value, watches, trail = self.value, self.watches, self.trail
-        level, reason, push = self.level, self.reason, trail.append
-        depth = len(self.trail_lim)
-        qhead = self.qhead
-        while qhead < len(trail):
-            false_lit = -trail[qhead]
-            qhead += 1
-            old = watches.get(false_lit)
-            if not old:
-                continue
-            # Nothing is appended to `old` during the scan: a clause moves
-            # only to a literal that is not false, and false_lit is false.
-            kept: list[list[int]] = []
-            for idx, clause in enumerate(old):
-                if clause[0] == false_lit:
-                    clause[0] = clause[1]
-                    clause[1] = false_lit
-                first = clause[0]
-                if value[first] == 1:
-                    kept.append(clause)
-                    continue
-                for k in range(2, len(clause)):
-                    lit = clause[k]
-                    if value[lit] != -1:
-                        clause[1] = lit
-                        clause[k] = false_lit
-                        watches.setdefault(lit, []).append(clause)
-                        break
-                else:
-                    kept.append(clause)
-                    if value[first] == -1:
-                        kept.extend(old[idx + 1:])
-                        watches[false_lit] = kept
-                        self.qhead = qhead
-                        return clause
-                    value[first] = 1  # implied: enqueue first
-                    value[-first] = -1
-                    var = abs(first)
-                    level[var] = depth
-                    reason[var] = clause
-                    push(first)
-            watches[false_lit] = kept
-        self.qhead = qhead
-        return None
-
-    def _spread(self) -> bool | None:
-        """Propagate on the live state: for each false literal, the
+    def _propagate(self) -> Sequence[int] | None:
+        """Propagate the trail from qhead: for each false literal, the
         clauses listed under it, read in place, then the clauses watching
-        it. Writes no level or reason, and answers True at a conflict, not
-        a clause: a live solve hands over to a replay at its first one."""
+        it. Answers the clause found false at a conflict, a listed one as
+        (a, b, c), and None when the trail is closed. Only what a watched
+        clause implies gets a level and a reason: lists are empty in a
+        replay, and a live solve hands over to one at its first conflict."""
         value, watches, trail = self.value, self.watches, self.trail
         occurs, hot, push = self._occurs, self._hot, trail.append
+        level, reason = self.level, self.reason
+        depth = len(self.trail_lim)
         # A list iterator also yields what is appended while it runs.
         for lit in islice(trail, self.qhead, None):
             false_lit = -lit
@@ -469,13 +421,15 @@ class CdclSolver:
                 elif value[c] == 0:
                     free = c
                 else:
-                    return True
+                    return a, b, c
                 value[free] = 1
                 value[-free] = -1
                 push(free)
             old = watches.get(false_lit)
             if not old:
                 continue
+            # Nothing is appended to `old` during the scan: a clause moves
+            # only to a literal that is not false, and false_lit is false.
             kept: list[list[int]] = []
             for idx, clause in enumerate(old):
                 if clause[0] == false_lit:
@@ -499,9 +453,12 @@ class CdclSolver:
                     if value[first] == -1:
                         kept.extend(old[idx + 1:])
                         watches[false_lit] = kept
-                        return True
-                    value[first] = 1
+                        return clause
+                    value[first] = 1  # implied: enqueue first
                     value[-first] = -1
+                    var = abs(first)
+                    level[var] = depth
+                    reason[var] = clause
                     push(first)
             watches[false_lit] = kept
         self.qhead = len(trail)
@@ -590,24 +547,22 @@ class CdclSolver:
 
     def solve(self) -> list[bool] | None:
         """A model as bools indexed 1..num_vars, or None when UNSAT."""
-        model = self._search(self._hot, self._spread)
+        model = self._search()
         self._hand_back()
         if model is _REPLAY:
             self._replayed = True
             self._lay_out(self.num_vars, self._base.clauses, self._own)
-            # A replay propagates after every decision.
-            model = self._search([1] * (2 * self.num_vars + 1),
-                                 self._propagate)
+            model = self._search()
         return model
 
     def _model(self) -> list[bool]:
         return [False, *map((1).__eq__, self.value[1:self.num_vars + 1])]
 
-    def _descend(self, below: list[float], lits: list[int], hot: list[int],
-                 propagate: _Propagate) -> list[int] | bool | None:
+    def _descend(self, below: list[float], lits: list[int]
+                 ) -> Sequence[int] | None:
         """Decide the lowest free variable at or past a cursor, in index
         order, and propagate, until every variable is set (None) or a
-        decision meets a conflict (what propagate answered). Until a
+        decision meets a conflict (the clause found false). Until a
         conflict VSIDS activity is zero, so this is the heap's order too.
 
         Propagation is skipped after a decision whose falsified literal
@@ -618,7 +573,7 @@ class CdclSolver:
         value, level = self.value, self.level
         trail, trail_lim = self.trail, self.trail_lim
         push, mark, free = trail.append, trail_lim.append, value.index
-        draw = self.rng.random
+        draw, hot, propagate = self.rng.random, self._hot, self._propagate
         n = self.num_vars
         depth = len(trail_lim)
         v = 1
@@ -644,14 +599,13 @@ class CdclSolver:
                 if conflict is not None:
                     return conflict
 
-    def _search(self, hot: list[int], propagate: _Propagate):
+    def _search(self):
         """The model, None when UNSAT, or _REPLAY at the first conflict
-        on the live state. Until the first conflict, propagate runs after
-        each decision whose falsified literal is hot."""
-        if self._unsat or propagate() is not None:
+        on the live state."""
+        if self._unsat or self._propagate() is not None:
             return None
         below, lits = self.dist.phases(self.num_vars, self.cfg.bias_p)
-        conflict = self._descend(below, lits, hot, propagate)
+        conflict = self._descend(below, lits)
         if conflict is None:
             return self._model()
         if not self._replayed:

@@ -1,6 +1,7 @@
 """Repository rules that a reading of the source can check."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -9,10 +10,14 @@ PACKAGE = ROOT / "src" / "pansampler"
 REFERENCE = {"oracle.py", "fuzz.py"}
 
 
+# A "module:Class.method" target, as perfbench's probes name what they wrap.
+_PROBE_TARGET = re.compile(r"[\w.]+:[\w.]+")
+
+
 def _names_used(stmt: ast.stmt) -> set[str]:
     """The names a top-level statement refers to: identifiers, attributes,
-    imported names, and the dotted parts of strings such as the
-    "module:Class.method" targets of perfbench's probes."""
+    imported names, and the dotted parts of probe-target strings. Other
+    strings, such as a span name like "evaluate.satisfies", name nothing."""
     out = set()
     for node in ast.walk(stmt):
         if isinstance(node, ast.Name):
@@ -21,7 +26,8 @@ def _names_used(stmt: ast.stmt) -> set[str]:
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.rpartition(".")[2])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _PROBE_TARGET.fullmatch(node.value)):
             out.update(node.value.replace(":", ".").split("."))
     return out
 

@@ -233,6 +233,45 @@ def test_deviation_cnfs_after_a_lemma_extend_the_new_base(monkeypatch):
     assert set(bases) == {new_base} and engine.blast()[0] is new_base
 
 
+def _check_blast_map_lists(engine, rng):
+    """The blast map of the engine's current base lists each declared
+    name's SAT variables, LSB first, as its bits map them; a model lifts
+    to what a bit-by-bit read of those variables gives."""
+    _, bmap = engine.blast()
+    decls = engine.abs.formula.decls
+    assert bmap.bits.keys() == decls.keys()
+    for name, sort in decls.items():
+        assert bmap.bits[name] == [bmap.forward[(name, b)]
+                                   for b in range(sort.num_bits)]
+    n = max(bmap.forward.values())
+    model = [False] + [rng.random() < 0.5 for _ in range(n)]
+    lifted = engine._lift(model, bmap)
+    for name, sort in decls.items():
+        want = sum(model[bmap.forward[(name, b)]] << b
+                   for b in range(sort.num_bits))
+        assert lifted[name].as_int() == want, name
+
+
+def test_the_blast_map_lists_each_names_variables_in_bit_order():
+    rng = random.Random(0)
+    for logic, seed in [("QF_BV", 0), ("QF_BV", 5), ("QF_ABV", 4),
+                        ("QF_AUFBV", 2)]:
+        _check_blast_map_lists(
+            DiversitySmtEngine(random_formula(seed, logic)), rng)
+    # The array fixture, before and after the lemma that a forced i != 1
+    # brings: the new base's map lists the same names as its own.
+    f = parse_formula(
+        "(declare-const a (Array (_ BitVec 2) (_ BitVec 2)))"
+        "(declare-const i (_ BitVec 2))(assert (bvule i #b01))"
+        "(assert (= (select a i) #b01))(assert (= (select a #b00) #b10))")
+    engine = DiversitySmtEngine(f)
+    _check_blast_map_lists(engine, rng)
+    old_map = engine.blast()[1]
+    assert engine.solve_once([], seed=7, deviation=("i", 1)) is None
+    assert engine.lemmas and engine.blast()[1] is not old_map
+    _check_blast_map_lists(engine, rng)
+
+
 def test_blocking_clauses_are_prepared_once_per_prior_set(monkeypatch):
     f = parse_formula(
         "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"

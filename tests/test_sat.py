@@ -100,7 +100,7 @@ def test_distribution_empty_solution_set():
 
 def test_distribution_counts_and_minority_phase():
     bmap = BlastMap()
-    bmap.add("x", 0, 1)
+    bmap.add("x", [1])
     sols = [Assignment({"x": BoolVal(False)}), Assignment({"x": BoolVal(False)})]
     dist = distribution_from(sols, bmap)
     assert dist.counts == {1: (2, 0)}
@@ -111,8 +111,7 @@ def test_distribution_counts_and_minority_phase():
 
 def test_distribution_recounts_bv_bits():
     bmap = BlastMap()
-    for b in range(3):
-        bmap.add("m", b, b + 1)
+    bmap.add("m", [1, 2, 3])
     values = [0b000, 0b001, 0b011, 0b111, 0b001]
     sols = [Assignment({"m": BvVal(3, v)}) for v in values]
     dist = distribution_from(sols, bmap)
@@ -123,7 +122,7 @@ def test_distribution_recounts_bv_bits():
 
 def test_distribution_tie_has_no_preference():
     bmap = BlastMap()
-    bmap.add("x", 0, 1)
+    bmap.add("x", [1])
     sols = [Assignment({"x": BoolVal(False)}), Assignment({"x": BoolVal(True)})]
     assert preferred_phase(distribution_from(sols, bmap), 1) is None
 
@@ -145,7 +144,7 @@ def test_the_phase_table_follows_the_counts_and_the_bias():
 
 def test_distribution_skips_unmapped_names():
     bmap = BlastMap()
-    bmap.add("x", 0, 1)
+    bmap.add("x", [1])
     sols = [Assignment({"x": BoolVal(True), "z": BoolVal(True)})]
     assert distribution_from(sols, bmap).counts == {1: (0, 1)}
 
@@ -505,7 +504,7 @@ class Watched(CdclSolver):
         self._hand_back()
         self._replayed = True
         self._lay_out(self.num_vars, self._base.clauses, self._own)
-        return self._search([1] * (2 * self.num_vars + 1), self._propagate)
+        return self._search()
 
 
 def _solved_watched(cnf: Cnf, dist=None, cfg=None):
@@ -632,6 +631,45 @@ def test_hand_back_leaves_the_occurrence_lists_untouched():
         assert live.occurs is occurs and live.hot is hot
         assert ([list(o) for o in occurs], hot) == saved, step
     assert replays and marked
+
+
+class ReasonChecked(CdclSolver):
+    """A solver that checks, after each propagation in a replay, that
+    every literal on the trail above level 0 that is not a decision has
+    a reason that holds it, with every other literal of it false."""
+
+    checks = 0  # states checked
+
+    def _propagate(self):
+        conflict = super()._propagate()
+        if self._replayed:
+            value, level, reason = self.value, self.level, self.reason
+            decisions = {self.trail[i] for i in self.trail_lim}
+            for lit in self.trail:
+                if level[abs(lit)] and lit not in decisions:
+                    why = reason[abs(lit)]
+                    assert why is not None and lit in why, lit
+                    assert all(value[l] == -1 for l in why if l != lit), why
+            self.checks += 1
+        return conflict
+
+
+def test_every_literal_a_replay_implies_has_a_reason_that_holds_it():
+    # Random 3-SAT at the threshold: most solves meet a conflict on the
+    # live state and replay, and the replay's analysis reads the reasons.
+    replays = checks = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        cnf = _three_sat(seed)
+        for run in range(6):
+            dist = BitDistribution({v: (rng.randrange(3), rng.randrange(3))
+                                    for v in range(1, 41)})
+            cfg = SolverConfig(seed=rng.randrange(1 << 32), restart_base=8)
+            solver = ReasonChecked(cnf, dist, cfg)
+            solver.solve()
+            replays += solver._replayed
+            checks += solver.checks
+    assert replays > 200 and checks > 10000
 
 
 def test_the_vsids_heap_takes_over_from_the_cursor_at_the_first_conflict():
