@@ -19,6 +19,7 @@ from typing import Iterable
 
 from .sorts import Sort
 from .terms import Op, TermTable
+from .values import Assignment, BoolVal, BvVal
 
 
 @dataclass(frozen=True)
@@ -58,15 +59,22 @@ class Cnf:
 
 @dataclass
 class BlastMap:
-    """Each tracked name's SAT variables, LSB first (one for a Bool), and
-    each tracked bit (name, bit index) to its SAT variable."""
+    """Each tracked name's SAT variables, LSB first (one for a Bool)."""
 
     bits: dict[str, list[int]] = field(default_factory=dict)
-    forward: dict[tuple[str, int], int] = field(default_factory=dict)
 
-    def add(self, name: str, bits: list[int]) -> None:
-        self.bits[name] = bits
-        self.forward.update(((name, b), var) for b, var in enumerate(bits))
+    def literals(self, a: Assignment) -> list[int]:
+        """The literal that each tracked bit a binds makes true (the bit's
+        variable where the bit is 1, its negation where it is 0), in the
+        order of a.scalar_bits()."""
+        out: list[int] = []
+        for name, val in a.bindings.items():
+            variables = self.bits.get(name)
+            if variables is not None and isinstance(val, (BoolVal, BvVal)):
+                raw = val.as_int()
+                out.extend(var if raw >> b & 1 else -var
+                           for b, var in enumerate(variables))
+        return out
 
 
 @dataclass
@@ -269,7 +277,7 @@ class Blaster:
         """Allocate SAT variables for a tracked variable."""
         if not (sort.is_bool or sort.is_bv):
             raise BlastError(f"cannot blast sort {sort!r}")
-        self.map.add(name, [self.new_var() for _ in range(sort.num_bits)])
+        self.map.bits[name] = [self.new_var() for _ in range(sort.num_bits)]
 
     def enc(self, term_id: int):
         """The literal (Bool) or LSB-first literals (bitvector) of a term.

@@ -4,11 +4,22 @@ Supported commands: set-logic, declare-fun, declare-const, assert,
 check-sat, exit. Commands that cannot be skipped soundly (define-fun,
 define-sort, push, pop) are errors; informational commands are recorded
 as warnings and ignored. No let binders, no quantifiers.
+
+Tokens are SMT-LIB 2.6's. One compiled pattern, `_TOKEN`, splits a
+script in one `findall`: each match is a run of whitespace and comments
+followed by a token, or by one character that starts no token, which
+reads as '' and is a lexical error. The reader builds Atom and SList
+nodes that keep their token's number, not its position. A (line, col)
+is worked out only when a ParseError or a ParseWarning asks for one, by
+matching the tokens again up to that token and counting the newlines
+before it. Lines and columns are 1-based and count characters. Numerals
+are ASCII decimal digits. `parse_file` reads UTF-8, with or without a
+byte-order mark, and turns "\\r\\n" and a lone "\\r" into "\\n".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .sorts import BOOL, Sort, array, bv, fun
 from .terms import Formula, Op, ParseWarning, TermTable
@@ -40,118 +51,120 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass
+# SMT-LIB 2.6 tokens. A symbol character is a letter or digit (any that
+# str.isalnum accepts, which is what \w adds to "_") or one of
+# ~!@$%^&*_-+=<>.?/. A string ends at the first '"' that is not part of
+# a '""' escape; the lookahead stops a backtrack from ending it early.
+_SYMBOL = r"[\w~!@$%^&*\-+=<>.?/]"
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|;[^\n]*)*"  # whitespace and comments
+    r"(?:([()]"
+    r"|\|[^|]*\|"
+    r'|"[^"]*(?:""[^"]*)*"(?!")'
+    r"|#[bx]" + _SYMBOL + r"*"
+    r"|[:" + _SYMBOL[1:] + _SYMBOL + r"*)"
+    r"|(?s:.))")  # a lexical error, whose group 1 reads ''
+_LEXICAL_ERRORS = {"|": "unterminated |symbol|", '"': "unterminated string",
+                   "#": "bad literal after '#'"}
+
+
+class _Source:
+    """A script's text, and where its tokens lie in it.
+
+    Tokens are numbered in reading order. Nodes keep their token's
+    number, and its (line, col) is found only when asked, by reading the
+    tokens again up to it; a later question resumes where the last one
+    stopped."""
+
+    __slots__ = ("text", "_tok", "_at")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self._tok = 0  # the last token asked for
+        self._at = 0  # the start of its match: its whitespace, then it
+
+    def offset(self, tok: int) -> int:
+        """Where a token, or the character of a lexical error, starts."""
+        if tok < self._tok:
+            self._tok = self._at = 0
+        for k, m in enumerate(_TOKEN.finditer(self.text, self._at), self._tok):
+            if k == tok:
+                break
+        self._tok, self._at = tok, m.start()
+        return m.start(1) if m.lastindex else m.end() - 1
+
+    def position(self, tok: int) -> tuple[int, int]:
+        return _line_col(self.text, self.offset(tok))
+
+
+def _line_col(text: str, at: int) -> tuple[int, int]:
+    """The 1-based (line, col) of an offset; col counts characters."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
 class Atom:
-    text: str
-    line: int
-    col: int
+    __slots__ = ("text", "src", "tok")
+
+    def __init__(self, text: str, src: _Source, tok: int) -> None:
+        self.text = text
+        self.src = src
+        self.tok = tok
+
+    @property
+    def line(self) -> int:
+        return self.src.position(self.tok)[0]
+
+    @property
+    def col(self) -> int:
+        return self.src.position(self.tok)[1]
 
 
-@dataclass
 class SList:
-    items: list
-    line: int
-    col: int
+    __slots__ = ("items", "src", "tok")
 
+    def __init__(self, src: _Source, tok: int) -> None:
+        self.items: list = []
+        self.src = src
+        self.tok = tok
 
-_SYMBOL_EXTRA = set("~!@$%^&*_-+=<>.?/")
-
-
-def _is_symbol_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _SYMBOL_EXTRA
-
-
-def tokenize(text: str):
-    """Yield (token, line, col) with 1-based positions."""
-    i, n = 0, len(text)
-    line, col = 1, 1
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if ch in "()":
-            yield ch, line, col
-            advance(1)
-            continue
-        start_line, start_col = line, col
-        if ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise ParseError("unterminated |symbol|", start_line, start_col)
-            tok = text[i:j + 1]
-            advance(j + 1 - i)
-            yield tok, start_line, start_col
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':  # escaped quote
-                        j += 2
-                        continue
-                    break
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            tok = text[i:j + 1]
-            advance(j + 1 - i)
-            yield tok, start_line, start_col
-            continue
-        if ch == "#":
-            j = i + 1
-            if j < n and text[j] in "bx":
-                j += 1
-                while j < n and _is_symbol_char(text[j]):
-                    j += 1
-                tok = text[i:j]
-                advance(j - i)
-                yield tok, start_line, start_col
-                continue
-            raise ParseError("bad literal after '#'", start_line, start_col)
-        if ch == ":" or _is_symbol_char(ch):
-            j = i + 1
-            while j < n and _is_symbol_char(text[j]):
-                j += 1
-            tok = text[i:j]
-            advance(j - i)
-            yield tok, start_line, start_col
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+    line = Atom.line
+    col = Atom.col
 
 
 def read_sexprs(text: str) -> list:
-    """Read all top-level s-expressions as Atom/SList trees."""
+    """Read all top-level s-expressions as Atom/SList trees.
+
+    One compiled pattern splits the text into tokens; errors come in
+    reading order, as a char-by-char reader would meet them."""
+    # A newline goes on the end. After the last token only blanks are
+    # left, and the last match hands that newline to the catch-all: its
+    # '' ends the tokens, and any other '' is a lexical error. A match
+    # never fails, so no run of blanks is backtracked over.
+    src = _Source(text + "\n")
+    tokens = _TOKEN.findall(src.text)
+    last = len(tokens) - 1
     top: list = []
-    stack: list[SList] = []
-    for tok, line, col in tokenize(text):
+    items = top
+    outer: list[list] = []  # the item lists of the open lists' parents
+    for k, tok in enumerate(tokens):
         if tok == "(":
-            node = SList([], line, col)
-            (stack[-1].items if stack else top).append(node)
-            stack.append(node)
+            node = SList(src, k)
+            items.append(node)
+            outer.append(items)
+            items = node.items
         elif tok == ")":
-            if not stack:
-                raise ParseError("unbalanced ')'", line, col)
-            stack.pop()
-        else:
-            (stack[-1].items if stack else top).append(Atom(tok, line, col))
-    if stack:
-        raise ParseError("unbalanced '('", stack[-1].line, stack[-1].col)
+            if not outer:
+                raise ParseError("unbalanced ')'", *src.position(k))
+            items = outer.pop()
+        elif tok:
+            items.append(Atom(tok, src, k))
+        elif k < last:
+            ch = text[src.offset(k)]
+            message = _LEXICAL_ERRORS.get(ch, f"unexpected character {ch!r}")
+            raise ParseError(message, *src.position(k))
+    if outer:
+        node = outer[-1][-1]
+        raise ParseError("unbalanced '('", node.line, node.col)
     return top
 
 
@@ -159,6 +172,12 @@ def _atom(node, what: str) -> Atom:
     if not isinstance(node, Atom):
         raise ParseError(f"expected {what}", node.line, node.col)
     return node
+
+
+def _is_numeral(text: str) -> bool:
+    """Whether text is a numeral: ASCII decimal digits only, as SMT-LIB
+    has them (str.isdigit alone accepts '²' and '٨')."""
+    return text.isdigit() and text.isascii()
 
 
 def _symbol_name(node: Atom) -> str:
@@ -171,6 +190,9 @@ class _TermParser:
     def __init__(self, formula: Formula) -> None:
         self.f = formula
         self.t: TermTable = formula.table
+        # Each atom text's term. A symbol is declared at most once and
+        # before its first use, so the same text always gives the same term.
+        self._leaves: dict[str, int] = {}
 
     def parse_sort(self, node) -> Sort:
         if isinstance(node, Atom):
@@ -185,7 +207,7 @@ class _TermParser:
             if (len(items) == 3 and isinstance(items[1], Atom)
                     and items[1].text == "BitVec"):
                 width_tok = _atom(items[2], "bitvector width")
-                if not width_tok.text.isdigit():
+                if not _is_numeral(width_tok.text):
                     raise ParseError("bad BitVec width", width_tok.line, width_tok.col)
                 width = int(width_tok.text)
                 if width < 1:
@@ -209,21 +231,26 @@ class _TermParser:
         arguments. A list's head is checked when the list is reached,
         and it is built once its arguments are, left to right, so terms
         are made and errors raised in the order of a recursive descent."""
+        leaves = self._leaves
         done: list[int] = []
         stack: list = [node]
         while stack:
             item = stack.pop()
-            if isinstance(item, tuple):
+            kind = type(item)
+            if kind is Atom:
+                term = leaves.get(item.text)
+                if term is None:
+                    term = leaves[item.text] = self._parse_atom_term(item)
+                done.append(term)
+            elif kind is SList:
+                build, args = self._open_list(item)
+                stack.append((build, item, len(args)))
+                stack.extend(reversed(args))
+            else:
                 build, node, argc = item
                 args = done[len(done) - argc:]
                 del done[len(done) - argc:]
                 done.append(build(node, args))
-            elif isinstance(item, Atom):
-                done.append(self._parse_atom_term(item))
-            else:
-                build, args = self._open_list(item)
-                stack.append((build, item, len(args)))
-                stack.extend(reversed(args))
         return done[0]
 
     def _open_list(self, node: SList):
@@ -241,8 +268,6 @@ class _TermParser:
             raise ParseError("let binders are unsupported", head.line, head.col)
         if text in _QUANTIFIERS:
             raise ParseError("quantifiers are unsupported", head.line, head.col)
-        if text == "(":
-            raise ParseError("bad term head", head.line, head.col)
         return self._build_app, items[1:]
 
     def _build_app(self, node: SList, args: list[int]) -> int:
@@ -280,9 +305,9 @@ class _TermParser:
         items = node.items
         if (len(items) == 3 and isinstance(items[1], Atom)
                 and items[1].text.startswith("bv")
-                and items[1].text[2:].isdigit()):
+                and _is_numeral(items[1].text[2:])):
             width_tok = _atom(items[2], "width")
-            if not width_tok.text.isdigit():
+            if not _is_numeral(width_tok.text):
                 raise ParseError("bad (_ bvN w) width", width_tok.line, width_tok.col)
             width = int(width_tok.text)
             if width < 1:
@@ -292,19 +317,6 @@ class _TermParser:
 
     def _build(self, text: str, args: list[int], node, items) -> int:
         t = self.t
-        # Standard abbreviations, desugared to the core op set.
-        if text == "bvsub":
-            if len(args) != 2:
-                raise ParseError("bvsub is binary", node.line, node.col)
-            return t.mk(Op.BVADD, (args[0], t.mk(Op.BVNEG, (args[1],))))
-        if text in ("bvugt", "bvuge", "bvsgt", "bvsge"):
-            if len(args) != 2:
-                raise ParseError(f"{text} is binary", node.line, node.col)
-            flipped = {"bvugt": Op.BVULT, "bvuge": Op.BVULE,
-                       "bvsgt": Op.BVSLT, "bvsge": Op.BVSLE}[text]
-            return t.mk(flipped, (args[1], args[0]))
-        if text == "extract":
-            raise ParseError("use ((_ extract hi lo) x)", node.line, node.col)
         op = _DIRECT_OPS.get(text)
         if op is not None:
             if op is Op.IMPLIES and len(args) > 2:  # right-associative chain
@@ -318,6 +330,19 @@ class _TermParser:
                     folded = t.mk(Op.CONCAT, (folded, a))
                 return folded
             return t.mk(op, tuple(args))
+        # Standard abbreviations, desugared to the core op set.
+        if text == "bvsub":
+            if len(args) != 2:
+                raise ParseError("bvsub is binary", node.line, node.col)
+            return t.mk(Op.BVADD, (args[0], t.mk(Op.BVNEG, (args[1],))))
+        if text in ("bvugt", "bvuge", "bvsgt", "bvsge"):
+            if len(args) != 2:
+                raise ParseError(f"{text} is binary", node.line, node.col)
+            flipped = {"bvugt": Op.BVULT, "bvuge": Op.BVULE,
+                       "bvsgt": Op.BVSLT, "bvsge": Op.BVSLE}[text]
+            return t.mk(flipped, (args[1], args[0]))
+        if text == "extract":
+            raise ParseError("use ((_ extract hi lo) x)", node.line, node.col)
         name = _symbol_name(_atom(items[0], "symbol"))
         sort = self.f.decls.get(name)
         if sort is not None and sort.is_fun:
@@ -336,7 +361,7 @@ class _TermParser:
                 and hitems[1].text == "extract"):
             hi_tok = _atom(hitems[2], "extract hi")
             lo_tok = _atom(hitems[3], "extract lo")
-            if not (hi_tok.text.isdigit() and lo_tok.text.isdigit()):
+            if not (_is_numeral(hi_tok.text) and _is_numeral(lo_tok.text)):
                 raise ParseError("extract indices must be numerals",
                                  head.line, head.col)
             if len(node.items) != 2:
@@ -417,6 +442,21 @@ def parse_formula(text: str) -> Formula:
     return formula
 
 
+def _universal_newlines(text: str) -> str:
+    """The text as open() in text mode reads it: every "\\r\\n" and lone
+    "\\r" becomes "\\n"."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_file(path: str) -> Formula:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_formula(fh.read())
+    """Parse an SMT-LIB script file: UTF-8, with or without a byte-order
+    mark. A byte that is not UTF-8 is a ParseError at its position."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(exc.object[:exc.start].decode("utf-8"))
+        raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8",
+                         *_line_col(before, len(before))) from None
+    return parse_formula(_universal_newlines(text))

@@ -130,10 +130,7 @@ class _Priors:
     def _blocking(self, solutions: list[Assignment], base: Cnf) -> Cnf:
         """One clause per solution excluding its tracked bits, as an
         extension of base."""
-        forward = self.bmap.forward
-        clauses = [tuple(-var if v else var
-                         for name, bit, v in p.scalar_bits()
-                         if (var := forward.get((name, bit))) is not None)
+        clauses = [tuple(map(operator.neg, self.bmap.literals(p)))
                    for p in solutions]
         return Cnf(base.num_vars, clauses, base=base)
 

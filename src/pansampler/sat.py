@@ -133,12 +133,8 @@ def distribution_from(assignments: list[Assignment], blast_map: BlastMap,
     """The counts over the assignments, added to start's when given."""
     counts = {k: list(v) for k, v in start.counts.items()} if start else {}
     for a in assignments:
-        for name, bit, v in a.scalar_bits():
-            var = blast_map.forward.get((name, bit))
-            if var is None:
-                continue
-            slot = counts.setdefault(var, [0, 0])
-            slot[v] += 1
+        for lit in blast_map.literals(a):
+            counts.setdefault(abs(lit), [0, 0])[lit > 0] += 1
     return BitDistribution({k: (v[0], v[1]) for k, v in counts.items()})
 
 

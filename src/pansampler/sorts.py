@@ -21,6 +21,17 @@ class Sort:
     element: "Sort | None" = None
     args: tuple["Sort", ...] = field(default=())
     ret: "Sort | None" = None
+    # Sorts key every interned term, and the generated __hash__ would
+    # hash the fields, kind's Python-level Enum hash among them, each time.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((
+            self.kind, self.width, self.index, self.element, self.args,
+            self.ret)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         if self.kind is SortKind.BOOL:

@@ -59,6 +59,16 @@ class Term:
     hi: int = 0  # EXTRACT upper bit
     lo: int = 0  # EXTRACT lower bit
 
+    def __init__(self, id: int, op: Op, sort: Sort,
+                 children: tuple[int, ...] = (), name: str = "",
+                 value: int = 0, hi: int = 0, lo: int = 0) -> None:
+        # Each field is written once, straight into __dict__: the
+        # generated frozen __init__ sets each through object.__setattr__,
+        # which costs about three times as much.
+        d = self.__dict__
+        d["id"], d["op"], d["sort"], d["children"] = id, op, sort, children
+        d["name"], d["value"], d["hi"], d["lo"] = name, value, hi, lo
+
     @cached_property
     def const(self) -> Value:
         """A CONST's value, made on first use and shared from then on."""

@@ -10,7 +10,7 @@ from pansampler.bitblast import Cnf
 from pansampler.coverage import AstBitUniverse, cover_set
 from pansampler.evaluate import Evaluator
 from pansampler.fuzz import random_formula
-from pansampler.parser import parse_formula
+from pansampler.parser import ParseError, parse_formula
 from pansampler.terms import Formula
 from pansampler.values import Assignment, BoolVal, BvVal
 
@@ -134,4 +134,107 @@ def wide_formulas() -> list[tuple[int, Formula]]:
             f"(declare-const x (_ BitVec {w})){bools}"
             f"(assert (or {circuit} (bvule x x)))")))
         out.append((seed, parse_formula(f"{bools}(assert {circuit})")))
+    return out
+
+
+_SYMBOL_EXTRA = set("~!@$%^&*_-+=<>.?/")
+
+
+def _is_symbol_char(ch: str) -> bool:
+    return ch.isalnum() or ch in _SYMBOL_EXTRA
+
+
+def tokenize(text: str):
+    """Yield (token, line, col) with 1-based positions: the char-by-char
+    reference for the parser's tokens, their positions and its lexical
+    errors."""
+    i, n = 0, len(text)
+    line, col = 1, 1
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                advance(1)
+            continue
+        if ch in "()":
+            yield ch, line, col
+            advance(1)
+            continue
+        start_line, start_col = line, col
+        if ch == "|":
+            j = text.find("|", i + 1)
+            if j < 0:
+                raise ParseError("unterminated |symbol|", start_line, start_col)
+            tok = text[i:j + 1]
+            advance(j + 1 - i)
+            yield tok, start_line, start_col
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n:
+                if text[j] == '"':
+                    if j + 1 < n and text[j + 1] == '"':  # escaped quote
+                        j += 2
+                        continue
+                    break
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated string", start_line, start_col)
+            tok = text[i:j + 1]
+            advance(j + 1 - i)
+            yield tok, start_line, start_col
+            continue
+        if ch == "#":
+            j = i + 1
+            if j < n and text[j] in "bx":
+                j += 1
+                while j < n and _is_symbol_char(text[j]):
+                    j += 1
+                tok = text[i:j]
+                advance(j - i)
+                yield tok, start_line, start_col
+                continue
+            raise ParseError("bad literal after '#'", start_line, start_col)
+        if ch == ":" or _is_symbol_char(ch):
+            j = i + 1
+            while j < n and _is_symbol_char(text[j]):
+                j += 1
+            tok = text[i:j]
+            advance(j - i)
+            yield tok, start_line, start_col
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+
+
+def reference_read(text: str) -> list[tuple[str, int, int]]:
+    """What read_sexprs reads from text, by the reference tokenizer and
+    the same balance checks, in reading order: (token, line, col) for
+    each "(" and each atom, and (")", 0, 0) where a list closes."""
+    out: list[tuple[str, int, int]] = []
+    opened: list[tuple[int, int]] = []
+    for tok, line, col in tokenize(text):
+        if tok == "(":
+            opened.append((line, col))
+        elif tok == ")":
+            if not opened:
+                raise ParseError("unbalanced ')'", line, col)
+            opened.pop()
+            line = col = 0
+        out.append((tok, line, col))
+    if opened:
+        raise ParseError("unbalanced '('", *opened[-1])
     return out

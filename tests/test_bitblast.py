@@ -21,7 +21,7 @@ def forced(cnf, blast_map, a):
     """The CNF with the assignment pinned by unit clauses."""
     pins = []
     for name, bit, v in a.scalar_bits():
-        var = blast_map.forward[(name, bit)]
+        var = blast_map.bits[name][bit]
         pins.append((var,) if v else (-var,))
     return Cnf(cnf.num_vars, [*cnf.all_clauses(), *pins])
 
@@ -49,7 +49,7 @@ def tracked_models(f, cnf, blast_map):
 def test_asserted_bool_var_is_one_unit():
     f = parse_formula("(declare-const x Bool)(assert x)")
     cnf, bmap = bit_blast(f.table, f.decls, f.assertions)
-    assert bmap.forward == {("x", 0): 1}
+    assert bmap.bits == {"x": [1]}
     assert cnf.num_vars == 1
     assert cnf.clauses == ((1,),)
 
@@ -80,7 +80,7 @@ def test_variable_allocation_order():
     f = parse_formula(
         "(declare-const m (_ BitVec 3))(declare-const l Bool)(assert true)")
     cnf, bmap = bit_blast(f.table, f.decls, f.assertions)
-    assert bmap.forward == {("m", 0): 1, ("m", 1): 2, ("m", 2): 3, ("l", 0): 4}
+    assert bmap.bits == {"m": [1, 2, 3], "l": [4]}
     assert cnf.num_vars >= 4
 
 

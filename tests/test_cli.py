@@ -468,3 +468,30 @@ def test_a_file_name_with_a_comma_stays_one_csv_field(tmp_path, capsys):
           "--lambda", "2"])
     out = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert out[0] == RECORD_FIELDS and out[1][0] == str(tmp_path / "a,b.smt2")
+
+
+def test_a_bad_numeral_is_an_error_record_not_a_traceback(tmp_path,
+                                                            capsys):
+    # str.isdigit accepts '²', which int() then rejects.
+    src = tmp_path / "width.smt2"
+    src.write_text("(declare-const x (_ BitVec ²))(assert (bvule x x))\n")
+    assert main([str(src), "--target-coverage", "0.5"]) == 4
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].endswith(",error")
+    assert err == f"{src}: 1:28: bad BitVec width\n"
+
+
+def test_a_suite_records_a_file_that_is_not_utf8_and_goes_on(tmp_path,
+                                                             capsys):
+    (tmp_path / "a_latin1.smt2").write_bytes(
+        b"; caf\xe9\n(declare-const x Bool)(assert x)\n")
+    (tmp_path / "b_demo.smt2").write_text(FREE3)
+    assert main([str(tmp_path), "--targets", "0.5", "--lambda", "2",
+                 "--deterministic-timing"]) == 0
+    rows = list(csv.DictReader(
+        io.StringIO((tmp_path / "suite_records.csv").read_text())))
+    assert [(row["benchmark"], row["reason"]) for row in rows] == [
+        (str(tmp_path / "a_latin1.smt2"), "error"),
+        (str(tmp_path / "b_demo.smt2"), "target")]
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'a_latin1.smt2'}: 1:6: byte 0xe9 is not UTF-8" in err

@@ -118,8 +118,8 @@ def _blasted_with(engine, deviation, projected):
     terms = (list(abs_.formula.assertions)
              + [abs_.rewrite(l) for l in engine.lemmas] + [distinct])
     cnf, bmap = bit_blast(engine.f.table, abs_.formula.decls, terms)
-    blocking = [tuple(-var if v else var for name, bit, v in p.scalar_bits()
-                      if (var := bmap.forward.get((name, bit))))
+    blocking = [tuple(-bmap.bits[name][bit] if v else bmap.bits[name][bit]
+                      for name, bit, v in p.scalar_bits() if name in bmap.bits)
                 for p in projected]
     return Cnf(cnf.num_vars, cnf.clauses + tuple(blocking))
 
@@ -138,7 +138,7 @@ def _check_deviation_solves(monkeypatch, engine, prior, deviation):
         base, bmap = engine.blast()
         assert cnf.base is base
         bases.append(base)
-        bits = [bmap.forward[(name, b)]
+        bits = [bmap.bits[name][b]
                 for name, sort in engine.abs.formula.decls.items()
                 if sort.is_bool or sort.is_bv for b in range(sort.num_bits)]
         want = _blasted_with(engine, deviation,
@@ -235,21 +235,25 @@ def test_deviation_cnfs_after_a_lemma_extend_the_new_base(monkeypatch):
 
 def _check_blast_map_lists(engine, rng):
     """The blast map of the engine's current base lists each declared
-    name's SAT variables, LSB first, as its bits map them; a model lifts
-    to what a bit-by-bit read of those variables gives."""
+    name's SAT variables, LSB first, one per tracked bit and each its
+    own; a model lifts to what a bit-by-bit read of those variables
+    gives, and the lifted assignment's literals are those variables, in
+    bit order, signed by the model."""
     _, bmap = engine.blast()
     decls = engine.abs.formula.decls
     assert bmap.bits.keys() == decls.keys()
     for name, sort in decls.items():
-        assert bmap.bits[name] == [bmap.forward[(name, b)]
-                                   for b in range(sort.num_bits)]
-    n = max(bmap.forward.values())
-    model = [False] + [rng.random() < 0.5 for _ in range(n)]
+        assert len(bmap.bits[name]) == sort.num_bits
+    listed = [var for bits in bmap.bits.values() for var in bits]
+    assert len(set(listed)) == len(listed) and min(listed) >= 1
+    model = [False] + [rng.random() < 0.5 for _ in range(max(listed))]
     lifted = engine._lift(model, bmap)
     for name, sort in decls.items():
-        want = sum(model[bmap.forward[(name, b)]] << b
+        want = sum(model[bmap.bits[name][b]] << b
                    for b in range(sort.num_bits))
         assert lifted[name].as_int() == want, name
+    assert bmap.literals(lifted) == [var if model[var] else -var
+                                     for var in listed]
 
 
 def test_the_blast_map_lists_each_names_variables_in_bit_order():
@@ -292,8 +296,8 @@ def test_blocking_clauses_are_prepared_once_per_prior_set(monkeypatch):
         alpha = engine.solve_once(solutions, seeds.randrange(1 << 32))
         best = post_opt(engine, state, solutions, seeds, alpha)
         if len(solutions) >= 2:
-            forward = engine.blast()[1].forward
-            blocking = [tuple(-forward[(n, b)] if v else forward[(n, b)]
+            bits = engine.blast()[1].bits
+            blocking = [tuple(-bits[n][b] if v else bits[n][b]
                               for n, b, v in p.scalar_bits())
                         for p in engine.project(solutions)]
             # One candidate and three deviation solves per prior set, and

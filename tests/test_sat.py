@@ -99,8 +99,7 @@ def test_distribution_empty_solution_set():
 
 
 def test_distribution_counts_and_minority_phase():
-    bmap = BlastMap()
-    bmap.add("x", [1])
+    bmap = BlastMap({"x": [1]})
     sols = [Assignment({"x": BoolVal(False)}), Assignment({"x": BoolVal(False)})]
     dist = distribution_from(sols, bmap)
     assert dist.counts == {1: (2, 0)}
@@ -110,8 +109,7 @@ def test_distribution_counts_and_minority_phase():
 
 
 def test_distribution_recounts_bv_bits():
-    bmap = BlastMap()
-    bmap.add("m", [1, 2, 3])
+    bmap = BlastMap({"m": [1, 2, 3]})
     values = [0b000, 0b001, 0b011, 0b111, 0b001]
     sols = [Assignment({"m": BvVal(3, v)}) for v in values]
     dist = distribution_from(sols, bmap)
@@ -121,8 +119,7 @@ def test_distribution_recounts_bv_bits():
 
 
 def test_distribution_tie_has_no_preference():
-    bmap = BlastMap()
-    bmap.add("x", [1])
+    bmap = BlastMap({"x": [1]})
     sols = [Assignment({"x": BoolVal(False)}), Assignment({"x": BoolVal(True)})]
     assert preferred_phase(distribution_from(sols, bmap), 1) is None
 
@@ -143,8 +140,7 @@ def test_the_phase_table_follows_the_counts_and_the_bias():
 
 
 def test_distribution_skips_unmapped_names():
-    bmap = BlastMap()
-    bmap.add("x", [1])
+    bmap = BlastMap({"x": [1]})
     sols = [Assignment({"x": BoolVal(True), "z": BoolVal(True)})]
     assert distribution_from(sols, bmap).counts == {1: (0, 1)}
 
@@ -157,7 +153,7 @@ def test_full_bias_forces_the_minority_phase():
     dist = distribution_from([Assignment({"x": BvVal(4, 0)})], bmap)
     model = solve(cnf, dist, SolverConfig(seed=7, bias_p=1.0))
     assert model is not None
-    bits = [model[bmap.forward[("x", b)]] for b in range(4)]
+    bits = [model[var] for var in bmap.bits["x"]]
     assert bits == [True, True, True, True]
 
 
@@ -170,8 +166,8 @@ def test_bias_respects_clauses():
     dist = distribution_from([Assignment({"x": BvVal(4, 0)})], bmap)
     model = solve(cnf, dist, SolverConfig(seed=7, bias_p=1.0))
     assert model is not None
-    assert model[bmap.forward[("x", 0)]] is False
-    assert all(model[bmap.forward[("x", b)]] for b in (1, 2, 3))
+    assert model[bmap.bits["x"][0]] is False
+    assert all(model[bmap.bits["x"][b]] for b in (1, 2, 3))
 
 
 def test_literal_zero_is_rejected():
