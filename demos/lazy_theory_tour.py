@@ -30,7 +30,7 @@ TEXT = """
 def main() -> None:
     f = parse_formula(TEXT)
     abs_ = abstract_formula(f)
-    atoms = sorted(abs_.atom_of_name)
+    atoms = sorted(abs_.atom_map)
     print(f"purified atoms ({len(atoms)}):", ", ".join(atoms))
 
     engine = DiversitySmtEngine(f)

@@ -25,7 +25,6 @@ class Abstraction:
     base: Formula
     formula: Formula  # shares base.table; assertions rewritten
     atom_map: dict[str, int] = field(default_factory=dict)  # fresh name -> atom id
-    atom_of_name: dict[str, int] = field(default_factory=dict)
     name_of_atom: dict[int, str] = field(default_factory=dict)
     witness_of: dict[int, str] = field(default_factory=dict)  # eq atom -> index var
     _rewrite_memo: dict[int, int] = field(default_factory=dict)
@@ -59,7 +58,6 @@ class Abstraction:
             name = self._fresh_name(prefix)
             self.formula.decls[name] = sort
             self.atom_map[name] = atom_id
-            self.atom_of_name[name] = atom_id
             self.name_of_atom[atom_id] = name
         return self.formula.table.mk_var(name, sort)
 

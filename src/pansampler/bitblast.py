@@ -65,8 +65,8 @@ class BlastMap:
 
     def literals(self, a: Assignment) -> list[int]:
         """The literal that each tracked bit a binds makes true (the bit's
-        variable where the bit is 1, its negation where it is 0), in the
-        order of a.scalar_bits()."""
+        variable where the bit is 1, its negation where it is 0): names in
+        binding order, each one's bits LSB first."""
         out: list[int] = []
         for name, val in a.bindings.items():
             variables = self.bits.get(name)

@@ -417,6 +417,11 @@ def main(argv: list[str] | None = None) -> int:
             configs = [sampler_config(args)]
     except ValueError as e:
         parser.error(str(e))
+    if args.out_dir:
+        try:
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            parser.error(f"--out-dir: cannot create it: {e}")
     if path.is_dir():
         records, agg = run_suite(path, args, configs)
         base = Path(args.out_dir) if args.out_dir else path

@@ -15,12 +15,12 @@ class Evaluator:
     """Memoized bottom-up evaluator over the term DAG.
 
     The memo is shared across calls, so evaluating many nodes against the
-    same assignment costs one pass over the DAG. A whole formula is
-    evaluated by fill, one loop over its reachable ids in ascending
-    order: the table hash-conses bottom-up, so every child is interned,
-    and numbered, before its parent, and ascending ids are a topological
-    order. value walks down from one term for the callers that need only
-    a few.
+    same assignment costs one pass over the DAG. There is one walk, fill:
+    one loop over reachable ids in ascending order. The table hash-conses
+    bottom-up, so every child is interned, and numbered, before its
+    parent, and ascending ids are a topological order. A whole formula
+    fills over all of its ids; value fills over the ids of one term that
+    the memo does not hold yet.
     """
 
     def __init__(self, table: TermTable, assignment: Assignment) -> None:
@@ -39,22 +39,8 @@ class Evaluator:
 
     def value(self, term_id: int) -> Value:
         memo = self.memo
-        got = memo.get(term_id)
-        if got is not None:
-            return got
-        # Explicit stack; second visit computes from child values.
-        stack = [(term_id, False)]
-        while stack:
-            tid, ready = stack.pop()
-            if tid in memo:
-                continue
-            term = self.table[tid]
-            if not ready:
-                stack.append((tid, True))
-                stack.extend((c, False) for c in term.children
-                             if c not in memo)
-                continue
-            memo[tid] = self._apply(term, [memo[c] for c in term.children])
+        if term_id not in memo:
+            self.fill(self.table.reachable([term_id], known=memo))
         return memo[term_id]
 
     def _apply(self, term, vals: list[Value]) -> Value:

@@ -1,4 +1,4 @@
-"""Seeded random generators for micro-formulas and CNFs.
+"""Seeded random generator for micro-formulas.
 
 The formulas stay deliberately tiny so the brute-force oracle can
 enumerate them; index and argument terms of theory operations are kept
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 
-from .bitblast import Cnf
 from .coverage import build_universe
 from .sorts import BOOL, Sort, array, bv, fun
 from .terms import Formula, Op, TermTable
@@ -224,19 +223,3 @@ class _Gen:
     def _apply(self, name: str, fsort: Sort) -> int:
         args = tuple(self.gen_index(s) for s in fsort.args)
         return self.t.mk_apply(name, fsort, args)
-
-
-def random_cnf(seed: int, max_vars: int = 30, max_clauses: int = 120,
-               max_clause_len: int = 4) -> Cnf:
-    """A random CNF instance; duplicate literals and tautologies allowed,
-    empty clauses never produced."""
-    rng = random.Random(seed)
-    num_vars = rng.randint(1, max_vars)
-    num_clauses = rng.randint(1, min(max_clauses, max(1, num_vars * 5)))
-    clauses = []
-    for _ in range(num_clauses):
-        k = rng.randint(1, max_clause_len)
-        clause = tuple(rng.choice([-1, 1]) * rng.randint(1, num_vars)
-                       for _ in range(k))
-        clauses.append(clause)
-    return Cnf(num_vars, clauses)

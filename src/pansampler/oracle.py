@@ -1,9 +1,10 @@
 """Brute-force reference implementations for desk-size formulas.
 
 Everything here trades speed for independence from the production path:
-a recursive evaluator that does its arithmetic on bit tuples, exhaustive
-solution enumeration with exact valid-bit counts, near-minimal covering
-sets, and a textbook DPLL solver. Tests treat these as ground truth.
+a recursive evaluator that does its arithmetic on bit tuples, and
+exhaustive solution enumeration with exact valid-bit counts and
+coverage. The CLI's --oracle-check and perfbench's output check read
+samples through them, and tests treat them as ground truth.
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def _fun_options(sort: Sort, arg_tuples: set[tuple[int, ...]],
     return out
 
 
-# -- exact coverage and covering sets -----------------------------------
+# -- exact coverage -----------------------------------------------------
 
 
 def exact_coverage(report: EnumerationReport, chosen: list[Assignment]) -> float:
@@ -407,123 +408,3 @@ def exact_coverage(report: EnumerationReport, chosen: list[Assignment]) -> float
     for a in chosen:
         covered |= slow_cover_set(report.formula, report.universe, a)
     return (covered & report.valid_mask).bit_count() / report.valid_bits
-
-
-def exact_score(report: EnumerationReport, covered: int, candidate_cover: int) -> int:
-    """Valid AST-bits a candidate would newly cover."""
-    return (candidate_cover & report.valid_mask & ~covered).bit_count()
-
-
-@dataclass
-class MinCoverResult:
-    indices: tuple[int, ...]  # into report.solutions
-    exact: bool  # exhaustive minimum vs greedy bound
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.indices)
-
-
-_EXACT_SEARCH_LIMIT = 20
-
-
-def min_cover(report: EnumerationReport, r: float) -> MinCoverResult:
-    """Smallest solution subset reaching exact coverage >= r; greedy
-    (flagged) beyond the exhaustive-search size limit."""
-    valid = report.valid_bits
-
-    def reaches(mask: int) -> bool:
-        if valid == 0:
-            return r <= 0
-        return mask.bit_count() / valid >= r
-
-    if reaches(0):
-        return MinCoverResult((), True)
-    n = len(report.solutions)
-    covers = [c & report.valid_mask for c in report.cover_sets]
-    if n <= _EXACT_SEARCH_LIMIT:
-        for k in range(1, n + 1):
-            for combo in itertools.combinations(range(n), k):
-                mask = 0
-                for i in combo:
-                    mask |= covers[i]
-                if reaches(mask):
-                    return MinCoverResult(combo, True)
-        return MinCoverResult(tuple(range(n)), True)  # r unreachable
-    chosen: list[int] = []
-    mask = 0
-    remaining = set(range(n))
-    while not reaches(mask) and remaining:
-        best = max(remaining, key=lambda i: ((covers[i] & ~mask).bit_count(), -i))
-        if (covers[best] & ~mask).bit_count() == 0:
-            break
-        chosen.append(best)
-        mask |= covers[best]
-        remaining.discard(best)
-    return MinCoverResult(tuple(chosen), False)
-
-
-# -- reference SAT solver -----------------------------------------------
-
-
-def dpll(num_vars: int, clauses: list[tuple[int, ...]]) -> list[bool] | None:
-    """Textbook DPLL with unit propagation; model indexed 1..num_vars at
-    positions 1.. (slot 0 unused), or None when unsatisfiable."""
-    assign: dict[int, bool] = {}
-
-    def propagate(cls: list[tuple[int, ...]]):
-        cls = list(cls)
-        changed = True
-        while changed:
-            changed = False
-            nxt = []
-            for clause in cls:
-                unassigned = []
-                sat = False
-                for lit in clause:
-                    var = abs(lit)
-                    if var in assign:
-                        if assign[var] == (lit > 0):
-                            sat = True
-                            break
-                    else:
-                        unassigned.append(lit)
-                if sat:
-                    continue
-                if not unassigned:
-                    return None
-                if len(unassigned) == 1:
-                    lit = unassigned[0]
-                    assign[abs(lit)] = lit > 0
-                    changed = True
-                    continue
-                nxt.append(tuple(unassigned))
-            cls = nxt
-        return cls
-
-    def search(cls) -> bool:
-        pre = dict(assign)
-        reduced = propagate(cls)
-        if reduced is None:
-            assign.clear()
-            assign.update(pre)
-            return False
-        if not reduced:
-            return True
-        # reduced already dropped clauses satisfied by forced units, so
-        # branches must restore to the post-propagation state.
-        mid = dict(assign)
-        var = abs(reduced[0][0])
-        for phase in (False, True):
-            assign[var] = phase
-            if search(reduced):
-                return True
-            assign.clear()
-            assign.update(mid)
-        assign.clear()
-        assign.update(pre)
-        return False
-
-    if not search([tuple(c) for c in clauses]):
-        return None
-    return [False] + [assign.get(v, False) for v in range(1, num_vars + 1)]

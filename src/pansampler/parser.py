@@ -26,12 +26,6 @@ from .terms import Formula, Op, ParseWarning, TermTable
 
 SUPPORTED_LOGICS = ("QF_BV", "QF_ABV", "QF_AUFBV")
 
-_IGNORED_COMMANDS = {
-    "set-info", "set-option", "get-info", "get-option", "get-model",
-    "get-value", "get-assignment", "get-unsat-core", "echo", "reset",
-    "reset-assertions", "get-assertions", "check-sat-assuming",
-}
-
 _UNSUPPORTED_COMMANDS = {
     "define-fun", "define-fun-rec", "define-funs-rec", "define-sort",
     "declare-sort", "declare-datatype", "declare-datatypes", "push", "pop",
@@ -180,6 +174,22 @@ def _is_numeral(text: str) -> bool:
     return text.isdigit() and text.isascii()
 
 
+def bv_literal(node: Atom) -> tuple[int, int] | None:
+    """The (width, value) of a #b or #x literal, None for an atom that is
+    not one. A literal with no digits, or with a character its base does
+    not have (int() alone would take '1_0' and '²'), is a ParseError."""
+    if node.text.startswith("#b"):
+        what, base, digit_bits, digits = "binary", 2, 1, "01"
+    elif node.text.startswith("#x"):
+        what, base, digit_bits, digits = "hex", 16, 4, "0123456789abcdefABCDEF"
+    else:
+        return None
+    text = node.text[2:]
+    if not text or not set(text) <= set(digits):
+        raise ParseError(f"bad {what} literal {node.text}", node.line, node.col)
+    return digit_bits * len(text), int(text, base)
+
+
 def _symbol_name(node: Atom) -> str:
     if node.text.startswith("|") and node.text.endswith("|"):
         return node.text[1:-1]
@@ -282,16 +292,9 @@ class _TermParser:
             return self.t.mk_true()
         if text == "false":
             return self.t.mk_false()
-        if text.startswith("#b"):
-            bits = text[2:]
-            if not bits or any(c not in "01" for c in bits):
-                raise ParseError(f"bad binary literal {text}", node.line, node.col)
-            return self.t.mk_bv_const(len(bits), int(bits, 2))
-        if text.startswith("#x"):
-            digits = text[2:]
-            if not digits or any(c not in "0123456789abcdefABCDEF" for c in digits):
-                raise ParseError(f"bad hex literal {text}", node.line, node.col)
-            return self.t.mk_bv_const(4 * len(digits), int(digits, 16))
+        literal = bv_literal(node)
+        if literal is not None:
+            return self.t.mk_bv_const(*literal)
         name = _symbol_name(node)
         sort = self.f.decls.get(name)
         if sort is None:

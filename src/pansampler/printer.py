@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .parser import Atom, ParseError, SList, read_sexprs
+from .parser import Atom, ParseError, SList, bv_literal, read_sexprs
 from .sorts import Sort, SortKind
 from .terms import Formula, Op, TermTable
 from .values import ArrayVal, Assignment, BoolVal, BvVal, FunVal, Value
@@ -150,11 +150,14 @@ def _scalar_from_node(node, sort: Sort) -> int:
         if text == "false":
             return 0
         raise ParseError(f"bad Bool constant {text}", node.line, node.col)
-    if text.startswith("#b"):
-        return int(text[2:], 2)
-    if text.startswith("#x"):
-        return int(text[2:], 16)
-    raise ParseError(f"bad bitvector constant {text}", node.line, node.col)
+    literal = bv_literal(node)
+    if literal is None:
+        raise ParseError(f"bad bitvector constant {text}", node.line, node.col)
+    width, value = literal
+    if width != sort.width:
+        raise ParseError(f"{text} is {width} bits wide, not {sort.width}",
+                         node.line, node.col)
+    return value
 
 
 def _array_from_node(node, sort: Sort) -> ArrayVal:

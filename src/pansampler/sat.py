@@ -91,14 +91,10 @@ class SolverConfig:
     seed: int = 0
     bias_p: float = 0.85
     conflict_budget: int = 1_000_000
-    restart_base: int = 64
 
     def __post_init__(self) -> None:
         if not (0.5 <= self.bias_p <= 1.0):
             raise ValueError(f"bias_p must lie in [0.5, 1], got {self.bias_p}")
-        if self.restart_base < 1:  # at 0 a solve restarts forever
-            raise ValueError(
-                f"restart_base must be >= 1, got {self.restart_base}")
 
 
 class BitDistribution:
@@ -151,6 +147,7 @@ def _luby(i: int) -> int:
     return 1 << (k - 1)
 
 
+_RESTART_BASE = 64  # conflicts per Luby unit between restarts
 _RESCALE = 1e100
 _DECAY = 0.95  # VSIDS activity decay per conflict
 
@@ -608,7 +605,7 @@ class CdclSolver:
             return _REPLAY
         self._start_vsids()
         restart_num = 0
-        budget_mark = self.cfg.restart_base * _luby(restart_num + 1)
+        budget_mark = _RESTART_BASE * _luby(restart_num + 1)
         conflicts_here = 0
         while True:
             if conflict is not None:
@@ -629,7 +626,7 @@ class CdclSolver:
                 self.var_inc /= _DECAY
             elif conflicts_here >= budget_mark:
                 restart_num += 1
-                budget_mark = self.cfg.restart_base * _luby(restart_num + 1)
+                budget_mark = _RESTART_BASE * _luby(restart_num + 1)
                 conflicts_here = 0
                 self._cancel_until(0)
             else:

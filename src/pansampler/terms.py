@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .sorts import BOOL, Sort, bv
+from .sorts import BOOL, Sort, SortKind, bv
 from .values import Value, value_of_sort
 
 
@@ -124,19 +125,21 @@ class TermTable:
 
     # -- combinators ----------------------------------------------------
 
-    def _need(self, term_id: int, pred, what: str) -> Sort:
+    def _need(self, term_id: int, kind: SortKind, what: str) -> Sort:
         sort = self.sort_of(term_id)
-        if not pred(sort):
+        if sort.kind is not kind:
             raise ValueError(f"expected {what}, got sort {sort!r}")
         return sort
 
     def _same_width(self, children: tuple[int, ...], op: Op) -> Sort:
-        sorts = [self._need(c, lambda s: s.is_bv, "bitvector") for c in children]
-        w = sorts[0].width
-        for s in sorts[1:]:
-            if s.width != w:
-                raise ValueError(f"{op.value}: mixed widths {w} and {s.width}")
-        return sorts[0]
+        for c in children:
+            self._need(c, SortKind.BV, "bitvector")
+        sort = self.sort_of(children[0])
+        for c in children[1:]:
+            w = self.sort_of(c).width
+            if w != sort.width:
+                raise ValueError(f"{op.value}: mixed widths {sort.width} and {w}")
+        return sort
 
     def mk(self, op: Op, children: tuple[int, ...], hi: int = 0, lo: int = 0,
            name: str = "", fun_sort: Sort | None = None) -> int:
@@ -147,7 +150,7 @@ class TermTable:
         if op in _BV_UNARY:
             if len(children) != 1:
                 raise ValueError(f"{op.value} is unary")
-            sort = self._need(children[0], lambda s: s.is_bv, "bitvector")
+            sort = self._need(children[0], SortKind.BV, "bitvector")
             return self._intern(op, sort, children)
         if op in _BV_SHIFT:
             if len(children) != 2:
@@ -162,13 +165,13 @@ class TermTable:
         if op is Op.CONCAT:
             if len(children) != 2:
                 raise ValueError("concat is binary (fold wider uses)")
-            hi_s = self._need(children[0], lambda s: s.is_bv, "bitvector")
-            lo_s = self._need(children[1], lambda s: s.is_bv, "bitvector")
+            hi_s = self._need(children[0], SortKind.BV, "bitvector")
+            lo_s = self._need(children[1], SortKind.BV, "bitvector")
             return self._intern(op, bv(hi_s.width + lo_s.width), children)
         if op is Op.EXTRACT:
             if len(children) != 1:
                 raise ValueError("extract is unary")
-            sort = self._need(children[0], lambda s: s.is_bv, "bitvector")
+            sort = self._need(children[0], SortKind.BV, "bitvector")
             if not (0 <= lo <= hi < sort.width):
                 raise ValueError(
                     f"extract [{hi}:{lo}] out of range for width {sort.width}")
@@ -176,7 +179,7 @@ class TermTable:
         if op is Op.ITE:
             if len(children) != 3:
                 raise ValueError("ite is ternary")
-            self._need(children[0], lambda s: s.is_bool, "Bool condition")
+            self._need(children[0], SortKind.BOOL, "Bool condition")
             t_s = self.sort_of(children[1])
             e_s = self.sort_of(children[2])
             if t_s != e_s:
@@ -198,32 +201,32 @@ class TermTable:
             if len(children) < 1:
                 raise ValueError(f"{op.value} needs operands")
             for c in children:
-                self._need(c, lambda s: s.is_bool, "Bool")
+                self._need(c, SortKind.BOOL, "Bool")
             if len(children) == 1:
                 return children[0]
             return self._intern(op, BOOL, children)
         if op is Op.NOT:
             if len(children) != 1:
                 raise ValueError("not is unary")
-            self._need(children[0], lambda s: s.is_bool, "Bool")
+            self._need(children[0], SortKind.BOOL, "Bool")
             return self._intern(op, BOOL, children)
         if op is Op.IMPLIES:
             if len(children) != 2:
                 raise ValueError("=> is binary (fold right-assoc uses)")
             for c in children:
-                self._need(c, lambda s: s.is_bool, "Bool")
+                self._need(c, SortKind.BOOL, "Bool")
             return self._intern(op, BOOL, children)
         if op is Op.SELECT:
             if len(children) != 2:
                 raise ValueError("select is binary")
-            arr = self._need(children[0], lambda s: s.is_array, "array")
+            arr = self._need(children[0], SortKind.ARRAY, "array")
             if self.sort_of(children[1]) != arr.index:
                 raise ValueError("select index sort mismatch")
             return self._intern(op, arr.element, children)
         if op is Op.STORE:
             if len(children) != 3:
                 raise ValueError("store is ternary")
-            arr = self._need(children[0], lambda s: s.is_array, "array")
+            arr = self._need(children[0], SortKind.ARRAY, "array")
             if self.sort_of(children[1]) != arr.index:
                 raise ValueError("store index sort mismatch")
             if self.sort_of(children[2]) != arr.element:
@@ -274,13 +277,15 @@ class TermTable:
 
     # -- traversal ------------------------------------------------------
 
-    def reachable(self, roots: list[int]) -> list[int]:
-        """All node ids reachable from roots, ascending."""
+    def reachable(self, roots: list[int],
+                  known: Container[int] = frozenset()) -> list[int]:
+        """All node ids reachable from roots without passing through an id
+        of known, ascending."""
         seen: set[int] = set()
         stack = list(roots)
         while stack:
             tid = stack.pop()
-            if tid in seen:
+            if tid in seen or tid in known:
                 continue
             seen.add(tid)
             stack.extend(self._terms[tid].children)

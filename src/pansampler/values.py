@@ -27,9 +27,6 @@ class BvVal:
     def as_int(self) -> int:
         return self.value
 
-    def bit(self, i: int) -> int:
-        return (self.value >> i) & 1
-
     def signed(self) -> int:
         if self.value >= 1 << (self.width - 1):
             return self.value - (1 << self.width)
@@ -138,21 +135,6 @@ class Assignment:
 
     def copy(self) -> "Assignment":
         return Assignment(dict(self.bindings))
-
-    def key(self) -> tuple:
-        """Hashable identity, insensitive to binding insertion order."""
-        return tuple(sorted(self.bindings.items()))
-
-    def scalar_bits(self) -> list[tuple[str, int, int]]:
-        """(name, bit, value) triples over Bool/BitVec bindings, name order
-        as bound, LSB first."""
-        out = []
-        for name, val in self.bindings.items():
-            if isinstance(val, BoolVal):
-                out.append((name, 0, val.as_int()))
-            elif isinstance(val, BvVal):
-                out.extend((name, b, val.bit(b)) for b in range(val.width))
-        return out
 
     def to_json_obj(self) -> dict:
         obj: dict[str, object] = {}

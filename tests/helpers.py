@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import types
+from dataclasses import dataclass
 
 from pansampler.bitblast import Cnf
 from pansampler.coverage import AstBitUniverse, cover_set
 from pansampler.evaluate import Evaluator
 from pansampler.fuzz import random_formula
+from pansampler.oracle import EnumerationReport
 from pansampler.parser import ParseError, parse_formula
 from pansampler.terms import Formula
 from pansampler.values import Assignment, BoolVal, BvVal
@@ -103,7 +106,7 @@ def manhattan_score_per_bit(solutions: list[Assignment],
                             assignment: Assignment) -> int:
     """coverage.manhattan_score as first written: one step per prior
     solution and tracked bit."""
-    bits = assignment.scalar_bits()
+    bits = scalar_bits(assignment)
     total = 0
     for other in solutions:
         for name, bit, v in bits:
@@ -111,7 +114,7 @@ def manhattan_score_per_bit(solutions: list[Assignment],
             if isinstance(o, BoolVal):
                 total += v ^ o.as_int()
             elif isinstance(o, BvVal):
-                total += v ^ o.bit(bit)
+                total += v ^ ((o.value >> bit) & 1)
             else:
                 raise ValueError(f"solutions disagree on inventory at {name}")
     return total
@@ -135,6 +138,164 @@ def wide_formulas() -> list[tuple[int, Formula]]:
             f"(assert (or {circuit} (bvule x x)))")))
         out.append((seed, parse_formula(f"{bools}(assert {circuit})")))
     return out
+
+
+def assignment_key(a: Assignment) -> tuple:
+    """An assignment's hashable identity, insensitive to binding
+    insertion order."""
+    return tuple(sorted(a.bindings.items()))
+
+
+def scalar_bits(a: Assignment) -> list[tuple[str, int, int]]:
+    """(name, bit, value) triples over Bool/BitVec bindings, name order
+    as bound, LSB first."""
+    out = []
+    for name, val in a.bindings.items():
+        if isinstance(val, BoolVal):
+            out.append((name, 0, val.as_int()))
+        elif isinstance(val, BvVal):
+            out.extend((name, b, (val.value >> b) & 1)
+                       for b in range(val.width))
+    return out
+
+
+def random_cnf(seed: int, max_vars: int = 30, max_clauses: int = 120,
+               max_clause_len: int = 4) -> Cnf:
+    """A random CNF instance; duplicate literals and tautologies allowed,
+    empty clauses never produced."""
+    rng = random.Random(seed)
+    num_vars = rng.randint(1, max_vars)
+    num_clauses = rng.randint(1, min(max_clauses, max(1, num_vars * 5)))
+    clauses = []
+    for _ in range(num_clauses):
+        k = rng.randint(1, max_clause_len)
+        clause = tuple(rng.choice([-1, 1]) * rng.randint(1, num_vars)
+                       for _ in range(k))
+        clauses.append(clause)
+    return Cnf(num_vars, clauses)
+
+
+# -- exact scores and covering sets over an enumeration ------------------
+
+
+def exact_score(report: EnumerationReport, covered: int, candidate_cover: int) -> int:
+    """Valid AST-bits a candidate would newly cover."""
+    return (candidate_cover & report.valid_mask & ~covered).bit_count()
+
+
+@dataclass
+class MinCoverResult:
+    indices: tuple[int, ...]  # into report.solutions
+    exact: bool  # exhaustive minimum vs greedy bound
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.indices)
+
+
+_EXACT_SEARCH_LIMIT = 20
+
+
+def min_cover(report: EnumerationReport, r: float) -> MinCoverResult:
+    """Smallest solution subset reaching exact coverage >= r; greedy
+    (flagged) beyond the exhaustive-search size limit."""
+    valid = report.valid_bits
+
+    def reaches(mask: int) -> bool:
+        if valid == 0:
+            return r <= 0
+        return mask.bit_count() / valid >= r
+
+    if reaches(0):
+        return MinCoverResult((), True)
+    n = len(report.solutions)
+    covers = [c & report.valid_mask for c in report.cover_sets]
+    if n <= _EXACT_SEARCH_LIMIT:
+        for k in range(1, n + 1):
+            for combo in itertools.combinations(range(n), k):
+                mask = 0
+                for i in combo:
+                    mask |= covers[i]
+                if reaches(mask):
+                    return MinCoverResult(combo, True)
+        return MinCoverResult(tuple(range(n)), True)  # r unreachable
+    chosen: list[int] = []
+    mask = 0
+    remaining = set(range(n))
+    while not reaches(mask) and remaining:
+        best = max(remaining, key=lambda i: ((covers[i] & ~mask).bit_count(), -i))
+        if (covers[best] & ~mask).bit_count() == 0:
+            break
+        chosen.append(best)
+        mask |= covers[best]
+        remaining.discard(best)
+    return MinCoverResult(tuple(chosen), False)
+
+
+# -- reference SAT solver -----------------------------------------------
+
+
+def dpll(num_vars: int, clauses: list[tuple[int, ...]]) -> list[bool] | None:
+    """Textbook DPLL with unit propagation; model indexed 1..num_vars at
+    positions 1.. (slot 0 unused), or None when unsatisfiable."""
+    assign: dict[int, bool] = {}
+
+    def propagate(cls: list[tuple[int, ...]]):
+        cls = list(cls)
+        changed = True
+        while changed:
+            changed = False
+            nxt = []
+            for clause in cls:
+                unassigned = []
+                sat = False
+                for lit in clause:
+                    var = abs(lit)
+                    if var in assign:
+                        if assign[var] == (lit > 0):
+                            sat = True
+                            break
+                    else:
+                        unassigned.append(lit)
+                if sat:
+                    continue
+                if not unassigned:
+                    return None
+                if len(unassigned) == 1:
+                    lit = unassigned[0]
+                    assign[abs(lit)] = lit > 0
+                    changed = True
+                    continue
+                nxt.append(tuple(unassigned))
+            cls = nxt
+        return cls
+
+    def search(cls) -> bool:
+        pre = dict(assign)
+        reduced = propagate(cls)
+        if reduced is None:
+            assign.clear()
+            assign.update(pre)
+            return False
+        if not reduced:
+            return True
+        # reduced already dropped clauses satisfied by forced units, so
+        # branches must restore to the post-propagation state.
+        mid = dict(assign)
+        var = abs(reduced[0][0])
+        for phase in (False, True):
+            assign[var] = phase
+            if search(reduced):
+                return True
+            assign.clear()
+            assign.update(mid)
+        assign.clear()
+        assign.update(pre)
+        return False
+
+    if not search([tuple(c) for c in clauses]):
+        return None
+    return [False] + [assign.get(v, False) for v in range(1, num_vars + 1)]
 
 
 _SYMBOL_EXTRA = set("~!@$%^&*_-+=<>.?/")

@@ -11,17 +11,16 @@ import random
 
 from pansampler.cli import main
 from pansampler.coverage import CoverState, build_universe
-from pansampler.fuzz import random_cnf, random_formula
-from pansampler.oracle import (OracleError, dpll, enumerate_solutions,
-                               exact_coverage, exact_score, min_cover,
-                               slow_cover_set, slow_satisfies)
+from pansampler.fuzz import random_formula
+from pansampler.oracle import (OracleError, enumerate_solutions,
+                               exact_coverage, slow_cover_set, slow_satisfies)
 from pansampler.parser import parse_formula
 from pansampler.sampler import (DiversitySmtEngine, FormulaUnsatError, Mode,
                                 SamplerConfig, sample)
 from pansampler.sat import solve
 from pansampler.values import Assignment, BvVal
 
-from helpers import var_bits
+from helpers import dpll, exact_score, min_cover, random_cnf, var_bits
 
 LOGICS = ("QF_BV", "QF_ABV", "QF_AUFBV")
 

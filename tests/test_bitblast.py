@@ -14,13 +14,13 @@ from pansampler.sorts import array, bv
 from pansampler.terms import Formula, TermTable
 from pansampler.values import Assignment, BoolVal, BvVal
 
-from helpers import fuzzed_bv, parse_dimacs
+from helpers import fuzzed_bv, parse_dimacs, scalar_bits
 
 
 def forced(cnf, blast_map, a):
     """The CNF with the assignment pinned by unit clauses."""
     pins = []
-    for name, bit, v in a.scalar_bits():
+    for name, bit, v in scalar_bits(a):
         var = blast_map.bits[name][bit]
         pins.append((var,) if v else (-var,))
     return Cnf(cnf.num_vars, [*cnf.all_clauses(), *pins])

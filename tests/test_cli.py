@@ -353,6 +353,39 @@ def test_out_dir_redirects_artifacts(tmp_path):
     assert not (tmp_path / "demo.report.json").exists()
 
 
+def test_a_single_file_run_makes_its_out_dir(tmp_path):
+    src = tmp_path / "demo.smt2"
+    src.write_text(FREE3)
+    out = tmp_path / "out" / "nested"
+    assert main([str(src), "--target-coverage", "0.5", "--lambda", "2",
+                 "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "demo.report.json", "demo.samples.smt2"]
+
+
+def test_a_suite_run_makes_its_out_dir(tmp_path):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "demo.smt2").write_text(FREE3)
+    (suite / "taut.smt2").write_text(TAUT)
+    out = tmp_path / "out"
+    assert main([str(suite), "--targets", "0.8", "--lambda", "2",
+                 "--out-dir", str(out)]) == 0
+    assert len((out / "suite_records.csv").read_text().splitlines()) == 3
+    assert (out / "taut.r0.8.samples.smt2").exists()
+    assert sorted(p.name for p in suite.iterdir()) == ["demo.smt2",
+                                                      "taut.smt2"]
+
+
+def test_an_out_dir_that_cannot_be_made_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "demo.smt2"
+    src.write_text(FREE3)
+    err = _usage_error(capsys, lambda: main(
+        [str(src), "--out-dir", str(src / "out")]))
+    assert "--out-dir: cannot create" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.smt2"]
+
+
 def test_record_csv_rendering():
     rec = BenchRecord("a.smt2", "QF_BV", "pansampler", 0.8, True, 3,
                       0.25, 0.875, "target")

@@ -6,8 +6,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pansampler"
-# Reference code that tests compare the package against.
-REFERENCE = {"oracle.py", "fuzz.py"}
 
 
 # A "module:Class.method" target, as perfbench's probes name what they wrap.
@@ -32,12 +30,16 @@ def _names_used(stmt: ast.stmt) -> set[str]:
     return out
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def test_every_public_definition_in_the_package_is_used_outside_tests():
     # src/ holds no helpers that only tests use: each public module-level
-    # function or class is named somewhere in src/, demos/ or perfbench/
-    # (not its tests), other than in its own definition.
+    # function or class, and each public method or property of a class,
+    # is named somewhere in src/, demos/ or perfbench/ (not its tests),
+    # other than in its own definition.
     used: set[str] = set()
-    defined: list[tuple[str, str]] = []
+    defined: list[tuple[str, str, str]] = []
     for path in sorted([*(ROOT / "src").rglob("*.py"),
                         *(ROOT / "demos").rglob("*.py"),
                         *(ROOT / "perfbench").rglob("*.py")]):
@@ -46,14 +48,18 @@ def test_every_public_definition_in_the_package_is_used_outside_tests():
         tree = ast.parse(path.read_text(), str(path))
         for stmt in tree.body:
             names = _names_used(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+            if isinstance(stmt, _DEFS):
                 names.discard(stmt.name)
-                if (path.parent == PACKAGE and path.name not in REFERENCE
-                        and not stmt.name.startswith("_")):
-                    defined.append((path.name, stmt.name))
+                if path.parent == PACKAGE and not stmt.name.startswith("_"):
+                    defined.append((path.name, stmt.name, stmt.name))
+            if isinstance(stmt, ast.ClassDef) and path.parent == PACKAGE:
+                for member in stmt.body:
+                    if (isinstance(member, _DEFS)
+                            and not member.name.startswith("_")):
+                        defined.append((path.name, member.name,
+                                        f"{stmt.name}.{member.name}"))
             used |= names
     assert defined
-    unused = [f"{file}: {name}" for file, name in defined
+    unused = [f"{file}: {label}" for file, name, label in defined
               if name not in used]
     assert unused == []

@@ -5,15 +5,15 @@ import random
 import pytest
 
 from pansampler.coverage import CoverState
-from pansampler.fuzz import random_cnf, random_formula
-from pansampler.oracle import (DomainCapError, OracleError, dpll,
+from pansampler.fuzz import random_formula
+from pansampler.oracle import (DomainCapError, OracleError,
                                enumerate_solutions, exact_coverage,
-                               exact_score, min_cover, slow_evaluate,
-                               slow_satisfies)
+                               slow_evaluate, slow_satisfies)
 from pansampler.parser import parse_formula
 from pansampler.values import Assignment, BvVal
 
-from helpers import cover
+from helpers import (assignment_key, cover, dpll, exact_score, min_cover,
+                     random_cnf)
 
 TAUT = "(declare-const x Bool)(assert (or x (not x)))"
 UNSAT = "(declare-const x Bool)(assert x)(assert (not x))"
@@ -75,7 +75,7 @@ def test_array_finitization_counts():
     rep = enumerate_solutions(f)
     # 4 index values x 4 defaults x 1 pinned cell x 4 fresh-cell values.
     assert len(rep.solutions) == 64
-    keys = {s.key() for s in rep.solutions}
+    keys = {assignment_key(s) for s in rep.solutions}
     assert len(keys) == 64
     for s in rep.solutions:
         assert s["a"].get(s["i"].as_int()) == 1
@@ -103,7 +103,7 @@ def test_blanket_overrides_pin_the_default():
     # Touched index plus the fresh one blanket the 1-bit domain, so the
     # default collapses to zero and representations stay unique.
     assert len(rep.solutions) == 4
-    assert len({s.key() for s in rep.solutions}) == 4
+    assert len({assignment_key(s) for s in rep.solutions}) == 4
     assert all(s["a"].default == 0 for s in rep.solutions)
 
 

@@ -8,7 +8,7 @@ import pytest
 from pansampler.fuzz import random_formula
 from pansampler.parser import (ParseError, SList, parse_file, parse_formula,
                                read_sexprs)
-from pansampler.printer import print_formula
+from pansampler.printer import parse_model_blocks, print_formula
 from pansampler.sorts import bv
 from pansampler.terms import Op
 
@@ -221,6 +221,12 @@ ERRORS = [
     ("(assert ;c (\n q)", "undeclared symbol q", 2, 2),
     ("(declare-const x (_ BitVec 4))\n(assert (bvadd x))",
      "bvadd needs at least 2 operands", 2, 9),
+    # Every operand's sort is checked before any width.
+    ("(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 2))"
+     "(declare-const b Bool)\n(assert (= (bvadd x y b) x))",
+     "expected bitvector, got sort Bool", 2, 12),
+    ("(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 2))"
+     "\n(assert (= (bvadd x y) x))", "bvadd: mixed widths 4 and 2", 2, 12),
 ]
 
 
@@ -268,6 +274,32 @@ def test_a_numeral_is_ascii_digits_only(text, message, line, col):
     with pytest.raises(ParseError) as e:
         parse_formula(text)
     assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+_MODEL = ("(model\n  (define-fun x () (_ BitVec 2) {x})\n"
+          "  (define-fun a () (Array (_ BitVec 2) Bool)\n"
+          "    (store ((as const (Array (_ BitVec 2) Bool)) false) {i} true))\n)")
+
+
+@pytest.mark.parametrize("x,i,message,line,col", [
+    ("#b1_0", "#b01", "bad binary literal #b1_0", 2, 33),
+    ("#b²", "#b01", "bad binary literal #b²", 2, 33),
+    ("#b111", "#b01", "#b111 is 3 bits wide, not 2", 2, 33),
+    ("#x1", "#b01", "#x1 is 4 bits wide, not 2", 2, 33),
+    ("#xg", "#b01", "bad hex literal #xg", 2, 33),
+    ("#b10", "#b0_1", "bad binary literal #b0_1", 4, 57),
+], ids=["underscore", "superscript", "too wide", "hex too wide", "bad hex",
+        "array index"])
+def test_a_model_reads_bitvector_literals_as_the_parser_does(x, i, message,
+                                                            line, col):
+    # int() alone reads '#b1_0' as 2, and raises a bare ValueError on '²'.
+    f = parse_formula("(declare-const x (_ BitVec 2))"
+                      "(declare-const a (Array (_ BitVec 2) Bool))")
+    with pytest.raises(ParseError) as e:
+        parse_model_blocks(_MODEL.format(x=x, i=i), f)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+    [a] = parse_model_blocks(_MODEL.format(x="#b10", i="#b01"), f)
+    assert (a["x"].value, a["a"].get(1)) == (2, 1)
 
 
 def test_a_byte_that_is_not_utf8_is_a_parse_error_at_its_position(tmp_path):

@@ -16,7 +16,7 @@ from pansampler.bitblast import Cnf, bit_blast
 from pansampler.coverage import CoverState, build_universe
 from pansampler.evaluate import Evaluator, satisfies
 from pansampler.fuzz import random_formula
-from pansampler.oracle import OracleError, dpll, enumerate_solutions
+from pansampler.oracle import OracleError, enumerate_solutions
 from pansampler.parser import parse_formula
 from pansampler.printer import print_formula, print_models
 from pansampler.sampler import (Candidate, DiversitySmtEngine,
@@ -26,7 +26,7 @@ from pansampler.sat import SolverConfig
 from pansampler.theory import Conflict, Consistent
 from pansampler.values import Assignment, BoolVal, BvVal
 
-from helpers import clauses_held, cover
+from helpers import assignment_key, clauses_held, cover, dpll, scalar_bits
 
 TAUT = "(declare-const x Bool)(assert (or x (not x)))"
 UNIQUE = "(declare-const m (_ BitVec 8))(assert (= m #x03))"
@@ -119,7 +119,7 @@ def _blasted_with(engine, deviation, projected):
              + [abs_.rewrite(l) for l in engine.lemmas] + [distinct])
     cnf, bmap = bit_blast(engine.f.table, abs_.formula.decls, terms)
     blocking = [tuple(-bmap.bits[name][bit] if v else bmap.bits[name][bit]
-                      for name, bit, v in p.scalar_bits() if name in bmap.bits)
+                      for name, bit, v in scalar_bits(p) if name in bmap.bits)
                 for p in projected]
     return Cnf(cnf.num_vars, cnf.clauses + tuple(blocking))
 
@@ -298,7 +298,7 @@ def test_blocking_clauses_are_prepared_once_per_prior_set(monkeypatch):
         if len(solutions) >= 2:
             bits = engine.blast()[1].bits
             blocking = [tuple(-bits[n][b] if v else bits[n][b]
-                              for n, b, v in p.scalar_bits())
+                              for n, b, v in scalar_bits(p))
                         for p in engine.project(solutions)]
             # One candidate and three deviation solves per prior set, and
             # a set that extends the last one prepares only its new
@@ -473,7 +473,7 @@ def test_trace_is_increasing_and_consistent():
     assert all(a < b for a, b in
                zip(res.coverage_star_trace, res.coverage_star_trace[1:]))
     assert res.coverage_star_trace[-1] == res.coverage["coverage_star"]
-    keys = [s.key() for s in res.solutions]
+    keys = [assignment_key(s) for s in res.solutions]
     assert len(keys) == len(set(keys))
     assert all(satisfies(f, s) for s in res.solutions)
     assert set(res.phase_times) == {"sampling", "evaluation", "optimization"}
@@ -486,7 +486,8 @@ def test_same_seed_reproduces_the_run():
     cfg = SamplerConfig(lam=3, seed=9)
     r1 = sample(f, cfg)
     r2 = sample(f, SamplerConfig(lam=3, seed=9))
-    assert [s.key() for s in r1.solutions] == [s.key() for s in r2.solutions]
+    assert list(map(assignment_key, r1.solutions)) == \
+        list(map(assignment_key, r2.solutions))
     assert r1.coverage_star_trace == r2.coverage_star_trace
     assert r1.reason == r2.reason
 
@@ -502,7 +503,7 @@ def test_every_mode_completes():
         assert res.reason in ("target", "stall"), mode
         assert res.solutions, mode
         assert all(satisfies(f, s) for s in res.solutions), mode
-        keys = [s.key() for s in res.solutions]
+        keys = [assignment_key(s) for s in res.solutions]
         assert len(keys) == len(set(keys)), mode
 
 
@@ -582,7 +583,8 @@ def test_no_refinement_mode_is_a_plain_greedy_loop():
                 break  # a single zero-gain candidate is the stall bound
             sols.append(cand.assignment)
             state.absorb(cand.slots)
-        assert [s.key() for s in res.solutions] == [s.key() for s in sols]
+        assert list(map(assignment_key, res.solutions)) == \
+            list(map(assignment_key, sols))
 
 
 def test_refinement_stops_once_the_time_budget_is_spent(monkeypatch):
@@ -630,18 +632,19 @@ def test_the_absorb_guard_checks_each_solution_afresh(monkeypatch):
 def test_each_returned_solution_is_evaluated_once(monkeypatch):
     # Lemma rounds evaluate terms for the theory check and the projection;
     # only the returned solutions, and the absorbed ones again, have the
-    # whole formula evaluated.
+    # whole formula evaluated: a fill over the universe's order.
     f = parse_formula(
         "(declare-const a (Array (_ BitVec 4) (_ BitVec 4)))"
         "(declare-const i (_ BitVec 4))(declare-const j (_ BitVec 4))"
         "(assert (= (select (store a i #x5) j) #x7))")
-    counts = {"fill": 0, "returned": 0, "conflicts": 0}
+    counts = {"returned": 0, "conflicts": 0}
+    orders = []
     real_fill = Evaluator.fill
     real_solve = DiversitySmtEngine.solve_once
     real_check = sampler.theory_check
 
     def fill(self, order):
-        counts["fill"] += 1
+        orders.append(order)
         return real_fill(self, order)
 
     def solve_once(self, prior, seed, deviation=None):
@@ -659,7 +662,8 @@ def test_each_returned_solution_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(sampler, "theory_check", theory_check)
     res = sample(f, SamplerConfig(lam=4, seed=1))
     assert counts["conflicts"] > 0 and len(res.solutions) > 1
-    assert counts["fill"] == counts["returned"] + len(res.solutions)
+    whole = sum(tuple(order) == res.universe.order for order in orders)
+    assert whole == counts["returned"] + len(res.solutions)
 
 
 # Squaring is hard on the cursor's index order: some solves meet conflicts.
@@ -680,8 +684,8 @@ def test_a_solve_over_its_conflict_budget_ends_the_run(monkeypatch):
     assert got.reason == "conflict_budget" and not got.achieved
     # The run kept what it had absorbed: the full run's first solutions.
     assert 0 < len(got.solutions) < len(full.solutions)
-    assert [s.key() for s in got.solutions] == \
-        [s.key() for s in full.solutions[:len(got.solutions)]]
+    assert [assignment_key(s) for s in got.solutions] == \
+        [assignment_key(s) for s in full.solutions[:len(got.solutions)]]
     assert got.coverage_star_trace == \
         full.coverage_star_trace[:len(got.solutions)]
 

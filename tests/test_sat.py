@@ -9,15 +9,13 @@ from typing import Sequence
 import pytest
 
 from pansampler.bitblast import BlastMap, Cnf, bit_blast
-from pansampler.fuzz import random_cnf
-from pansampler.oracle import dpll
 from pansampler.parser import parse_formula
 from pansampler.sat import (BitDistribution, CdclSolver, ConflictBudgetExceeded,
                             SolverConfig, _cleaned, _Kept, distribution_from,
                             joined, solve)
 from pansampler.values import Assignment, BoolVal, BvVal
 
-from helpers import clauses_held, parse_dimacs
+from helpers import clauses_held, dpll, parse_dimacs, random_cnf
 
 
 def pigeonhole(pigeons: int, holes: int) -> Cnf:
@@ -62,12 +60,9 @@ def test_conflict_budget_raises_instead_of_answering():
         solve(pigeonhole(6, 5), cfg=SolverConfig(conflict_budget=1))
 
 
-def test_restart_base_below_one_is_rejected():
-    # At 0 every solve would restart at level 0 forever.
-    for base in (0, -3):
-        with pytest.raises(ValueError, match="restart_base"):
-            SolverConfig(restart_base=base)
-    assert solve(pigeonhole(4, 3), cfg=SolverConfig(restart_base=1)) is None
+def test_a_restart_at_every_conflict_still_proves_unsat(monkeypatch):
+    monkeypatch.setattr("pansampler.sat._RESTART_BASE", 1)
+    assert solve(pigeonhole(4, 3)) is None
 
 
 def test_agrees_with_reference_solver():
@@ -215,7 +210,7 @@ def _edge_case_cnf(seed: int) -> Cnf:
     return Cnf(n, clauses)
 
 
-def test_snapshot_solver_matches_a_freshly_loaded_one():
+def test_snapshot_solver_matches_a_freshly_loaded_one(monkeypatch):
     unsat = sat = conflicts = 0
     for seed in range(80):
         rng = random.Random(seed)
@@ -226,8 +221,9 @@ def test_snapshot_solver_matches_a_freshly_loaded_one():
                                     for v in range(1, n + 1)
                                     if rng.random() < 0.7})
             cfg = SolverConfig(seed=rng.randrange(1 << 32),
-                               bias_p=rng.uniform(0.5, 1.0),
-                               restart_base=rng.choice((1, 4, 64)))
+                               bias_p=rng.uniform(0.5, 1.0))
+            monkeypatch.setattr("pansampler.sat._RESTART_BASE",
+                                rng.choice((1, 4, 64)))
             fresh = CdclSolver(Cnf(n, list(cnf.clauses)), dist, cfg)
             reused = CdclSolver(cnf, dist, cfg)
             got = reused.solve()
@@ -318,7 +314,7 @@ def _suffix(rng: random.Random, base: Cnf, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def test_an_extension_solves_like_its_clauses_loaded_flat():
+def test_an_extension_solves_like_its_clauses_loaded_flat(monkeypatch):
     unsat = sat = conflicts = 0
     for seed in range(80):
         rng = random.Random(seed)
@@ -337,8 +333,9 @@ def test_an_extension_solves_like_its_clauses_loaded_flat():
                                         for v in range(1, n + 1)
                                         if rng.random() < 0.7})
                 cfg = SolverConfig(seed=rng.randrange(1 << 32),
-                                   bias_p=rng.uniform(0.5, 1.0),
-                                   restart_base=rng.choice((1, 4, 64)))
+                                   bias_p=rng.uniform(0.5, 1.0))
+                monkeypatch.setattr("pansampler.sat._RESTART_BASE",
+                                    rng.choice((1, 4, 64)))
                 want = CdclSolver(Cnf(n, list(ext.all_clauses())), dist, cfg)
                 got = CdclSolver(ext, dist, cfg)
                 model = got.solve()
@@ -384,8 +381,9 @@ def test_a_joined_extension_solves_like_its_parts_loaded_flat(monkeypatch):
             assert ext.base is base and ext.num_vars == n
             assert ext.clauses == own.clauses + shared.clauses
             for run in range(2):
-                cfg = SolverConfig(seed=rng.randrange(1 << 32),
-                                   restart_base=rng.choice((1, 4, 64)))
+                cfg = SolverConfig(seed=rng.randrange(1 << 32))
+                monkeypatch.setattr("pansampler.sat._RESTART_BASE",
+                                    rng.choice((1, 4, 64)))
                 got = _solved(ext, cfg=cfg)
                 assert got == _solved_fresh(ext, cfg=cfg), (seed, run)
                 assert solve(ext, cfg=cfg) == got[0]
@@ -425,7 +423,7 @@ def test_an_extension_literal_beyond_num_vars_is_rejected():
     assert solve(Cnf(3, [(3,)], base=base)) == [False, False, True, True]
 
 
-def test_long_runs_of_solves_match_freshly_loaded_solvers():
+def test_long_runs_of_solves_match_freshly_loaded_solvers(monkeypatch):
     # One Cnf solved again and again, by itself and through extensions,
     # under random seeds, distributions, bias and restart bases: each
     # solve must give the model and conflict count of a solver that
@@ -451,8 +449,9 @@ def test_long_runs_of_solves_match_freshly_loaded_solvers():
                                     for v in range(1, cnf.num_vars + 1)
                                     if rng.random() < 0.7})
             cfg = SolverConfig(seed=rng.randrange(1 << 32),
-                               bias_p=rng.uniform(0.5, 1.0),
-                               restart_base=rng.choice((1, 4, 64)))
+                               bias_p=rng.uniform(0.5, 1.0))
+            monkeypatch.setattr("pansampler.sat._RESTART_BASE",
+                                rng.choice((1, 4, 64)))
             want = _solved_fresh(cnf, dist, cfg)
             if rng.random() < 0.5:
                 got = _solved(cnf, dist, cfg)
@@ -541,7 +540,7 @@ def _extensions(rng: random.Random, base: Cnf) -> list[Cnf]:
     return [proof, deviation, blocks, joined(deviation, blocks)]
 
 
-def test_the_live_kernel_solves_like_a_two_watched_literal_load():
+def test_the_live_kernel_solves_like_a_two_watched_literal_load(monkeypatch):
     # Random CNFs of 1- to 6-literal clauses, solved as bases and through
     # extensions that attach short and long clauses: each solve gives
     # the model and conflict count of a solver that watches every clause,
@@ -562,8 +561,9 @@ def test_the_live_kernel_solves_like_a_two_watched_literal_load():
                                     for v in range(1, cnf.num_vars + 1)
                                     if rng.random() < 0.7})
             cfg = SolverConfig(seed=rng.randrange(1 << 32),
-                               bias_p=rng.uniform(0.5, 1.0),
-                               restart_base=rng.choice((1, 4, 64)))
+                               bias_p=rng.uniform(0.5, 1.0))
+            monkeypatch.setattr("pansampler.sat._RESTART_BASE",
+                                rng.choice((1, 4, 64)))
             want = _solved_watched(cnf, dist, cfg)
             assert _solved(cnf, dist, cfg) == want, (seed, step)
             model, conflicts = want
@@ -650,9 +650,10 @@ class ReasonChecked(CdclSolver):
         return conflict
 
 
-def test_every_literal_a_replay_implies_has_a_reason_that_holds_it():
+def test_every_literal_a_replay_implies_has_a_reason_that_holds_it(monkeypatch):
     # Random 3-SAT at the threshold: most solves meet a conflict on the
     # live state and replay, and the replay's analysis reads the reasons.
+    monkeypatch.setattr("pansampler.sat._RESTART_BASE", 8)
     replays = checks = 0
     for seed in range(40):
         rng = random.Random(seed)
@@ -660,7 +661,7 @@ def test_every_literal_a_replay_implies_has_a_reason_that_holds_it():
         for run in range(6):
             dist = BitDistribution({v: (rng.randrange(3), rng.randrange(3))
                                     for v in range(1, 41)})
-            cfg = SolverConfig(seed=rng.randrange(1 << 32), restart_base=8)
+            cfg = SolverConfig(seed=rng.randrange(1 << 32))
             solver = ReasonChecked(cnf, dist, cfg)
             solver.solve()
             replays += solver._replayed
@@ -701,19 +702,19 @@ def test_the_vsids_heap_takes_over_from_the_cursor_at_the_first_conflict():
     assert model == [False] * 9 and solver.conflicts == 1
 
 
-def test_search_is_pinned_on_random_3sat():
+def test_search_is_pinned_on_random_3sat(monkeypatch):
     # Random 3-SAT at the threshold: 1116 conflicts over 40 instances.
     # The digest covers every model and conflict count, so any change to
     # the watch order, propagation order, learning, restarts or phase
     # choice shows here, not only a change of satisfiability.
+    monkeypatch.setattr("pansampler.sat._RESTART_BASE", 8)
     h = hashlib.sha256()
     conflicts = unsat = 0
     for seed in range(40):
         rng = random.Random(seed)
         dist = BitDistribution({v: (rng.randrange(3), rng.randrange(3))
                                 for v in range(1, 41)})
-        s = CdclSolver(_three_sat(seed), dist,
-                       SolverConfig(seed=seed, restart_base=8))
+        s = CdclSolver(_three_sat(seed), dist, SolverConfig(seed=seed))
         model = s.solve()
         conflicts += s.conflicts
         unsat += model is None
