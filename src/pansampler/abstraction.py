@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .evaluate import Evaluator
 from .sorts import BOOL, Sort
 from .terms import Formula, Op
-from .values import ArrayVal, Assignment, FunVal
+from .values import Assignment
 
 
 @dataclass
@@ -164,24 +164,3 @@ def project_assignment(abs_: Abstraction, assignment: Assignment) -> Assignment:
             out.set(name, ctx[name])
     return out
 
-
-def complete_assignment(abs_: Abstraction, projected: Assignment,
-                        array_values: dict[str, ArrayVal],
-                        fun_values: dict[str, FunVal]) -> Assignment:
-    """Assemble a full assignment of the base formula from a projected
-    model plus theory witnesses. Fresh variables are dropped."""
-    out = Assignment()
-    for name, sort in abs_.base.decls.items():
-        if sort.is_array:
-            got = array_values.get(name)
-            if got is None:
-                got = ArrayVal(sort.index, sort.element)
-            out.set(name, got)
-        elif sort.is_fun:
-            gotf = fun_values.get(name)
-            if gotf is None:
-                gotf = FunVal(sort.args, sort.ret)
-            out.set(name, gotf)
-        else:
-            out.set(name, projected[name])
-    return out

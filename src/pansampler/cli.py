@@ -175,16 +175,18 @@ def _out_path(path: Path, out_dir: str, suffix: str) -> Path:
 def _oracle_report(f: Formula, result: SampleResult) -> dict:
     try:
         rep = enumerate_solutions(f)
+        return {
+            "num_solutions_exhaustive": len(rep.solutions),
+            "valid_bits": rep.valid_bits,
+            "total_ast_bits": rep.universe.num_ast_bits,
+            "all_samples_valid": all(slow_satisfies(f, a)
+                                     for a in result.solutions),
+            "exact_coverage": exact_coverage(rep, result.solutions),
+        }
     except OracleError as e:
         return {"error": str(e)}
-    ok = all(slow_satisfies(f, a) for a in result.solutions)
-    return {
-        "num_solutions_exhaustive": len(rep.solutions),
-        "valid_bits": rep.valid_bits,
-        "total_ast_bits": rep.universe.num_ast_bits,
-        "all_samples_valid": ok,
-        "exact_coverage": exact_coverage(rep, result.solutions),
-    }
+    except RecursionError:  # the reference evaluator recurses per term level
+        return {"error": "formula too deep for the reference evaluator"}
 
 
 def _reachability(f: Formula, result: SampleResult) -> dict:
@@ -240,6 +242,8 @@ def run_file(path: str | Path, cfg: SamplerConfig, out_dir: str = "",
         print(f"{path}: {e}", file=sys.stderr)
         return failed("error")
     parse_time = time.perf_counter() - parse_start
+    for w in f.warnings:
+        print(f"{path}:{w.line}:{w.col}: warning: {w.message}", file=sys.stderr)
     logic = infer_logic(f)
 
     if emit_dimacs:

@@ -154,7 +154,6 @@ class DiversitySmtEngine:
     def __init__(self, f: Formula, cfg: SamplerConfig | None = None) -> None:
         self.f = f
         self.cfg = cfg or SamplerConfig()
-        self.blocking = self.cfg.mode is Mode.ALT1
         self.universe = build_universe(f)
         self.abs: Abstraction = abstract_formula(f)
         self.lemmas: list[int] = []
@@ -256,7 +255,7 @@ class DiversitySmtEngine:
         while True:
             cnf, bmap = self.blast(deviation)
             priors = self._priors_under(prior_projected, bmap)
-            if self.blocking:
+            if self.cfg.mode is Mode.ALT1:
                 dist = BitDistribution()
                 if prior_projected:
                     cnf = priors.blocked(cnf)
@@ -417,7 +416,7 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
                 seed = master.randrange(1 << 32)
                 cand = engine.solve_once(solutions, seed)
                 if cand is None:
-                    if engine.blocking and solutions:
+                    if cfg.mode is Mode.ALT1 and solutions:
                         break  # blocked out: every solution already sampled
                     raise FormulaUnsatError("formula has no solution")
                 candidates.append(cand)

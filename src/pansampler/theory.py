@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abstraction import Abstraction, complete_assignment
+from .abstraction import Abstraction
 from .evaluate import Evaluator
 from .terms import Formula, Op, TermTable
 from .values import ArrayVal, Assignment, FunVal
@@ -41,24 +41,23 @@ class _Read:
     conds: tuple[int, ...]
 
 
-class _Walk:
-    """Store-chain walk outcome at one concrete index value."""
-
-    __slots__ = ("kind", "passed", "hit_idx", "hit_val", "base")
-
-    def __init__(self, kind: str, passed: list[tuple[int, int]],
-                 hit_idx: int = -1, hit_val: int = -1, base: str = "") -> None:
-        self.kind = kind  # "hit" | "base"
-        self.passed = passed  # (store index term, store value term) missed
-        self.hit_idx = hit_idx
-        self.hit_val = hit_val
-        self.base = base
+def _chain(table: TermTable, array_term: int
+           ) -> tuple[list[tuple[int, int]], str]:
+    """A store chain's (index term, value term) pairs, outermost first,
+    and the name of the array variable under it."""
+    stores = []
+    term = table[array_term]
+    while term.op is Op.STORE:
+        stores.append((term.children[1], term.children[2]))
+        term = table[term.children[0]]
+    if term.op is not Op.VAR:
+        raise AssertionError("array chain holds a non-store, non-var node")
+    return stores, term.name
 
 
 class _TheoryState:
     def __init__(self, f: Formula, abs_: Abstraction,
                  assignment: Assignment) -> None:
-        self.f = f
         self.abs = abs_
         self.a = assignment
         self.table: TermTable = f.table
@@ -83,35 +82,30 @@ class _TheoryState:
             raise AssertionError("conflict lemma holds under the candidate")
         return lemma
 
-    def walk(self, array_term: int, d: int) -> _Walk:
-        passed: list[tuple[int, int]] = []
-        cur = array_term
-        while True:
-            term = self.table[cur]
-            if term.op is Op.STORE:
-                idx_t, val_t = term.children[1], term.children[2]
-                if self.ev.value(idx_t).as_int() == d:
-                    return _Walk("hit", passed, hit_idx=idx_t, hit_val=val_t)
-                passed.append((idx_t, val_t))
-                cur = term.children[0]
-            elif term.op is Op.VAR:
-                return _Walk("base", passed, base=term.name)
-            else:
-                raise AssertionError("array chain holds a non-store, non-var node")
+    def walk(self, array_term: int, d: int
+             ) -> tuple[list[tuple[int, int]], tuple[int, int] | None, str]:
+        """A read at index value d: the stores it passes, the store it
+        hits or None, and the chain's base array."""
+        stores, base = _chain(self.table, array_term)
+        for k, (idx_t, _) in enumerate(stores):
+            if self.ev.value(idx_t).as_int() == d:
+                return stores[:k], stores[k], base
+        return stores, None, base
 
     def determined(self, array_term: int, d: int) -> _Read | None:
         """The justified cell this chain reads at index value d, or None
         when it bottoms out in an unconstrained base cell."""
         t = self.table
-        w = self.walk(array_term, d)
-        if w.kind == "hit":
-            conds = tuple(t.mk_distinct(w.hit_idx, it) for it, _ in w.passed)
-            return _Read(self.ev.value(w.hit_val).as_int(), w.hit_val,
-                         w.hit_idx, conds)
-        rec = self.base_reads.get(w.base, {}).get(d)
+        passed, hit, base = self.walk(array_term, d)
+        if hit is not None:
+            hit_idx, hit_val = hit
+            conds = tuple(t.mk_distinct(hit_idx, it) for it, _ in passed)
+            return _Read(self.ev.value(hit_val).as_int(), hit_val, hit_idx,
+                         conds)
+        rec = self.base_reads.get(base, {}).get(d)
         if rec is None:
             return None
-        conds = tuple(t.mk_distinct(rec.idx_term, it) for it, _ in w.passed)
+        conds = tuple(t.mk_distinct(rec.idx_term, it) for it, _ in passed)
         return _Read(rec.value, rec.vterm, rec.idx_term, conds + rec.conds)
 
 
@@ -130,12 +124,7 @@ def _touched_indices(st: _TheoryState) -> list[int]:
 
 
 def _store_index_values(st: _TheoryState, array_term: int) -> list[int]:
-    vals = []
-    cur = array_term
-    while st.table[cur].op is Op.STORE:
-        vals.append(st.ev.value(st.table[cur].children[1]).as_int())
-        cur = st.table[cur].children[0]
-    return vals
+    return [st.ev.value(it).as_int() for it, _ in _chain(st.table, array_term)[0]]
 
 
 def _check_selects(st: _TheoryState) -> int | None:
@@ -147,17 +136,17 @@ def _check_selects(st: _TheoryState) -> int | None:
         arr, idx_t = term.children
         d = st.ev.value(idx_t).as_int()
         result = st.atom_value(name)
-        w = st.walk(arr, d)
-        if w.kind == "hit":
-            want = st.ev.value(w.hit_val).as_int()
-            if want != result:
-                ante = [t.mk_distinct(idx_t, it) for it, _ in w.passed]
-                ante.append(t.mk_eq(idx_t, w.hit_idx))
+        passed, hit, base = st.walk(arr, d)
+        if hit is not None:
+            hit_idx, hit_val = hit
+            if st.ev.value(hit_val).as_int() != result:
+                ante = [t.mk_distinct(idx_t, it) for it, _ in passed]
+                ante.append(t.mk_eq(idx_t, hit_idx))
                 return st.refuted(t.mk_implies(t.mk_and(*ante),
-                                               t.mk_eq(atom, w.hit_val)))
+                                               t.mk_eq(atom, hit_val)))
             continue
-        conds = tuple(t.mk_distinct(idx_t, it) for it, _ in w.passed)
-        cell = st.base_reads.setdefault(w.base, {})
+        conds = tuple(t.mk_distinct(idx_t, it) for it, _ in passed)
+        cell = st.base_reads.setdefault(base, {})
         rec = cell.get(d)
         if rec is None:
             cell[d] = _Read(result, atom, idx_t, conds)
@@ -189,14 +178,14 @@ def _check_equalities(st: _TheoryState, touched: list[int]) -> int | None:
                             t.mk_and(*ante), t.mk_eq(dl.vterm, dr.vterm)))
                 elif dl is not None or dr is not None:
                     src, dst = (dl, rhs) if dl is not None else (dr, lhs)
-                    wd = st.walk(dst, d)
-                    if wd.kind != "base":
+                    passed, hit, base = st.walk(dst, d)
+                    if hit is not None:
                         raise AssertionError("undetermined read hit a store")
                     conds = ((atom,)
                              + tuple(t.mk_distinct(src.idx_term, it)
-                                     for it, _ in wd.passed)
+                                     for it, _ in passed)
                              + src.conds)
-                    st.base_reads.setdefault(wd.base, {})[d] = _Read(
+                    st.base_reads.setdefault(base, {})[d] = _Read(
                         src.value, src.vterm, src.idx_term, conds)
                     changed = True
     # Disequalities need a differing cell, or a fresh witness index.
@@ -226,17 +215,6 @@ def _check_equalities(st: _TheoryState, touched: list[int]) -> int | None:
     return None
 
 
-def _array_values(st: _TheoryState) -> dict[str, ArrayVal]:
-    out: dict[str, ArrayVal] = {}
-    for name, sort in st.f.decls.items():
-        if not sort.is_array:
-            continue
-        cells = st.base_reads.get(name, {})
-        out[name] = ArrayVal.make(sort.index, sort.element, 0,
-                                  {d: r.value for d, r in cells.items()})
-    return out
-
-
 # -- uninterpreted functions -------------------------------------------
 
 
@@ -264,23 +242,15 @@ def _check_applies(st: _TheoryState) -> int | None:
     return None
 
 
-def _fun_values(st: _TheoryState) -> dict[str, FunVal]:
-    out: dict[str, FunVal] = {}
-    for name, sort in st.f.decls.items():
-        if sort.is_fun:
-            out[name] = FunVal.make(sort.args, sort.ret, 0,
-                                    st.fun_tables.get(name, {}))
-    return out
-
-
 # -- entry point --------------------------------------------------------
 
 
 def theory_check(f: Formula, abs_: Abstraction,
                  assignment: Assignment) -> TheoryVerdict:
     """Arrays first, then functions; Consistent means both passed and the
-    returned assignment satisfies every assertion of f. A Conflict holds
-    the first lemma the candidate violates."""
+    returned assignment, which binds f's symbols in declaration order,
+    satisfies every assertion of f. A Conflict holds the first lemma the
+    candidate violates."""
     st = _TheoryState(f, abs_, assignment)
     lemma = _check_selects(st)
     if lemma is None:
@@ -289,8 +259,18 @@ def theory_check(f: Formula, abs_: Abstraction,
         lemma = _check_applies(st)
     if lemma is not None:
         return Conflict([lemma])
-    return Consistent(complete_assignment(abs_, assignment,
-                                          _array_values(st), _fun_values(st)))
+    model = Assignment()
+    for name, sort in f.decls.items():
+        if sort.is_array:
+            cells = st.base_reads.get(name, {})
+            model.set(name, ArrayVal.make(sort.index, sort.element, 0,
+                                          {d: r.value for d, r in cells.items()}))
+        elif sort.is_fun:
+            model.set(name, FunVal.make(sort.args, sort.ret, 0,
+                                        st.fun_tables.get(name, {})))
+        else:
+            model.set(name, assignment[name])
+    return Consistent(model)
 
 
 def axiom_instance_bound(f: Formula, abs_: Abstraction) -> int:
@@ -307,17 +287,13 @@ def axiom_instance_bound(f: Formula, abs_: Abstraction) -> int:
     depth = 1
     index_terms: set[int] = set()
     for _, atom in abs_.select_atoms() + abs_.array_eq_atoms():
-        term = t[atom]
-        arrays = [term.children[0]] if term.op is Op.SELECT else list(term.children)
-        if term.op is Op.SELECT:
-            index_terms.add(term.children[1])
-        for cur in arrays:
-            k = 0
-            while t[cur].op is Op.STORE:
-                index_terms.add(t[cur].children[1])
-                k += 1
-                cur = t[cur].children[0]
-            depth = max(depth, k)
+        for c in t[atom].children:
+            if t.sort_of(c).is_array:
+                stores, _ = _chain(t, c)
+                index_terms.update(it for it, _ in stores)
+                depth = max(depth, len(stores))
+            else:  # a select's index
+                index_terms.add(c)
     s = s0 + 2 * e
     touched = len(index_terms) + e
     uf_pairs = 0

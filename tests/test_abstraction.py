@@ -1,12 +1,11 @@
 """Purification of theory atoms into fresh tracked variables."""
 
-from pansampler.abstraction import (abstract_formula, complete_assignment,
-                                    project_assignment)
+from pansampler.abstraction import abstract_formula, project_assignment
 from pansampler.evaluate import satisfies
 from pansampler.parser import parse_formula
 from pansampler.sorts import bv
 from pansampler.terms import Op
-from pansampler.values import ArrayVal, Assignment, BoolVal, BvVal, FunVal
+from pansampler.values import ArrayVal, Assignment, BoolVal, BvVal
 
 
 def test_pure_bitvector_formula_passes_through():
@@ -165,35 +164,3 @@ def test_fresh_witness_is_created_once():
     assert w1 == w2
     assert abs_.formula.decls[w1] == bv(2)
 
-
-def test_complete_restores_scalars_and_fills_theory_values():
-    f = parse_formula(
-        "(declare-const a (Array (_ BitVec 2) (_ BitVec 4)))"
-        "(declare-fun g ((_ BitVec 2)) (_ BitVec 2))"
-        "(declare-const i (_ BitVec 2))"
-        "(assert (= (select a i) #x9))"
-        "(assert (= (g i) #b01))")
-    abs_ = abstract_formula(f)
-    proj = Assignment({
-        "i": BvVal(2, 3),
-        "sel!0": BvVal(4, 9),
-        "uf!0": BvVal(2, 1),
-    })
-    arrays = {"a": ArrayVal.make(bv(2), bv(4), 0, {3: 9})}
-    funs = {"g": FunVal.make((bv(2),), bv(2), 0, {(3,): 1})}
-    full = complete_assignment(abs_, proj, arrays, funs)
-    assert full["i"] == BvVal(2, 3)
-    assert full["a"].get(3) == 9
-    assert full["g"].get((3,)) == 1
-    assert "sel!0" not in full
-    assert satisfies(f, full)
-
-
-def test_complete_defaults_missing_theory_values():
-    f = parse_formula(
-        "(declare-const a (Array (_ BitVec 2) (_ BitVec 4)))"
-        "(declare-const i (_ BitVec 2))"
-        "(assert (= i i))")
-    abs_ = abstract_formula(f)
-    full = complete_assignment(abs_, Assignment({"i": BvVal(2, 0)}), {}, {})
-    assert full["a"].get(2) == 0

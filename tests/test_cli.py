@@ -301,6 +301,50 @@ def test_oracle_check_annotates_the_report(tmp_path):
     assert "error" in chk
 
 
+def test_oracle_check_reports_a_formula_too_deep_for_the_reference(tmp_path,
+                                                                     capsys):
+    # The reference evaluator recurses per term level; at depth 600 it
+    # runs out of stack, while sampling itself does not.
+    chain = "x"
+    for _ in range(600):
+        chain = f"(bvadd {chain} #x01)"
+    src = tmp_path / "deep.smt2"
+    src.write_text(f"(declare-const x (_ BitVec 8))(assert (= {chain} #x05))\n")
+    assert main([str(src), "--max-solutions", "1", "--oracle-check"]) == 6
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "deep.samples.smt2").read_text()
+    report = json.loads((tmp_path / "deep.report.json").read_text())
+    assert report["reason"] == "max_solutions"
+    assert "error" in report["oracle_check"]
+
+
+def test_ignored_commands_are_warned_about_on_stderr(tmp_path, capsys):
+    body = "(declare-const x (_ BitVec 3))\n(assert (bvule x #b101))\n"
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "warned").mkdir()
+    plain = tmp_path / "plain" / "w.smt2"
+    warned = tmp_path / "warned" / "w.smt2"
+    plain.write_text(body)
+    warned.write_text("(set-info :status sat)\n" + body + "(get-model)\n")
+    runs = []
+    for path in (plain, warned):
+        code = main([str(path), "--lambda", "2", "--deterministic-timing"])
+        runs.append((code, capsys.readouterr()))
+    (plain_code, plain_out), (code, out) = runs
+    assert plain_out.err == ""
+    assert out.err.splitlines() == [
+        f"{warned}:1:1: warning: ignored command set-info",
+        f"{warned}:4:1: warning: ignored command get-model",
+    ]
+    # Nothing else changes: the exit code, stdout and the artifacts.
+    assert code == plain_code
+    assert out.out == plain_out.out.replace(str(plain), str(warned))
+    for suffix in (".samples.smt2", ".report.json"):
+        got = (tmp_path / "warned" / ("w" + suffix)).read_text()
+        want = (tmp_path / "plain" / ("w" + suffix)).read_text()
+        assert got == want.replace(str(plain), str(warned))
+
+
 def test_deterministic_timing_zeroes_every_clock(tmp_path):
     src = tmp_path / "demo.smt2"
     src.write_text(FREE3)

@@ -142,17 +142,18 @@ def _check_deviation_solves(monkeypatch, engine, prior, deviation):
                 for name, sort in engine.abs.formula.decls.items()
                 if sort.is_bool or sort.is_bv for b in range(sort.num_bits)]
         want = _blasted_with(engine, deviation,
-                             projected if engine.blocking else [])
+                             projected if engine.cfg.mode is Mode.ALT1
+                             else [])
         assert _models(cnf, bits) == _models(want, bits)
         return real(cnf, dist, cfg)
 
     monkeypatch.setattr(sampler, "sat_solve", checked)
-    for blocking in (False, True):
-        engine.blocking = blocking
+    for mode in (Mode.PANSAMPLER, Mode.ALT1):
+        engine.cfg.mode = mode
         res = engine.solve_once(prior, seed=7, deviation=deviation)
         got.append(res and res.assignment)
     monkeypatch.setattr(sampler, "sat_solve", real)
-    engine.blocking = False
+    engine.cfg.mode = Mode.PANSAMPLER
     return got, bases
 
 

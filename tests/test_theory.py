@@ -191,6 +191,45 @@ def test_congruent_applications_build_one_table():
     assert g.get((1,)) == 3 and g.get((2,)) == 3
 
 
+def test_consistent_model_restores_scalars_and_fills_theory_values():
+    decls = ["(declare-const a (Array (_ BitVec 2) (_ BitVec 4)))",
+             "(declare-fun g ((_ BitVec 2)) (_ BitVec 2))",
+             "(declare-const i (_ BitVec 2))"]
+    # Both declaration orders: a report lists a solution's symbols in the
+    # order the model binds them, which is f's declaration order.
+    for order in (decls, decls[::-1]):
+        f = parse_formula("".join(order)
+                          + "(assert (= (select a i) #x9))"
+                            "(assert (= (g i) #b01))")
+        abs_ = abstract_formula(f)
+        cand = Assignment({
+            "i": BvVal(2, 3),
+            "sel!0": BvVal(4, 9),
+            "uf!0": BvVal(2, 1),
+        })
+        verdict = theory_check(f, abs_, cand)
+        assert isinstance(verdict, Consistent)
+        full = verdict.assignment
+        assert full["i"] == BvVal(2, 3)
+        assert full["a"].get(3) == 9
+        assert full["g"].get((3,)) == 1
+        assert "sel!0" not in full
+        assert satisfies(f, full)
+        assert list(full.bindings) == list(f.decls)
+    assert list(full.bindings) == ["i", "g", "a"]
+
+
+def test_consistent_model_defaults_untouched_theory_values():
+    f = parse_formula(
+        "(declare-const a (Array (_ BitVec 2) (_ BitVec 4)))"
+        "(declare-const i (_ BitVec 2))"
+        "(assert (= i i))")
+    abs_ = abstract_formula(f)
+    verdict = theory_check(f, abs_, Assignment({"i": BvVal(2, 0)}))
+    assert isinstance(verdict, Consistent)
+    assert verdict.assignment["a"].get(2) == 0
+
+
 def test_a_check_reports_only_the_first_lemma():
     # Both row lemmas are violated; the check stops at the first.
     f = parse_formula(
