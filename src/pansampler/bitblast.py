@@ -4,11 +4,6 @@ Variable numbering is deterministic: every declared Bool/BitVec variable
 gets SAT variables first (declaration order, LSB first), then gate
 variables in encoding order. Constant bits share one lazily allocated
 TRUE variable pinned by a unit clause.
-
-A blast keeps its encoding state (the gate of every encoded term and the
-TRUE variable) on the Cnf it returns, so that a Blaster made from it
-can encode more terms on top of it, numbered as one blast of everything
-would number them, for an extension of that Cnf.
 """
 
 from __future__ import annotations
@@ -29,13 +24,11 @@ class Cnf:
     An extension (base set) holds only its own clauses and stands for
     its base's clauses followed by them; sat.CdclSolver attaches just
     those to the base's solver state. A base is never itself an
-    extension, and has no more variables than its extensions."""
+    extension, and has its extensions' variables."""
 
     num_vars: int = 0
     clauses: tuple[tuple[int, ...], ...] = ()  # made from any sequence
     base: Cnf | None = field(default=None, repr=False)
-    # Set by bit_blast: the encoding state behind these clauses.
-    encoding: _Encoding | None = field(default=None, compare=False, repr=False)
     # Set by sat.CdclSolver on the Cnf's first solve: its own clauses,
     # prepared once for that solve and every later one and replay, and,
     # for a base, its live solver state between solves. The one field
@@ -46,9 +39,9 @@ class Cnf:
         object.__setattr__(self, "clauses", tuple(self.clauses))
         base = self.base
         if base is not None and (base.base is not None
-                                 or base.num_vars > self.num_vars):
-            raise ValueError("a base must be a Cnf of its own with no more "
-                             "variables than its extension")
+                                 or base.num_vars != self.num_vars):
+            raise ValueError("a base must be a Cnf of its own over its "
+                             "extension's variables")
 
     def all_clauses(self) -> Iterable[tuple[int, ...]]:
         """The base's clauses, if any, followed by the Cnf's own."""
@@ -59,9 +52,11 @@ class Cnf:
 
 @dataclass
 class BlastMap:
-    """Each tracked name's SAT variables, LSB first (one for a Bool)."""
+    """Each tracked name's SAT variables, LSB first (one for a Bool), and
+    each encoded term's literal (Bool) or literals, LSB first (bitvector)."""
 
     bits: dict[str, list[int]] = field(default_factory=dict)
+    terms: dict[int, object] = field(default_factory=dict)
 
     def literals(self, a: Assignment) -> list[int]:
         """The literal that each tracked bit a binds makes true (the bit's
@@ -77,39 +72,17 @@ class BlastMap:
         return out
 
 
-@dataclass
-class _Encoding:
-    """What a Blaster needs to go on where an earlier blast stopped."""
-
-    map: BlastMap
-    memo: dict[int, object]
-    true: int | None
-
-
 class BlastError(Exception):
     pass
 
 
 class Blaster:
-    def __init__(self, table: TermTable, base: Cnf | None = None) -> None:
-        """An empty blaster, or one that goes on from a bit_blast result:
-        its variables, tracked bits and term gates. Either way, clauses
-        holds only the clauses this blaster adds."""
+    def __init__(self, table: TermTable) -> None:
         self.table = table
         self.clauses: list[tuple[int, ...]] = []
-        if base is None:
-            self.num_vars = 0
-            self.map = BlastMap()
-            self._memo: dict[int, object] = {}  # term id -> lit or list of lits
-            self._true: int | None = None
-            return
-        enc = base.encoding
-        if enc is None:
-            raise BlastError("the base CNF was not produced by bit_blast")
-        self.num_vars = base.num_vars
-        self.map = enc.map
-        self._memo = dict(enc.memo)  # the base's own memo stays as it is
-        self._true = enc.true
+        self.num_vars = 0
+        self.map = BlastMap()
+        self._true: int | None = None
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -287,7 +260,7 @@ class Blaster:
         encoded in full before the next, and the memo is checked on every
         visit, so gates and the TRUE variable are allocated in the order
         of a recursive descent."""
-        memo = self._memo
+        memo = self.map.terms
         stack = [(term_id, False)]
         while stack:
             tid, ready = stack.pop()
@@ -393,8 +366,12 @@ class Blaster:
 
 
 def bit_blast(table: TermTable, decls: dict[str, Sort],
-              assertions: list[int]) -> tuple[Cnf, BlastMap]:
-    """Blast assertions over the given tracked variables.
+              assertions: list[int], terms: Iterable[int] = ()
+              ) -> tuple[Cnf, BlastMap]:
+    """Blast assertions over the given tracked variables, then encode
+    terms without asserting them: their gates are numbered after every
+    variable the assertions have, so the clauses without terms are a
+    prefix of the clauses with them.
 
     All declared Bool/BitVec variables are allocated up front so tracked
     bits map to SAT variables even when unconstrained."""
@@ -403,9 +380,9 @@ def bit_blast(table: TermTable, decls: dict[str, Sort],
         blaster.declare(name, sort)
     for a in assertions:
         blaster.assert_term(a)
-    cnf = Cnf(blaster.num_vars, blaster.clauses,
-              encoding=_Encoding(blaster.map, blaster._memo, blaster._true))
-    return cnf, blaster.map
+    for t in terms:
+        blaster.enc(t)
+    return Cnf(blaster.num_vars, blaster.clauses), blaster.map
 
 
 def to_dimacs(cnf: Cnf) -> str:

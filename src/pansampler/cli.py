@@ -172,9 +172,9 @@ def _out_path(path: Path, out_dir: str, suffix: str) -> Path:
     return base / (path.stem + suffix)
 
 
-def _oracle_report(f: Formula, result: SampleResult) -> dict:
+def _oracle_report(f: Formula, result: SampleResult, deadline: float) -> dict:
     try:
-        rep = enumerate_solutions(f)
+        rep = enumerate_solutions(f, deadline=deadline)
         return {
             "num_solutions_exhaustive": len(rep.solutions),
             "valid_bits": rep.valid_bits,
@@ -301,7 +301,8 @@ def run_file(path: str | Path, cfg: SamplerConfig, out_dir: str = "",
             "solutions": [a.to_json_obj() for a in samples],
         }
         if oracle_check:
-            report["oracle_check"] = _oracle_report(f, result)
+            report["oracle_check"] = _oracle_report(
+                f, result, parse_start + cfg.time_budget)
 
     _out_path(path, out_dir, artifact_tag + ".samples.smt2").write_text(
         print_models(f, samples))

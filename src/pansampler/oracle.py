@@ -10,6 +10,7 @@ samples through them, and tests treat them as ground truth.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
 from .coverage import AstBitUniverse, build_universe
@@ -295,8 +296,10 @@ def _space(sort: Sort) -> int:
     return 1 << sort.num_bits
 
 
-def enumerate_solutions(f: Formula, domain_bit_cap: int = 20) -> EnumerationReport:
-    """Every solution of f over the finitized domain.
+def enumerate_solutions(f: Formula, domain_bit_cap: int = 20,
+                        deadline: float = float("inf")) -> EnumerationReport:
+    """Every solution of f over the finitized domain, or OracleError once
+    time.perf_counter() passes deadline (read every 256 combinations).
 
     Scalars range over their full domains. Arrays take a default plus
     overrides at the values of syntactically occurring index terms and
@@ -326,6 +329,7 @@ def enumerate_solutions(f: Formula, domain_bit_cap: int = 20) -> EnumerationRepo
     universe = build_universe(f)
     solutions: list[Assignment] = []
     cover_sets: list[int] = []
+    tried = itertools.count()
 
     names = [n for n, _ in scalars]
     domains = [_scalar_domain(s) for _, s in scalars]
@@ -345,6 +349,8 @@ def enumerate_solutions(f: Formula, domain_bit_cap: int = 20) -> EnumerationRepo
                     for name, sort in funs]
 
         for theory_combo in itertools.product(*array_opts, *fun_opts):
+            if not next(tried) % 256 and time.perf_counter() > deadline:
+                raise OracleError("enumeration ran past the time budget")
             a = base.copy()
             for (name, _), val in zip(arrays + funs, theory_combo):
                 a.set(name, val)

@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .abstraction import Abstraction, abstract_formula, project_assignment
-from .bitblast import BlastMap, Blaster, Cnf, bit_blast
+from .bitblast import BlastMap, Cnf, bit_blast
 from .coverage import (AstBitUniverse, CoverState, build_universe, cover_set,
                        manhattan_score)
 from .evaluate import Evaluator, assertions_hold, satisfies
@@ -160,10 +160,12 @@ class DiversitySmtEngine:
         self._lemma_set: set[int] = set()
         self.lemma_bound = axiom_instance_bound(f, self.abs)
         self.lemma_rounds = 0
-        # The base CNF and blast map for the lemma and declaration counts
-        # in _base_key.
+        # The abstracted images that a proof asked for and no base had,
+        # and the base CNF and blast map for the lemma, declaration and
+        # asked image counts in _base_key.
+        self.asked: list[int] = []
         self._base: tuple[Cnf, BlastMap] | None = None
-        self._base_key: tuple[int, int] | None = None
+        self._base_key: tuple[int, int, int] | None = None
         # The last solutions projected, by id, each with its projection,
         # for the atom count in _projected_atoms.
         self._projections: dict[int, tuple[Assignment, Assignment]] = {}
@@ -184,11 +186,12 @@ class DiversitySmtEngine:
         where the blast makes a new gate (fixed at level 0), the same
         unit propagation."""
         decls = self.abs.formula.decls
-        key = (len(self.lemmas), len(decls))
+        key = (len(self.lemmas), len(decls), len(self.asked))
         if key != self._base_key:
             images = [self.abs.rewrite(l) for l in self.lemmas]
             assertions = list(self.abs.formula.assertions) + images
-            self._base = bit_blast(self.f.table, decls, assertions)
+            self._base = bit_blast(self.f.table, decls, assertions,
+                                   self.asked)
             self._base_key = key
         base, bmap = self._base
         if deviation is None:
@@ -322,13 +325,19 @@ class Unreachable:
     Slot 2k+v, entry k = (node n, bit b), is proved when the engine's base
     CNF plus the unit clause setting bit b of n's blasted image to v is
     UNSAT. A node that occurs only inside a theory atom has no gate in the
-    base; its image is blasted on top of it for the proof, and its gates
-    only define new variables. The abstraction over-approximates and every
-    lemma is a valid theory fact, so every solution, projected, is a
-    model of the base CNF: no solution covers a proved slot, and a proof
-    holds for the rest of the run. A slot whose proof failed, on SAT or on
-    the conflict budget, is tried again only once the lemma count changes.
-    No proof draws from the sampler's rng or adds a lemma."""
+    base until a proof asks for it; from then on every base encodes its
+    image after the assertions. That re-blast changes no sample: the
+    image's gates are Tseitin definitions numbered after every variable
+    the base had, which unit propagation sets as soon as their inputs are
+    set, so a conflict-free solve decides the same variables with the same
+    rng draws, a replay's conflict analysis never meets them, and they
+    keep every answer, as definitions preserve satisfiability. The
+    abstraction over-approximates and every lemma is a valid theory fact,
+    so every solution, projected, is a model of the base CNF: no solution
+    covers a proved slot, and a proof holds for the rest of the run. A
+    slot whose proof failed, on SAT or on the conflict budget, is tried
+    again only once the lemma count changes. No proof draws from the
+    sampler's rng or adds a lemma."""
 
     def __init__(self, engine: DiversitySmtEngine) -> None:
         self.engine = engine
@@ -348,29 +357,29 @@ class Unreachable:
         open_ = every & ~covered & ~self.proved
         if open_ & self._failed:
             return False
-        base = self.engine.blast()[0]
         while open_:
             low = open_ & -open_
             if out_of_time():
                 return False
-            if not self._proves(base, low.bit_length() - 1):
+            if not self._proves(low.bit_length() - 1):
                 self._failed |= low
                 return False
             self.proved |= low
             open_ ^= low
         return True
 
-    def _proves(self, base: Cnf, slot: int) -> bool:
+    def _proves(self, slot: int) -> bool:
         k, v = divmod(slot, 2)
         tid, bit = self.universe.entries[k]
-        # A node with a gate in the base adds no clause; one only inside a
-        # theory atom adds its image's gates.
-        blaster = Blaster(self.engine.f.table, base)
-        lit = blaster.enc(self.engine.abs.rewrite(tid))
+        image = self.engine.abs.rewrite(tid)
+        base, bmap = self.engine.blast()
+        if image not in bmap.terms:  # a node only inside a theory atom
+            self.engine.asked.append(image)
+            base, bmap = self.engine.blast()
+        lit = bmap.terms[image]
         if isinstance(lit, list):
             lit = lit[bit]
-        cnf = Cnf(blaster.num_vars, blaster.clauses + [(lit if v else -lit,)],
-                  base=base)
+        cnf = Cnf(base.num_vars, [(lit if v else -lit,)], base=base)
         try:
             return sat_solve(cnf, None, SolverConfig(
                 seed=0, conflict_budget=PROOF_CONFLICTS)) is None

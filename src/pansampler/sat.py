@@ -43,16 +43,16 @@ analyses a conflict.
 
 A Cnf may extend a base Cnf (`Cnf.base`): a refinement deviation, a set
 of blocking clauses or an unreachability proof is the base's clauses
-plus a few of its own. Such a Cnf attaches its own clauses to the
-base's live state at level 0, watching literals that are not false
-there, and detaches them after the solve, so the base keeps one copy of
-its clauses. Its replay loads the base's prepared clauses and then its
-own, which gives the same state as loading all its clauses. Clauses are
-only ever added, never changed, so a kept state never goes stale. An
-extension made by `joined` takes its record from its parts, other
-extensions of its base: alt1's blocking clauses are one extension per
-prior set, prepared on its first solve, which each deviation joins
-after its own clause.
+plus a few of its own, over the base's variables. Such a Cnf attaches
+its own clauses to the base's live state at level 0, watching literals
+that are not false there, and detaches them after the solve, so the
+base keeps one copy of its clauses. Its replay loads the base's
+prepared clauses and then its own, which gives the same state as
+loading all its clauses. Clauses are only ever added, never changed, so
+a kept state never goes stale. An extension made by `joined` takes its
+record from its parts, other extensions of its base: alt1's blocking
+clauses are one extension per prior set, prepared on its first solve,
+which each deviation joins after its own clause.
 
 Until its first conflict a solve runs one tight loop (`_descend`): it
 walks the cursor up the variable indices, draws one rng number per free
@@ -220,17 +220,11 @@ def joined(*parts: Cnf) -> Cnf:
     base = parts[0].base
     if base is None or any(p.base is not base for p in parts):
         raise ValueError("joined parts must extend one base")
-    cnf = Cnf(max(p.num_vars for p in parts),
-              chain.from_iterable(p.clauses for p in parts), base=base)
+    cnf = Cnf(base.num_vars, chain.from_iterable(p.clauses for p in parts),
+              base=base)
     object.__setattr__(cnf, "solver_cache", _Kept(tuple(
         chain.from_iterable(_kept(p).clauses for p in parts))))
     return cnf
-
-
-def _grown(table: list, n: int, fill=0) -> list:
-    """A copy of a table indexed by literal, grown to variables 1..n."""
-    m = len(table) // 2
-    return table[:m + 1] + [fill] * (2 * (n - m)) + table[m + 1:]
 
 
 _REPLAY = object()  # _search's answer at the first conflict on a live state
@@ -248,7 +242,7 @@ class CdclSolver:
                  cfg: SolverConfig | None = None) -> None:
         self.cfg = cfg or SolverConfig()
         self.dist = dist or BitDistribution()
-        n = self.num_vars = cnf.num_vars
+        n = self.num_vars = cnf.num_vars  # its base's too, if any
         owner = cnf.base or cnf
         self._own = _kept(cnf).clauses if owner is not cnf else ()
         self._attached: list[list[int]] = []
@@ -257,14 +251,11 @@ class CdclSolver:
         base = self._base = _kept(owner)
         live, base.live = base.live, None
         if live is None:
-            live = self._load_live(owner.num_vars, base.clauses)
+            live = self._load_live(n, base.clauses)
         self._live = live
-        self._reset(live.watches, live.trail.copy(), _grown(live.value, n),
+        self._reset(live.watches, live.trail.copy(), live.value.copy(),
                     live.unsat)
         self._occurs, self._hot = live.occurs, live.hot
-        if n > owner.num_vars:  # no base clause holds the new variables
-            self._occurs = _grown(live.occurs, n, ())
-            self._hot = _grown(live.hot, n)
         self._attach(self._own)
 
     # -- states ---------------------------------------------------------

@@ -11,7 +11,7 @@ from pansampler.evaluate import satisfies
 from pansampler.parser import parse_formula
 from pansampler.sat import solve
 from pansampler.sorts import array, bv
-from pansampler.terms import Formula, TermTable
+from pansampler.terms import Formula, Op, TermTable
 from pansampler.values import Assignment, BoolVal, BvVal
 
 from helpers import fuzzed_bv, parse_dimacs, scalar_bits
@@ -189,16 +189,48 @@ def test_dimacs_round_trip():
     back = parse_dimacs(to_dimacs(cnf))
     assert back.num_vars == cnf.num_vars
     assert back.clauses == cnf.clauses
-    # An extension prints its base's clauses, then its own: as one blast
-    # of all the terms would.
-    more = [f.table.mk_distinct(f.table.mk_var("a", f.decls["a"]),
-                                f.table.mk_bv_const(3, 5))]
-    blaster = Blaster(f.table, cnf)
-    blaster.assert_term(more[0])
-    ext = Cnf(blaster.num_vars, blaster.clauses, base=cnf)
-    flat, _ = bit_blast(f.table, f.decls, list(f.assertions) + more)
-    assert ext.base is cnf and 0 < len(ext.clauses) < len(flat.clauses)
+    # An extension prints its base's clauses, then its own: here the one
+    # clause saying a (variables 1..3, LSB first) is not #b101.
+    ext = Cnf(cnf.num_vars, [(-1, 2, -3)], base=cnf)
+    flat = Cnf(cnf.num_vars, list(cnf.clauses) + [(-1, 2, -3)])
+    assert ext.base is cnf and ext.clauses == ((-1, 2, -3),)
     assert to_dimacs(ext) == to_dimacs(flat)
+    assert to_dimacs(ext).endswith("\n-1 2 -3 0\n")
+
+
+def test_terms_are_encoded_after_the_assertions_without_being_asserted():
+    f = parse_formula(
+        "(declare-const a (_ BitVec 3))(declare-const b (_ BitVec 3))"
+        "(assert (bvult (bvadd a b) a))")
+    t = f.table
+    a, b = (t.mk_var(name, f.decls[name]) for name in "ab")
+    # A product, a comparison and a sum with a constant, which is the
+    # first to need the TRUE variable.
+    asked = [t.mk(Op.BVMUL, (a, b)), t.mk(Op.BVULT, (b, a)),
+             t.mk(Op.BVADD, (a, t.mk_bv_const(3, 1)))]
+    cnf, bmap = bit_blast(t, f.decls, f.assertions)
+    more, more_map = bit_blast(t, f.decls, f.assertions, asked)
+    # The asserted part keeps its numbering: its clauses are a prefix.
+    assert more.clauses[:len(cnf.clauses)] == cnf.clauses
+    assert len(more.clauses) > len(cnf.clauses)
+    assert more_map.bits == bmap.bits
+    assert more_map.terms.items() >= bmap.terms.items()
+    # Every gate of an asked term is numbered above the asserted part's
+    # variables; a + 1's bit 0 is not a gate but a's bit 0, negated.
+    n = cnf.num_vars
+    gates = []
+    for tid in asked:
+        lits = more_map.terms[tid]
+        assert tid not in bmap.terms
+        gates += lits if isinstance(lits, list) else [lits]
+    assert gates[4] == -bmap.bits["a"][0]
+    del gates[4]
+    assert all(abs(l) > n for l in gates) and len(set(gates)) == 6
+    # Encoded, not asserted: the one new unit pins TRUE, and the blast
+    # stays satisfiable.
+    units = [c for c in more.clauses[len(cnf.clauses):] if len(c) == 1]
+    assert units == [(more_map.terms[t.mk_bv_const(3, 1)][0],)]
+    assert solve(cnf) is not None and solve(more) is not None
 
 
 def test_dimacs_parser_tolerates_comments_and_blank_lines():

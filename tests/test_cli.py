@@ -318,6 +318,20 @@ def test_oracle_check_reports_a_formula_too_deep_for_the_reference(tmp_path,
     assert "error" in report["oracle_check"]
 
 
+def test_oracle_check_honours_the_time_budget(tmp_path):
+    # Two free 9-bit vectors: the brute-force check would go through all
+    # 2^18 pairs and keep over 130,000 solutions, seconds past the budget.
+    src = tmp_path / "ule9.smt2"
+    src.write_text("(declare-const x (_ BitVec 9))"
+                   "(declare-const y (_ BitVec 9))(assert (bvule x y))\n")
+    assert main([str(src), "--max-solutions", "1", "--time-budget", "0.2",
+                 "--oracle-check"]) == 6
+    assert (tmp_path / "ule9.samples.smt2").read_text()
+    report = json.loads((tmp_path / "ule9.report.json").read_text())
+    assert report["reason"] == "max_solutions"
+    assert "time budget" in report["oracle_check"]["error"]
+
+
 def test_ignored_commands_are_warned_about_on_stderr(tmp_path, capsys):
     body = "(declare-const x (_ BitVec 3))\n(assert (bvule x #b101))\n"
     (tmp_path / "plain").mkdir()

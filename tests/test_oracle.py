@@ -1,6 +1,7 @@
 """Reference implementations: slow evaluation, enumeration, covering sets."""
 
 import random
+import time
 
 import pytest
 
@@ -113,6 +114,16 @@ def test_domain_cap_guards_enumeration():
         enumerate_solutions(f, domain_bit_cap=5)
     rep = enumerate_solutions(f)
     assert len(rep.solutions) == 1024
+
+
+def test_a_passed_deadline_stops_the_enumeration():
+    f = parse_formula("(declare-const m (_ BitVec 10))(assert (= m m))")
+    with pytest.raises(OracleError, match="time budget"):
+        enumerate_solutions(f, deadline=time.perf_counter() - 1)
+    # Within the deadline the enumeration is the one without it.
+    rep = enumerate_solutions(f, deadline=time.perf_counter() + 3600)
+    assert [assignment_key(s) for s in rep.solutions] == \
+        [assignment_key(s) for s in enumerate_solutions(f).solutions]
 
 
 def test_nested_select_index_is_rejected():

@@ -10,7 +10,7 @@ import types
 
 import pytest
 
-from pansampler import sampler, sat
+from pansampler import bitblast, sampler, sat
 from pansampler.abstraction import project_assignment
 from pansampler.bitblast import Cnf, bit_blast
 from pansampler.coverage import CoverState, build_universe
@@ -23,6 +23,7 @@ from pansampler.sampler import (Candidate, DiversitySmtEngine,
                                 FormulaUnsatError, Mode, SamplerConfig,
                                 Unreachable, post_opt, sample)
 from pansampler.sat import SolverConfig
+from pansampler.terms import Op
 from pansampler.theory import Conflict, Consistent
 from pansampler.values import Assignment, BoolVal, BvVal
 
@@ -174,6 +175,14 @@ def _check_deviations_on_one_base(monkeypatch, engine, f, deviations):
     return base
 
 
+def _true_units(engine):
+    """The base's unit clauses other than its assertions' literals: the
+    TRUE variable's, if the base has one."""
+    base, bmap = engine.blast()
+    asserted = {bmap.terms[a] for a in engine.abs.formula.assertions}
+    return {c[0] for c in base.clauses if len(c) == 1} - asserted
+
+
 def test_a_deviation_already_in_the_formula_reuses_its_gate(monkeypatch):
     # The base already holds a gate for distinct(x, #x3). A deviation
     # needs no gate: it is one clause over x's four bits on that base,
@@ -184,7 +193,8 @@ def test_a_deviation_already_in_the_formula_reuses_its_gate(monkeypatch):
     engine = DiversitySmtEngine(f)
     base = _check_deviations_on_one_base(
         monkeypatch, engine, f, [("x", 3), ("y", 0), ("y", 15)])
-    assert base.encoding.true is not None
+    const = engine.blast()[1].terms[f.table.mk_bv_const(4, 3)]
+    assert _true_units(engine) == {const[0]} == {-const[2]}
     cnf, _ = engine.blast(("x", 3))
     assert cnf.base is base and cnf.num_vars == base.num_vars
     assert len(cnf.clauses) == 1 and len(cnf.clauses[0]) == 4
@@ -202,12 +212,12 @@ def test_a_constant_free_base_gets_true_in_the_suffix(monkeypatch):
     base = _check_deviations_on_one_base(
         monkeypatch, engine, f,
         [("p", 1), ("p", 0), ("q", 1), ("x", 0), ("x", 9)])
-    assert base.encoding.true is None
+    assert _true_units(engine) == set()
     for deviation, width in [(("p", 1), 1), (("q", 0), 1), (("x", 5), 4)]:
         cnf, _ = engine.blast(deviation)
         assert cnf.base is base and cnf.num_vars == base.num_vars
         assert len(cnf.clauses) == 1 and len(cnf.clauses[0]) == width
-    assert engine.blast()[0].encoding.true is None
+    assert _true_units(engine) == set()
 
 
 def test_deviation_cnfs_after_a_lemma_extend_the_new_base(monkeypatch):
@@ -695,7 +705,7 @@ LOGICS = ("QF_BV", "QF_ABV", "QF_AUFBV")
 
 
 def _without_proofs(monkeypatch):
-    monkeypatch.setattr(Unreachable, "_proves", lambda self, base, slot: False)
+    monkeypatch.setattr(Unreachable, "_proves", lambda self, slot: False)
 
 
 # (bvand i #b10) occurs only inside a select, so the base CNF has no gate
@@ -728,18 +738,72 @@ def test_proved_slots_are_unreachable_by_the_oracle():
         for k in range(3):  # lemmas join the base CNF
             prior.append(engine.solve_once(prior, seed=k).assignment)
         audit = Unreachable(engine)
-        base, _ = engine.blast()
+        gated = set(engine.blast()[1].terms)  # before a proof adds any
         for slot in range(rep.universe.num_ast_bits):
-            if audit._proves(base, slot):
+            if audit._proves(slot):
                 assert not rep.valid_mask >> slot & 1, (logic, seed, slot)
                 proved += 1
                 tid = rep.universe.entries[slot // 2][0]
-                if engine.abs.rewrite(tid) not in base.encoding.memo:
+                if engine.abs.rewrite(tid) not in gated:
                     unblasted.append((seed, slot))
     assert fixtures >= 60 and proved >= 100
     # Both bits of (bvand i #b10) at 1, and no more.
     inside = [slot for seed, slot in unblasted if seed is None]
     assert len(inside) == 2 and all(slot % 2 for slot in inside)
+
+
+def test_a_stall_audit_of_a_bv_formula_builds_no_blaster(monkeypatch):
+    # Bits 2 and 3 of x are 0 in every solution: their slots at 1 are
+    # proved, each as one unit clause on the base, with no blast at all.
+    f = parse_formula("(declare-const x (_ BitVec 4))"
+                      "(declare-const y (_ BitVec 4))"
+                      "(assert (bvult (bvand x y) #x4))(assert (bvult x #x4))")
+    got = sample(f, SamplerConfig(lam=4, seed=1))
+    assert got.reason == "stall" and got.unreachable
+    engine = DiversitySmtEngine(f)
+    engine.solve_once([], seed=0)
+    base = engine.blast()[0]
+    built = []
+    init = bitblast.Blaster.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(bitblast.Blaster, "__init__", counted)
+    audit = Unreachable(engine)
+    assert audit.proves_rest(got.covered, lambda: False)
+    assert audit.proved == got.unreachable
+    assert built == [] and engine.blast()[0] is base
+
+
+def test_a_node_with_no_gate_reblasts_the_base_once(monkeypatch):
+    f = parse_formula(INSIDE_AN_ATOM)
+    engine = DiversitySmtEngine(f)
+    engine.solve_once([], seed=0)
+    old, old_map = engine.blast()
+    blasts = []
+    monkeypatch.setattr(sampler, "bit_blast", lambda *args: blasts.append(
+        args) or bit_blast(*args))
+    universe = engine.universe
+    k = next(k for k, (tid, _) in enumerate(universe.entries)
+             if f.table[tid].op is Op.BVAND)
+    tid = universe.entries[k][0]
+    image = engine.abs.rewrite(tid)
+    assert image not in old_map.terms
+    audit = Unreachable(engine)
+    proved, bases = [], []
+    for slot in range(2 * k, 2 * k + 4):  # both bits, at 0 and at 1
+        proved.append(audit._proves(slot))
+        bases.append(engine.blast()[0])
+    # Both bits are 0 in every solution: only the slots at 1 are proved.
+    assert proved == [False, True, False, True]
+    assert len(blasts) == 1 and blasts[0][3] == [image]
+    new, new_map = engine.blast()
+    assert all(b is new for b in bases) and new is not old
+    # i & #b10 needs no gate: its bits are FALSE and i's bit 1.
+    assert (new.num_vars, new.clauses) == (old.num_vars, old.clauses)
+    assert new_map.terms[image][1] == new_map.bits["i"][1]
 
 
 def test_proofs_change_no_sample_and_no_reason(monkeypatch):
