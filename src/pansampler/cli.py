@@ -25,7 +25,9 @@ from pathlib import Path
 
 from .abstraction import abstract_formula
 from .bitblast import bit_blast, to_dimacs
-from .oracle import OracleError, enumerate_solutions, exact_coverage, slow_satisfies
+from .coverage import build_universe
+from .oracle import (EnumerationReport, OracleError, exact_coverage,
+                     slow_satisfies, solutions_of)
 from .parser import ParseError, parse_file
 from .printer import print_models, print_term
 from .sampler import (FormulaUnsatError, Mode, SampleResult, SamplerConfig,
@@ -174,11 +176,18 @@ def _out_path(path: Path, out_dir: str, suffix: str) -> Path:
 
 def _oracle_report(f: Formula, result: SampleResult, deadline: float) -> dict:
     try:
-        rep = enumerate_solutions(f, deadline=deadline)
+        universe = build_universe(f)
+        count = valid = 0
+        for _, cover in solutions_of(f, universe, deadline=deadline):
+            count += 1
+            valid |= cover
+        # No solution is kept: the report reads their count and the
+        # AST-bits they cover.
+        rep = EnumerationReport(f, universe, [], [], valid)
         return {
-            "num_solutions_exhaustive": len(rep.solutions),
+            "num_solutions_exhaustive": count,
             "valid_bits": rep.valid_bits,
-            "total_ast_bits": rep.universe.num_ast_bits,
+            "total_ast_bits": universe.num_ast_bits,
             "all_samples_valid": all(slow_satisfies(f, a)
                                      for a in result.solutions),
             "exact_coverage": exact_coverage(rep, result.solutions),

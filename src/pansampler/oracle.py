@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .coverage import AstBitUniverse, build_universe
 from .sorts import Sort, SortKind
@@ -244,20 +245,17 @@ def slow_cover_set(f: Formula, universe: AstBitUniverse, a: Assignment) -> int:
 @dataclass
 class EnumerationReport:
     """Exhaustive ground truth for one formula: every solution, its cover
-    bitset, and the exact count of attainable AST-bits."""
+    bitset, and the attainable AST-bits, the union of those bitsets."""
 
     formula: Formula
     universe: AstBitUniverse
     solutions: list[Assignment]
     cover_sets: list[int]
-    valid_bits: int
+    valid_mask: int
 
     @property
-    def valid_mask(self) -> int:
-        mask = 0
-        for c in self.cover_sets:
-            mask |= c
-        return mask
+    def valid_bits(self) -> int:
+        return self.valid_mask.bit_count()
 
 
 def _scalar_domain(sort: Sort) -> list[Value]:
@@ -298,7 +296,23 @@ def _space(sort: Sort) -> int:
 
 def enumerate_solutions(f: Formula, domain_bit_cap: int = 20,
                         deadline: float = float("inf")) -> EnumerationReport:
-    """Every solution of f over the finitized domain, or OracleError once
+    """Every solution of f, with its cover bitset (see solutions_of)."""
+    universe = build_universe(f)
+    solutions: list[Assignment] = []
+    cover_sets: list[int] = []
+    valid = 0
+    for a, cover in solutions_of(f, universe, domain_bit_cap, deadline):
+        solutions.append(a)
+        cover_sets.append(cover)
+        valid |= cover
+    return EnumerationReport(f, universe, solutions, cover_sets, valid)
+
+
+def solutions_of(f: Formula, universe: AstBitUniverse,
+                 domain_bit_cap: int = 20, deadline: float = float("inf")
+                 ) -> Iterator[tuple[Assignment, int]]:
+    """Yield every solution of f over the finitized domain with its cover
+    bitset over universe, keeping none, or raise OracleError once
     time.perf_counter() passes deadline (read every 256 combinations).
 
     Scalars range over their full domains. Arrays take a default plus
@@ -326,9 +340,6 @@ def enumerate_solutions(f: Formula, domain_bit_cap: int = 20,
     if bits > domain_bit_cap:
         raise DomainCapError(f"{bits} domain bits exceed cap {domain_bit_cap}")
 
-    universe = build_universe(f)
-    solutions: list[Assignment] = []
-    cover_sets: list[int] = []
     tried = itertools.count()
 
     names = [n for n, _ in scalars]
@@ -355,13 +366,7 @@ def enumerate_solutions(f: Formula, domain_bit_cap: int = 20,
             for (name, _), val in zip(arrays + funs, theory_combo):
                 a.set(name, val)
             if slow_satisfies(f, a):
-                solutions.append(a)
-                cover_sets.append(slow_cover_set(f, universe, a))
-
-    valid = 0
-    for c in cover_sets:
-        valid |= c
-    return EnumerationReport(f, universe, solutions, cover_sets, valid.bit_count())
+                yield a, slow_cover_set(f, universe, a)
 
 
 def _scalar_int_of(f: Formula, tid: int, a: Assignment) -> int:

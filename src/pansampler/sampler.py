@@ -28,8 +28,8 @@ from .bitblast import BlastMap, Cnf, bit_blast
 from .coverage import (AstBitUniverse, CoverState, build_universe, cover_set,
                        manhattan_score)
 from .evaluate import Evaluator, assertions_hold, satisfies
-from .sat import (BitDistribution, ConflictBudgetExceeded, SolverConfig,
-                  distribution_from, joined)
+from .sat import (BitDistribution, ConflictBudgetExceeded, DeadlinePassed,
+                  SolverConfig, distribution_from, joined)
 from .sat import solve as sat_solve
 from .terms import Formula
 from .theory import Conflict, axiom_instance_bound, theory_check
@@ -94,70 +94,30 @@ class Candidate(NamedTuple):
     slots: int
 
 
-class _Priors:
-    """Prior solutions, projected, under one blast map: the bias
-    distribution, and the blocking clauses as one extension of the base,
-    each computed on first use. A set that extends an earlier one under
-    the same map takes, at once, what the earlier one computed plus the
-    new solutions' part: their counts added, and their blocking clauses
-    joined after the earlier ones, which are not prepared again."""
-
-    def __init__(self, projected: list[Assignment], bmap: BlastMap,
-                 earlier: _Priors | None = None) -> None:
-        self.projected = projected
-        self.bmap = bmap
-        self._dist: BitDistribution | None = None
-        self._blocks: Cnf | None = None
-        if earlier is not None:
-            new = projected[len(earlier.projected):]
-            if earlier._dist is not None:
-                self._dist = distribution_from(new, bmap, earlier._dist)
-            if earlier._blocks is not None:
-                self._blocks = joined(earlier._blocks, self._blocking(
-                    new, earlier._blocks.base))
-
-    def starts(self, projected: list[Assignment], bmap: BlastMap) -> bool:
-        """Whether projected, under bmap, begins with these solutions."""
-        k = len(self.projected)
-        return (bmap is self.bmap and len(projected) >= k
-                and all(map(operator.is_, projected[:k], self.projected)))
-
-    def distribution(self) -> BitDistribution:
-        if self._dist is None:
-            self._dist = distribution_from(self.projected, self.bmap)
-        return self._dist
-
-    def _blocking(self, solutions: list[Assignment], base: Cnf) -> Cnf:
-        """One clause per solution excluding its tracked bits, as an
-        extension of base."""
-        clauses = [tuple(map(operator.neg, self.bmap.literals(p)))
-                   for p in solutions]
-        return Cnf(base.num_vars, clauses, base=base)
-
-    def blocked(self, cnf: Cnf) -> Cnf:
-        """cnf plus the blocking clauses, as an extension of the base that
-        bmap maps. The blocking clauses are one extension, which keeps its
-        prepared clauses across solves; a deviation joins it after its own
-        clause."""
-        if self._blocks is None:
-            self._blocks = self._blocking(self.projected, cnf.base or cnf)
-        return self._blocks if cnf.base is None else joined(cnf, self._blocks)
-
-
 class DiversitySmtEngine:
-    """Lazy-theory diversity solver with lemmas kept for its lifetime.
+    """Lazy-theory diversity solver with lemmas kept for its lifetime, in
+    the order they arrived.
 
     In alt1 mode each solve excludes the prior solutions by blocking
     clauses; in every other mode it steers phases toward their minority
-    bits with probability cfg.bias_p."""
+    bits with probability cfg.bias_p. Every SAT solve stops at deadline
+    (a time.perf_counter() value) with DeadlinePassed.
 
-    def __init__(self, f: Formula, cfg: SamplerConfig | None = None) -> None:
+    One record, which _update keeps current, serves the prior solutions:
+    the solutions themselves, kept alive so that `is` comparisons stay
+    sound; their projections, made under the atom count in _atoms; and,
+    under the blast map in _bmap, their bias distribution and alt1's
+    blocking clauses as one extension of the base, each made on first
+    use."""
+
+    def __init__(self, f: Formula, cfg: SamplerConfig | None = None,
+                 deadline: float = float("inf")) -> None:
         self.f = f
         self.cfg = cfg or SamplerConfig()
+        self.deadline = deadline
         self.universe = build_universe(f)
         self.abs: Abstraction = abstract_formula(f)
-        self.lemmas: list[int] = []
-        self._lemma_set: set[int] = set()
+        self.lemmas: dict[int, None] = {}
         self.lemma_bound = axiom_instance_bound(f, self.abs)
         self.lemma_rounds = 0
         # The abstracted images that a proof asked for and no base had,
@@ -166,11 +126,12 @@ class DiversitySmtEngine:
         self.asked: list[int] = []
         self._base: tuple[Cnf, BlastMap] | None = None
         self._base_key: tuple[int, int, int] | None = None
-        # The last solutions projected, by id, each with its projection,
-        # for the atom count in _projected_atoms.
-        self._projections: dict[int, tuple[Assignment, Assignment]] = {}
-        self._projected_atoms = -1
-        self._priors: _Priors | None = None
+        self._prior: list[Assignment] = []
+        self._projected: list[Assignment] = []
+        self._atoms = -1
+        self._bmap: BlastMap | None = None
+        self._dist: BitDistribution | None = None
+        self._blocks: Cnf | None = None
 
     def blast(self, deviation: tuple[str, int] | None = None
               ) -> tuple[Cnf, BlastMap]:
@@ -201,35 +162,39 @@ class DiversitySmtEngine:
                        for b, v in enumerate(bmap.bits[name]))
         return Cnf(base.num_vars, (clause,), base=base), bmap
 
-    def project(self, solutions: list[Assignment]) -> list[Assignment]:
-        """Projections onto the abstraction, each computed once per
-        solution and atom set. Only the last call's solutions are kept,
-        each beside its projection: a kept solution stays alive, so no
-        other object can take its id."""
-        atoms = len(self.abs.atom_map)
-        known = self._projections if atoms == self._projected_atoms else {}
-        kept: dict[int, tuple[Assignment, Assignment]] = {}
-        out = []
-        for a in solutions:
-            got = known.get(id(a))
-            if got is None:
-                got = (a, project_assignment(self.abs, a))
-            kept[id(a)] = got
-            out.append(got[1])
-        self._projections = kept
-        self._projected_atoms = atoms
-        return out
+    def _update(self, prior: list[Assignment], atoms: int,
+                bmap: BlastMap) -> None:
+        """Bring the record to prior, projected under atoms atoms, and to
+        bmap. A prior list that does not begin with the kept solutions, or
+        another atom count, empties the record; another map drops the
+        distribution and the blocking clauses. Then only the new solutions
+        are projected, and their counts are added to the distribution and
+        their blocking clauses joined after the kept ones."""
+        kept = self._prior
+        if (atoms != self._atoms or len(prior) < len(kept)
+                or not all(map(operator.is_, prior, kept))):
+            self._prior, self._projected, self._atoms = [], [], atoms
+            self._bmap = None
+        if bmap is not self._bmap:
+            self._bmap, self._dist, self._blocks = bmap, None, None
+        new = prior[len(self._prior):]
+        if not new:
+            return
+        projected = [project_assignment(self.abs, a) for a in new]
+        self._prior += new
+        self._projected += projected
+        if self._dist is not None:
+            self._dist = distribution_from(projected, bmap, self._dist)
+        if self._blocks is not None:
+            self._blocks = joined(self._blocks, self._blocking(projected))
 
-    def _priors_under(self, projected: list[Assignment],
-                      bmap: BlastMap) -> _Priors:
-        """The projected prior solutions under a blast map, kept until
-        either changes; a set that only gains solutions extends the last."""
-        got = self._priors
-        if got is None or not got.starts(projected, bmap):
-            got = self._priors = _Priors(projected, bmap)
-        elif len(projected) > len(got.projected):
-            got = self._priors = _Priors(projected, bmap, got)
-        return got
+    def _blocking(self, projected: list[Assignment]) -> Cnf:
+        """One clause per projected solution excluding its tracked bits,
+        as an extension of the current base."""
+        base, bmap = self._base
+        clauses = [tuple(map(operator.neg, bmap.literals(p)))
+                   for p in projected]
+        return Cnf(base.num_vars, clauses, base=base)
 
     def _lift(self, model: list[bool], bmap: BlastMap) -> Assignment:
         a = Assignment()
@@ -253,19 +218,28 @@ class DiversitySmtEngine:
         evaluated once, in one pass over the formula, which gives both the
         check that it satisfies the formula and its cover bitset."""
         seeds = random.Random(seed)
-        prior_projected = self.project(prior)
+        atoms = len(self.abs.atom_map)
         rounds = 0
         while True:
             cnf, bmap = self.blast(deviation)
-            priors = self._priors_under(prior_projected, bmap)
+            self._update(prior, atoms, bmap)
             if self.cfg.mode is Mode.ALT1:
                 dist = BitDistribution()
-                if prior_projected:
-                    cnf = priors.blocked(cnf)
+                if prior:
+                    # The blocking clauses are one extension, which keeps
+                    # its prepared clauses across solves; a deviation
+                    # joins it after its own clause.
+                    if self._blocks is None:
+                        self._blocks = self._blocking(self._projected)
+                    cnf = (self._blocks if cnf.base is None
+                           else joined(cnf, self._blocks))
             else:
-                dist = priors.distribution()
+                if self._dist is None:
+                    self._dist = distribution_from(self._projected, bmap)
+                dist = self._dist
             model = sat_solve(cnf, dist, SolverConfig(
-                seed=seeds.randrange(1 << 32), bias_p=self.cfg.bias_p))
+                seed=seeds.randrange(1 << 32), bias_p=self.cfg.bias_p,
+                deadline=self.deadline))
             if model is None:
                 return None
             candidate = self._lift(model, bmap)
@@ -276,14 +250,10 @@ class DiversitySmtEngine:
                 if rounds > self.lemma_bound:
                     raise AssertionError(
                         "lemma loop exceeded its static instance bound")
-                progressed = False
-                for lemma in verdict.lemmas:
-                    if lemma not in self._lemma_set:
-                        self._lemma_set.add(lemma)
-                        self.lemmas.append(lemma)
-                        progressed = True
-                if not progressed:
+                lemma, = verdict.lemmas
+                if lemma in self.lemmas:
                     raise AssertionError("theory conflict produced no new lemma")
+                self.lemmas[lemma] = None
                 continue
             solution = verdict.assignment
             memo = Evaluator(self.f.table, solution).fill(self.universe.order)
@@ -382,8 +352,9 @@ class Unreachable:
         cnf = Cnf(base.num_vars, [(lit if v else -lit,)], base=base)
         try:
             return sat_solve(cnf, None, SolverConfig(
-                seed=0, conflict_budget=PROOF_CONFLICTS)) is None
-        except ConflictBudgetExceeded:
+                seed=0, conflict_budget=PROOF_CONFLICTS,
+                deadline=self.engine.deadline)) is None
+        except (ConflictBudgetExceeded, DeadlinePassed):
             return False
 
 
@@ -392,7 +363,7 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
 
     Raises FormulaUnsatError when f has no solution at all."""
     start = time.perf_counter()
-    engine = DiversitySmtEngine(f, cfg)
+    engine = DiversitySmtEngine(f, cfg, start + cfg.time_budget)
     universe = engine.universe
     state = CoverState(universe)
     unreachable = Unreachable(engine)
@@ -475,6 +446,8 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
         # A candidate or deviation solve gave up: the run ends, keeping
         # the solutions absorbed so far.
         reason = "conflict_budget"
+    except DeadlinePassed:
+        reason = "timeout"
 
     return SampleResult(
         solutions=solutions,

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import time
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import neg
@@ -86,11 +87,17 @@ class ConflictBudgetExceeded(Exception):
     """Resource-limit abort; distinct from an UNSAT answer."""
 
 
+class DeadlinePassed(Exception):
+    """A solve ran past its deadline; distinct from an UNSAT answer."""
+
+
 @dataclass
 class SolverConfig:
     seed: int = 0
     bias_p: float = 0.85
     conflict_budget: int = 1_000_000
+    # A time.perf_counter() value, read every _DEADLINE_CONFLICTS conflicts.
+    deadline: float = float("inf")
 
     def __post_init__(self) -> None:
         if not (0.5 <= self.bias_p <= 1.0):
@@ -150,6 +157,7 @@ def _luby(i: int) -> int:
 _RESTART_BASE = 64  # conflicts per Luby unit between restarts
 _RESCALE = 1e100
 _DECAY = 0.95  # VSIDS activity decay per conflict
+_DEADLINE_CONFLICTS = 256  # conflicts between two reads of the clock
 
 
 def _check_literals(clauses: Sequence[tuple[int, ...]], n: int) -> None:
@@ -605,6 +613,10 @@ class CdclSolver:
                 if self.conflicts > self.cfg.conflict_budget:
                     raise ConflictBudgetExceeded(
                         f"no answer within {self.cfg.conflict_budget} conflicts")
+                if (not self.conflicts % _DEADLINE_CONFLICTS
+                        and time.perf_counter() > self.cfg.deadline):
+                    raise DeadlinePassed(
+                        f"no answer after {self.conflicts} conflicts")
                 if not self.trail_lim:
                     return None
                 learnt, back = self._analyze(conflict)

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -12,12 +13,12 @@ from pansampler import coverage, sampler
 from pansampler.cli import (DEFAULT_TARGETS, NODE_CHARS, RECORD_FIELDS,
                             UNCOVERED_LISTED, BenchRecord,
                             _parse_targets, aggregate, aggregate_csv,
-                            build_arg_parser, infer_logic, main, records_csv,
-                            run_file, sampler_config)
+                            _oracle_report, build_arg_parser, infer_logic,
+                            main, records_csv, run_file, sampler_config)
 from pansampler.evaluate import satisfies
 from pansampler.parser import parse_file, parse_formula
 from pansampler.printer import parse_model_blocks
-from pansampler.sampler import Mode, SamplerConfig
+from pansampler.sampler import Mode, SamplerConfig, sample
 from pansampler.sat import SolverConfig
 
 from helpers import parse_dimacs
@@ -330,6 +331,28 @@ def test_oracle_check_honours_the_time_budget(tmp_path):
     report = json.loads((tmp_path / "ule9.report.json").read_text())
     assert report["reason"] == "max_solutions"
     assert "time budget" in report["oracle_check"]["error"]
+
+
+def test_oracle_check_keeps_no_enumerated_solution():
+    # The check reads only the solutions' count and the AST-bits they
+    # cover: its peak does not grow with the 4x more solutions of the
+    # 6-bit pair (2080 against 528).
+    peaks = []
+    for width in (5, 6):
+        f = parse_formula(f"(declare-const x (_ BitVec {width}))"
+                          f"(declare-const y (_ BitVec {width}))"
+                          "(assert (bvule x y))")
+        result = sample(f, SamplerConfig(lam=2, max_solutions=2, seed=1))
+        tracemalloc.start()
+        try:
+            chk = _oracle_report(f, result, float("inf"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert chk["num_solutions_exhaustive"] == (1 << width) * \
+            ((1 << width) + 1) // 2
+        assert chk["all_samples_valid"] is True
+    assert peaks[1] <= 1.3 * peaks[0]
 
 
 def test_ignored_commands_are_warned_about_on_stderr(tmp_path, capsys):

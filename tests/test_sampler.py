@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 import sys
+import time
 import types
 
 import pytest
@@ -310,7 +311,9 @@ def test_blocking_clauses_are_prepared_once_per_prior_set(monkeypatch):
             bits = engine.blast()[1].bits
             blocking = [tuple(-bits[n][b] if v else bits[n][b]
                               for n, b, v in scalar_bits(p))
-                        for p in engine.project(solutions)]
+                        for p in engine._projected]
+            assert [project_assignment(engine.abs, p) for p in solutions] \
+                == engine._projected
             # One candidate and three deviation solves per prior set, and
             # a set that extends the last one prepares only its new
             # solution's clause: each is prepared once over the run.
@@ -339,9 +342,9 @@ def test_an_extended_prior_set_counts_only_its_new_solutions(monkeypatch):
     solutions = []
     for _ in range(5):
         got = engine.solve_once(solutions, seeds.randrange(1 << 32))
-        priors = engine._priors
-        assert priors.distribution().counts == \
-            real(engine.project(solutions), priors.bmap).counts
+        projected = [project_assignment(engine.abs, p) for p in solutions]
+        assert engine._projected == projected
+        assert engine._dist.counts == real(projected, engine._bmap).counts
         solutions.append(got.assignment)
     assert counted == [0, 1, 1, 1, 1]
     # A set that is not an extension of the last one is counted afresh.
@@ -349,7 +352,9 @@ def test_an_extended_prior_set_counts_only_its_new_solutions(monkeypatch):
     assert counted[-1] == 4
 
 
-def _cnfs_reachable_from(root) -> list[Cnf]:
+def _reachable_from(root) -> list:
+    """The objects that root's references reach, classes, modules and
+    functions aside."""
     found, seen, stack = [], set(), [root]
     while stack:
         obj = stack.pop()
@@ -357,10 +362,13 @@ def _cnfs_reachable_from(root) -> list[Cnf]:
                 obj, (type, types.ModuleType, types.FunctionType)):
             continue
         seen.add(id(obj))
-        if isinstance(obj, Cnf):
-            found.append(obj)
+        found.append(obj)
         stack.extend(gc.get_referents(obj))
     return found
+
+
+def _cnfs_reachable_from(root) -> list[Cnf]:
+    return [obj for obj in _reachable_from(root) if isinstance(obj, Cnf)]
 
 
 def test_refinement_keeps_one_base_cnf():
@@ -397,9 +405,84 @@ def test_projection_follows_each_assignment_not_its_id():
     engine = DiversitySmtEngine(f)
     stale = 0
     for value in range(200):
-        got = engine.project([Assignment({"x": BvVal(8, value)})])
-        stale += got[0]["x"] != BvVal(8, value)
+        engine.solve_once([Assignment({"x": BvVal(8, value)})], value)
+        stale += engine._projected[0]["x"] != BvVal(8, value)
     assert stale == 0
+
+
+# Extensionality: a candidate with a != b brings a lemma over a fresh
+# witness index, and with it two fresh select atoms.
+EXTENSIONAL = (
+    "(declare-const a (Array (_ BitVec 2) (_ BitVec 2)))"
+    "(declare-const b (Array (_ BitVec 2) (_ BitVec 2)))"
+    "(declare-const i (_ BitVec 2))(declare-const p Bool)"
+    "(assert (or p (distinct a b)))(assert (= (select a i) (select b i)))")
+
+
+def test_a_lemma_round_keeps_the_projections_made_when_the_call_began(
+        monkeypatch):
+    f = parse_formula(EXTENSIONAL)
+    prior = [DiversitySmtEngine(f).solve_once([], 0).assignment]
+    projections = []
+    real = sampler.project_assignment
+
+    def spy(abs_, a):
+        projections.append(len(abs_.atom_map))
+        return real(abs_, a)
+
+    solve = sampler.sat_solve
+    rounds = []
+
+    def watch(cnf, dist, cfg):
+        rounds.append((engine._atoms, engine._projected[0], dist.counts))
+        return solve(cnf, dist, cfg)
+
+    monkeypatch.setattr(sampler, "project_assignment", spy)
+    monkeypatch.setattr(sampler, "sat_solve", watch)
+    grown = 0
+    for seed in range(10):
+        engine = DiversitySmtEngine(f)
+        atoms = len(engine.abs.atom_map)
+        projections.clear()
+        rounds.clear()
+        engine.solve_once(prior, seed)
+        if len(engine.abs.atom_map) == atoms:
+            continue
+        grown += 1
+        # The solution was projected once, when the call began, and every
+        # round of the call counts that projection, under the new map.
+        assert projections == [atoms] and len(rounds) > 1
+        assert all(got == atoms for got, _, _ in rounds)
+        assert all(p is rounds[0][1] for _, p, _ in rounds)
+        _, bmap = engine.blast()
+        assert rounds[-1][2] == \
+            sat.distribution_from([rounds[0][1]], bmap).counts
+        # The next call begins under the new atom count and projects again.
+        engine.solve_once(prior, seed)
+        assert projections == [atoms, len(engine.abs.atom_map)]
+        assert engine._atoms == len(engine.abs.atom_map)
+    assert grown >= 2
+
+
+def test_no_earlier_prior_solution_stays_reachable_from_the_engine():
+    f = parse_formula(
+        "(declare-const x (_ BitVec 6))(declare-const y (_ BitVec 6))"
+        "(declare-const p Bool)(assert (or p (bvult x y)))")
+    for mode in (Mode.PANSAMPLER, Mode.ALT1):
+        engine = DiversitySmtEngine(f, SamplerConfig(mode=mode))
+        earlier: list[Assignment] = []
+        for seed in range(6):
+            earlier.append(engine.solve_once(earlier, seed).assignment)
+        later = [DiversitySmtEngine(f).solve_once([], seed).assignment
+                 for seed in range(3)]
+        engine.solve_once(earlier, 6)
+        assert {id(a) for a in earlier} <= \
+            {id(obj) for obj in _reachable_from(engine)}
+        engine.solve_once(later, 7)
+        reachable = {id(obj) for obj in _reachable_from(engine)}
+        # earlier is still alive here, so no other object holds its ids.
+        assert reachable.isdisjoint(map(id, earlier))
+        assert {id(a) for a in later} <= reachable
 
 
 def test_a_term_10000_deep_parses_samples_and_prints():
@@ -596,6 +679,35 @@ def test_no_refinement_mode_is_a_plain_greedy_loop():
             state.absorb(cand.slots)
         assert list(map(assignment_key, res.solutions)) == \
             list(map(assignment_key, sols))
+
+
+# x * y = 41473279, a prime: UNSAT, and one solve takes seconds to show it.
+PRIME26 = ("(declare-const x (_ BitVec 26))(declare-const y (_ BitVec 26))"
+           "(assert (= (bvmul x y) (_ bv41473279 26)))"
+           "(assert (bvult (_ bv1 26) x))(assert (bvult x (_ bv8192 26)))"
+           "(assert (bvult (_ bv1 26) y))(assert (bvult y (_ bv8192 26)))")
+
+
+def test_the_time_budget_holds_inside_one_solve():
+    f = parse_formula(PRIME26)
+    start = time.perf_counter()
+    got = sample(f, SamplerConfig(time_budget=0.5))
+    assert time.perf_counter() - start < 2.0
+    assert got.reason == "timeout" and not got.solutions
+
+
+def test_a_proof_past_the_deadline_counts_as_not_proved(monkeypatch):
+    # x * x has bit 1 at 0 always; showing it takes a conflict, and the
+    # clock is now read at every conflict.
+    f = parse_formula("(declare-const x (_ BitVec 4))"
+                      "(assert (bvule (bvmul x x) (bvmul x x)))")
+    monkeypatch.setattr(sat, "_DEADLINE_CONFLICTS", 1)
+    slots = range(2 * build_universe(f).num_entries)
+    in_time = [Unreachable(DiversitySmtEngine(f))._proves(s) for s in slots]
+    late = [Unreachable(DiversitySmtEngine(f, deadline=0.0))._proves(s)
+            for s in slots]
+    assert any(a and not b for a, b in zip(in_time, late))
+    assert not any(b and not a for a, b in zip(in_time, late))
 
 
 def test_refinement_stops_once_the_time_budget_is_spent(monkeypatch):

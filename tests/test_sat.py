@@ -11,8 +11,8 @@ import pytest
 from pansampler.bitblast import BlastMap, Cnf, bit_blast
 from pansampler.parser import parse_formula
 from pansampler.sat import (BitDistribution, CdclSolver, ConflictBudgetExceeded,
-                            SolverConfig, _cleaned, _Kept, distribution_from,
-                            joined, solve)
+                            DeadlinePassed, SolverConfig, _cleaned, _Kept,
+                            distribution_from, joined, solve)
 from pansampler.values import Assignment, BoolVal, BvVal
 
 from helpers import clauses_held, dpll, parse_dimacs, random_cnf
@@ -58,6 +58,12 @@ def test_pigeonhole_with_enough_holes_is_sat():
 def test_conflict_budget_raises_instead_of_answering():
     with pytest.raises(ConflictBudgetExceeded):
         solve(pigeonhole(6, 5), cfg=SolverConfig(conflict_budget=1))
+
+
+def test_a_passed_deadline_raises_instead_of_answering():
+    with pytest.raises(DeadlinePassed):
+        solve(pigeonhole(7, 6), cfg=SolverConfig(deadline=0.0))
+    assert solve(pigeonhole(4, 3), cfg=SolverConfig(deadline=0.0)) is None
 
 
 def test_a_restart_at_every_conflict_still_proves_unsat(monkeypatch):
