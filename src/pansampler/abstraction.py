@@ -8,6 +8,10 @@ are abstracted first), and its array subterms are variables or store
 chains over purified scalars. The map between fresh variables and
 purified atoms is a bijection; hash consing makes syntactically equal
 atoms share one fresh variable.
+
+A formula that declares no array or function symbol holds no select,
+apply or array equality, so it is its own abstraction: its assertions
+as they are, no atoms, and a rewrite that returns its argument.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ class Abstraction:
     atom_map: dict[str, int] = field(default_factory=dict)  # fresh name -> atom id
     name_of_atom: dict[int, str] = field(default_factory=dict)
     witness_of: dict[int, str] = field(default_factory=dict)  # eq atom -> index var
+    identity: bool = False  # no array or function symbol: rewrite is the identity
     _rewrite_memo: dict[int, int] = field(default_factory=dict)
     _fresh_counts: dict[str, int] = field(default_factory=dict)
 
@@ -65,39 +70,52 @@ class Abstraction:
         """Abstracted image of a term; extends the atom map on demand.
 
         Scalar terms map to pure bitvector terms; array-sorted terms map
-        to purified variables/store chains (legal only below atoms)."""
+        to purified variables/store chains (legal only below atoms).
+        Nodes finish children first, the last child first, and each
+        fresh atom is numbered as its node finishes."""
+        if self.identity:
+            return term_id
         memo = self._rewrite_memo
         got = memo.get(term_id)
         if got is not None:
             return got
         table = self.base.table
-        stack = [(term_id, False)]
+        # One frame per node: its id and an iterator over its children,
+        # last first. A node finishes once no child is left without an
+        # image; only a changed child makes a new tuple of children.
+        stack = [(term_id, reversed(table[term_id].children))]
         while stack:
-            tid, ready = stack.pop()
-            if tid in memo:
-                continue
-            term = table[tid]
-            if not ready:
-                stack.append((tid, True))
-                stack.extend((c, False) for c in term.children if c not in memo)
-                continue
-            kids = tuple(memo[c] for c in term.children)
-            if term.op is Op.SELECT:
-                purified = table.mk(Op.SELECT, kids) if kids != term.children else tid
-                memo[tid] = self._abstract_atom(purified, "sel", term.sort)
-            elif term.op is Op.APPLY:
-                purified = (table.mk_apply(term.name, self.base.decls[term.name], kids)
-                            if kids != term.children else tid)
-                memo[tid] = self._abstract_atom(purified, "uf", term.sort)
-            elif term.op in (Op.EQ, Op.DISTINCT) and \
-                    table.sort_of(term.children[0]).is_array:
-                memo[tid] = self._array_cmp(term.op, kids)
-            elif kids == term.children:
-                memo[tid] = tid
-            elif term.op is Op.EXTRACT:
-                memo[tid] = table.mk(Op.EXTRACT, kids, hi=term.hi, lo=term.lo)
+            tid, todo = stack[-1]
+            for c in todo:
+                if c not in memo:
+                    stack.append((c, reversed(table[c].children)))
+                    break
             else:
-                memo[tid] = table.mk(term.op, kids)
+                stack.pop()
+                term = table[tid]
+                kids = children = term.children
+                for c in children:
+                    if memo[c] != c:
+                        kids = tuple(map(memo.__getitem__, children))
+                        break
+                if term.op is Op.SELECT:
+                    purified = (table.mk(Op.SELECT, kids)
+                                if kids is not children else tid)
+                    memo[tid] = self._abstract_atom(purified, "sel", term.sort)
+                elif term.op is Op.APPLY:
+                    purified = (table.mk_apply(term.name,
+                                               self.base.decls[term.name], kids)
+                                if kids is not children else tid)
+                    memo[tid] = self._abstract_atom(purified, "uf", term.sort)
+                elif term.op in (Op.EQ, Op.DISTINCT) and \
+                        table.sort_of(children[0]).is_array:
+                    memo[tid] = self._array_cmp(term.op, kids)
+                elif kids is children:
+                    memo[tid] = tid
+                elif term.op is Op.EXTRACT:
+                    memo[tid] = table.mk(Op.EXTRACT, kids, hi=term.hi, lo=term.lo)
+                else:
+                    memo[tid] = table.mk(term.op, kids)
         return memo[term_id]
 
     def _array_cmp(self, op: Op, kids: tuple[int, ...]) -> int:
@@ -131,14 +149,15 @@ def abstract_formula(f: Formula) -> Abstraction:
 
     The abstracted formula shares f's term table. Its declarations are
     f's Bool/BitVec variables (declaration order preserved) followed by
-    fresh atom variables in first-encounter order."""
+    fresh atom variables in first-encounter order. When those variables
+    are all f declares, it is the identity abstraction (see above)."""
     abstracted = Formula(f.table, logic=f.logic)
     for name, sort in f.decls.items():
         if sort.is_bool or sort.is_bv:
             abstracted.decls[name] = sort
-    abs_ = Abstraction(base=f, formula=abstracted)
-    for a in f.assertions:
-        abstracted.assertions.append(abs_.rewrite(a))
+    abs_ = Abstraction(base=f, formula=abstracted,
+                       identity=len(abstracted.decls) == len(f.decls))
+    abstracted.assertions.extend(map(abs_.rewrite, f.assertions))
     return abs_
 
 

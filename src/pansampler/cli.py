@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .abstraction import abstract_formula
 from .bitblast import bit_blast, to_dimacs
-from .coverage import build_universe
 from .oracle import (EnumerationReport, OracleError, exact_coverage,
                      slow_satisfies, solutions_of)
 from .parser import ParseError, parse_file
@@ -176,7 +175,7 @@ def _out_path(path: Path, out_dir: str, suffix: str) -> Path:
 
 def _oracle_report(f: Formula, result: SampleResult, deadline: float) -> dict:
     try:
-        universe = build_universe(f)
+        universe = result.universe
         count = valid = 0
         for _, cover in solutions_of(f, universe, deadline=deadline):
             count += 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from .terms import Formula, Op
 from .values import Assignment, BoolVal, BvVal, Value
@@ -71,7 +72,7 @@ def build_universe(f: Formula) -> AstBitUniverse:
         if not (term.sort.is_bool or term.sort.is_bv):
             continue
         node_ids.append(tid)
-        entries.extend((tid, b) for b in range(term.sort.num_bits))
+        entries.extend(zip(repeat(tid), range(term.sort.num_bits)))
     return AstBitUniverse(tuple(entries), tuple(node_ids), tuple(order))
 
 

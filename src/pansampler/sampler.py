@@ -100,8 +100,9 @@ class DiversitySmtEngine:
 
     In alt1 mode each solve excludes the prior solutions by blocking
     clauses; in every other mode it steers phases toward their minority
-    bits with probability cfg.bias_p. Every SAT solve stops at deadline
-    (a time.perf_counter() value) with DeadlinePassed.
+    bits with probability cfg.bias_p. Past deadline (a time.perf_counter()
+    value), a new base's blast and every SAT solve, before it starts or
+    during its search, raise DeadlinePassed.
 
     One record, which _update keeps current, serves the prior solutions:
     the solutions themselves, kept alive so that `is` comparisons stay
@@ -149,6 +150,8 @@ class DiversitySmtEngine:
         decls = self.abs.formula.decls
         key = (len(self.lemmas), len(decls), len(self.asked))
         if key != self._base_key:
+            if time.perf_counter() > self.deadline:
+                raise DeadlinePassed("the deadline passed before the blast")
             images = [self.abs.rewrite(l) for l in self.lemmas]
             assertions = list(self.abs.formula.assertions) + images
             self._base = bit_blast(self.f.table, decls, assertions,
@@ -342,15 +345,15 @@ class Unreachable:
         k, v = divmod(slot, 2)
         tid, bit = self.universe.entries[k]
         image = self.engine.abs.rewrite(tid)
-        base, bmap = self.engine.blast()
-        if image not in bmap.terms:  # a node only inside a theory atom
-            self.engine.asked.append(image)
-            base, bmap = self.engine.blast()
-        lit = bmap.terms[image]
-        if isinstance(lit, list):
-            lit = lit[bit]
-        cnf = Cnf(base.num_vars, [(lit if v else -lit,)], base=base)
         try:
+            base, bmap = self.engine.blast()
+            if image not in bmap.terms:  # a node only inside a theory atom
+                self.engine.asked.append(image)
+                base, bmap = self.engine.blast()
+            lit = bmap.terms[image]
+            if isinstance(lit, list):
+                lit = lit[bit]
+            cnf = Cnf(base.num_vars, [(lit if v else -lit,)], base=base)
             return sat_solve(cnf, None, SolverConfig(
                 seed=0, conflict_budget=PROOF_CONFLICTS,
                 deadline=self.engine.deadline)) is None

@@ -644,7 +644,11 @@ class CdclSolver:
 
 def solve(cnf: Cnf, dist: BitDistribution | None = None,
           cfg: SolverConfig | None = None) -> list[bool] | None:
-    """Solve a CNF; model indexed 1..num_vars at positions 1.., or None."""
+    """Solve a CNF; model indexed 1..num_vars at positions 1.., or None.
+    Raises DeadlinePassed, building no solver, once cfg.deadline has
+    passed."""
+    if cfg is not None and time.perf_counter() > cfg.deadline:
+        raise DeadlinePassed("the deadline passed before the solve")
     model = CdclSolver(cnf, dist, cfg).solve()
     if model is not None:
         true_lits = {v if model[v] else -v for v in range(1, len(model))}

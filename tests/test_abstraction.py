@@ -1,10 +1,15 @@
 """Purification of theory atoms into fresh tracked variables."""
 
+import hashlib
+from pathlib import Path
+
 from pansampler.abstraction import abstract_formula, project_assignment
+from pansampler.coverage import build_universe
 from pansampler.evaluate import satisfies
-from pansampler.parser import parse_formula
-from pansampler.sorts import bv
-from pansampler.terms import Op
+from pansampler.fuzz import random_formula
+from pansampler.parser import parse_file, parse_formula
+from pansampler.sorts import array, bv
+from pansampler.terms import Formula, Op
 from pansampler.values import ArrayVal, Assignment, BoolVal, BvVal
 
 
@@ -164,3 +169,46 @@ def test_fresh_witness_is_created_once():
     assert w1 == w2
     assert abs_.formula.decls[w1] == bv(2)
 
+
+
+def test_the_walk_numbers_atoms_and_builds_terms_as_before():
+    # The atom map, the abstracted assertions and their declarations of
+    # 600 fuzzed array and function formulas, pinned as one digest taken
+    # of the walk that pushed every node twice.
+    digest = hashlib.sha256()
+    for seed in range(600):
+        f = random_formula(seed, logic=("QF_ABV", "QF_AUFBV")[seed % 2],
+                           max_depth=5)
+        abs_ = abstract_formula(f)
+        digest.update(repr((
+            list(abs_.atom_map.items()), abs_.formula.assertions,
+            [(n, repr(s)) for n, s in abs_.formula.decls.items()])).encode())
+    assert digest.hexdigest() == (
+        "af3ae697fe849c0dee65c6d36385825a5b23376218174add23f6e7c105f14066")
+
+
+def _bv_formulas() -> list[Formula]:
+    inputs = Path(__file__).parent.parent / "perfbench" / "inputs" / "bv_arith"
+    files = sorted(inputs.glob("*.smt2"))
+    assert len(files) == 4
+    return ([random_formula(seed, logic="QF_BV", max_depth=5)
+             for seed in range(300)]
+            + [parse_file(str(p)) for p in files])
+
+
+def test_a_formula_without_arrays_or_functions_is_its_own_abstraction():
+    # The same formula with one unused array declared takes the walk,
+    # which must come to the same abstraction and leave every tracked
+    # node as it is.
+    for f in _bv_formulas():
+        got = abstract_formula(f)
+        walked = abstract_formula(Formula(
+            f.table, list(f.assertions),
+            {**f.decls, "unused": array(bv(2), bv(2))}, f.logic))
+        assert got.identity and not walked.identity
+        assert got.formula.assertions == walked.formula.assertions \
+            == f.assertions
+        assert got.formula.decls == walked.formula.decls == f.decls
+        assert got.atom_map == walked.atom_map == {}
+        for tid in build_universe(f).node_ids:
+            assert got.rewrite(tid) == walked.rewrite(tid) == tid

@@ -561,6 +561,24 @@ def test_run_file_builds_the_coverage_universe_once(tmp_path, monkeypatch):
     assert report["uncovered"] and report["coverage_reachable"] == 1.0
 
 
+def test_oracle_check_reads_the_sampler_universe(tmp_path, monkeypatch):
+    made = []
+
+    class Counted(coverage.AstBitUniverse):
+        def __init__(self, *args) -> None:
+            made.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(coverage, "AstBitUniverse", Counted)
+    src = tmp_path / "demo.smt2"
+    src.write_text(FREE3)
+    run_file(src, SamplerConfig(target_coverage=0.995, lam=2),
+             oracle_check=True)
+    assert len(made) == 1
+    report = json.loads((tmp_path / "demo.report.json").read_text())
+    assert report["oracle_check"]["total_ast_bits"] == made[0].num_ast_bits
+
+
 def test_a_file_name_with_a_comma_stays_one_csv_field(tmp_path, capsys):
     # Rows without special characters are written as before; a name
     # holding a comma or a quote is quoted, so every row reads back as

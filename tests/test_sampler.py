@@ -710,6 +710,43 @@ def test_a_proof_past_the_deadline_counts_as_not_proved(monkeypatch):
     assert not any(b and not a for a, b in zip(in_time, late))
 
 
+def test_no_new_base_is_blasted_past_the_deadline(monkeypatch):
+    f = parse_formula(FREE3)
+    blasts = []
+    monkeypatch.setattr(sampler, "bit_blast",
+                        lambda *args: blasts.append(1) or bit_blast(*args))
+    engine = DiversitySmtEngine(f, deadline=time.perf_counter() - 1)
+    with pytest.raises(sat.DeadlinePassed):
+        engine.blast()
+    assert blasts == []
+    engine.deadline = time.perf_counter() + 3600
+    base, _ = engine.blast()
+    engine.deadline = time.perf_counter() - 1
+    assert engine.blast()[0] is base and blasts == [1]  # no new base
+
+
+def test_a_blast_that_ends_past_the_deadline_is_never_solved(monkeypatch):
+    # The time budget runs out while the first base is blasted: the run
+    # ends on timeout without building a solver over it.
+    f = parse_formula(FREE3)
+    solvers = []
+    init = sat.CdclSolver.__init__
+
+    def slow_blast(*args):
+        time.sleep(0.3)
+        return bit_blast(*args)
+
+    def counted(self, *args):
+        solvers.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(sampler, "bit_blast", slow_blast)
+    monkeypatch.setattr(sat.CdclSolver, "__init__", counted)
+    got = sample(f, SamplerConfig(time_budget=0.1))
+    assert got.reason == "timeout" and not got.solutions
+    assert solvers == []
+
+
 def test_refinement_stops_once_the_time_budget_is_spent(monkeypatch):
     f = parse_formula(
         "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"

@@ -4,10 +4,12 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import time
 from typing import Sequence
 
 import pytest
 
+from pansampler import sat
 from pansampler.bitblast import BlastMap, Cnf, bit_blast
 from pansampler.parser import parse_formula
 from pansampler.sat import (BitDistribution, CdclSolver, ConflictBudgetExceeded,
@@ -60,10 +62,39 @@ def test_conflict_budget_raises_instead_of_answering():
         solve(pigeonhole(6, 5), cfg=SolverConfig(conflict_budget=1))
 
 
-def test_a_passed_deadline_raises_instead_of_answering():
+class _Clock:
+    """A perf_counter that reads 0 on its first call and 1 after it."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def perf_counter(self) -> float:
+        self.calls += 1
+        return float(self.calls > 1)
+
+
+def test_a_passed_deadline_raises_instead_of_answering(monkeypatch):
+    # The deadline passes after the solve began; the clock is read again
+    # only every 256 conflicts, so a short search still answers.
+    monkeypatch.setattr(sat, "time", _Clock())
     with pytest.raises(DeadlinePassed):
-        solve(pigeonhole(7, 6), cfg=SolverConfig(deadline=0.0))
-    assert solve(pigeonhole(4, 3), cfg=SolverConfig(deadline=0.0)) is None
+        solve(pigeonhole(7, 6), cfg=SolverConfig(deadline=0.5))
+    monkeypatch.setattr(sat, "time", _Clock())
+    assert solve(pigeonhole(4, 3), cfg=SolverConfig(deadline=0.5)) is None
+
+
+def test_a_solve_past_its_deadline_builds_no_live_state(monkeypatch):
+    loads = []
+    real = CdclSolver._load_live
+    monkeypatch.setattr(CdclSolver, "_load_live",
+                        lambda self, *args: loads.append(1) or real(self, *args))
+    cnf = pigeonhole(4, 3)
+    with pytest.raises(DeadlinePassed):
+        solve(cnf, cfg=SolverConfig(deadline=time.perf_counter() - 1))
+    assert loads == []
+    assert solve(cnf, cfg=SolverConfig(deadline=time.perf_counter() + 3600)) \
+        is None
+    assert loads == [1]
 
 
 def test_a_restart_at_every_conflict_still_proves_unsat(monkeypatch):
