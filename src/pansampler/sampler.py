@@ -1,8 +1,9 @@
 """Coverage-guided sampling loop.
 
 Each iteration draws a batch of candidate solutions from the diversity
-solver, scores them against the accumulated coverage, keeps the best,
-refines it by per-variable deviation re-solves, and absorbs it. A
+solver (their SAT solves run as the lanes of one sat.Batch), scores
+them against the accumulated coverage, keeps the best, refines it by
+per-variable deviation re-solves, and absorbs it. A
 deviation (variable, value) is one clause over the variable's SAT bits,
 saying that some bit differs from the value, added to the base CNF. A run
 stalls once lam iterations in a row absorb nothing, or as soon as every
@@ -28,8 +29,9 @@ from .bitblast import BlastMap, Cnf, bit_blast
 from .coverage import (AstBitUniverse, CoverState, build_universe, cover_set,
                        manhattan_score)
 from .evaluate import Evaluator, assertions_hold, satisfies
-from .sat import (BitDistribution, ConflictBudgetExceeded, DeadlinePassed,
-                  SolverConfig, distribution_from, joined)
+from .sat import (Batch, BitDistribution, ConflictBudgetExceeded,
+                  DeadlinePassed, Model, SolverConfig, distribution_from,
+                  joined, live_state, word)
 from .sat import solve as sat_solve
 from .terms import Formula
 from .theory import Conflict, axiom_instance_bound, theory_check
@@ -199,70 +201,118 @@ class DiversitySmtEngine:
                    for p in projected]
         return Cnf(base.num_vars, clauses, base=base)
 
-    def _lift(self, model: list[bool], bmap: BlastMap) -> Assignment:
+    def _lift(self, model: Model, bmap: BlastMap) -> Assignment:
         a = Assignment()
         for name, sort in self.abs.formula.decls.items():
             bits = bmap.bits[name]
             if sort.is_bool:
                 a.set(name, BoolVal(model[bits[0]]))
             else:
-                raw = 0
-                for b, var in enumerate(bits):
-                    if model[var]:
-                        raw |= 1 << b
-                a.set(name, BvVal(sort.width, raw))
+                a.set(name, BvVal(sort.width, word(model, bits)))
         return a
+
+    def _problem(self, prior: list[Assignment], atoms: int,
+                 deviation: tuple[str, int] | None
+                 ) -> tuple[Cnf, BlastMap, BitDistribution]:
+        """The CNF, blast map and distribution of one round's SAT solve."""
+        cnf, bmap = self.blast(deviation)
+        self._update(prior, atoms, bmap)
+        if self.cfg.mode is Mode.ALT1:
+            dist = BitDistribution()
+            if prior:
+                # The blocking clauses are one extension, which keeps its
+                # prepared clauses across solves; a deviation joins it
+                # after its own clause.
+                if self._blocks is None:
+                    self._blocks = self._blocking(self._projected)
+                cnf = (self._blocks if cnf.base is None
+                       else joined(cnf, self._blocks))
+        else:
+            if self._dist is None:
+                self._dist = distribution_from(self._projected, bmap)
+            dist = self._dist
+        return cnf, bmap, dist
+
+    def _sat_cfg(self, seeds: random.Random) -> SolverConfig:
+        return SolverConfig(seed=seeds.randrange(1 << 32),
+                            bias_p=self.cfg.bias_p, deadline=self.deadline)
+
+    def _accept(self, model: Model, bmap: BlastMap, rounds: int
+                ) -> Candidate | None:
+        """The candidate of a SAT model, evaluated once, in one pass over
+        the formula, which gives both the check that it satisfies the
+        formula and its cover bitset; or None when the theories refute
+        it, after keeping the conflict's lemma. rounds is the number of
+        lemmas the calling solve has kept so far."""
+        candidate = self._lift(model, bmap)
+        verdict = theory_check(self.f, self.abs, candidate)
+        if isinstance(verdict, Conflict):
+            self.lemma_rounds += 1
+            if rounds + 1 > self.lemma_bound:
+                raise AssertionError(
+                    "lemma loop exceeded its static instance bound")
+            lemma, = verdict.lemmas
+            if lemma in self.lemmas:
+                raise AssertionError("theory conflict produced no new lemma")
+            self.lemmas[lemma] = None
+            return None
+        solution = verdict.assignment
+        memo = Evaluator(self.f.table, solution).fill(self.universe.order)
+        if not assertions_hold(self.f, memo):
+            raise AssertionError("theory-consistent candidate fails the formula")
+        return Candidate(solution, cover_set(self.universe, memo))
+
+    def _rounds(self, prior: list[Assignment], seeds: random.Random,
+                atoms: int, deviation: tuple[str, int] | None,
+                rounds: int = 0) -> Candidate | None:
+        """Solve rounds with SAT seeds drawn from seeds until the theories
+        accept a model, rounds lemmas into the call."""
+        while True:
+            cnf, bmap, dist = self._problem(prior, atoms, deviation)
+            model = sat_solve(cnf, dist, self._sat_cfg(seeds))
+            if model is None:
+                return None
+            candidate = self._accept(model, bmap, rounds)
+            if candidate is not None:
+                return candidate
+            rounds += 1
 
     def solve_once(self, prior: list[Assignment], seed: int,
                    deviation: tuple[str, int] | None = None
                    ) -> Candidate | None:
         """One diversity solve: None means the blasted problem (with any
-        blocking clauses or deviation) is unsatisfiable. The solution is
-        evaluated once, in one pass over the formula, which gives both the
-        check that it satisfies the formula and its cover bitset."""
-        seeds = random.Random(seed)
-        atoms = len(self.abs.atom_map)
-        rounds = 0
-        while True:
-            cnf, bmap = self.blast(deviation)
-            self._update(prior, atoms, bmap)
-            if self.cfg.mode is Mode.ALT1:
-                dist = BitDistribution()
-                if prior:
-                    # The blocking clauses are one extension, which keeps
-                    # its prepared clauses across solves; a deviation
-                    # joins it after its own clause.
-                    if self._blocks is None:
-                        self._blocks = self._blocking(self._projected)
-                    cnf = (self._blocks if cnf.base is None
-                           else joined(cnf, self._blocks))
-            else:
-                if self._dist is None:
-                    self._dist = distribution_from(self._projected, bmap)
-                dist = self._dist
-            model = sat_solve(cnf, dist, SolverConfig(
-                seed=seeds.randrange(1 << 32), bias_p=self.cfg.bias_p,
-                deadline=self.deadline))
-            if model is None:
-                return None
-            candidate = self._lift(model, bmap)
-            verdict = theory_check(self.f, self.abs, candidate)
-            if isinstance(verdict, Conflict):
-                rounds += 1
-                self.lemma_rounds += 1
-                if rounds > self.lemma_bound:
-                    raise AssertionError(
-                        "lemma loop exceeded its static instance bound")
-                lemma, = verdict.lemmas
-                if lemma in self.lemmas:
-                    raise AssertionError("theory conflict produced no new lemma")
-                self.lemmas[lemma] = None
-                continue
-            solution = verdict.assignment
-            memo = Evaluator(self.f.table, solution).fill(self.universe.order)
-            if not assertions_hold(self.f, memo):
-                raise AssertionError("theory-consistent candidate fails the formula")
-            return Candidate(solution, cover_set(self.universe, memo))
+        blocking clauses or deviation) is unsatisfiable."""
+        return self._rounds(prior, random.Random(seed),
+                            len(self.abs.atom_map), deviation)
+
+    def solve_batch(self, prior: list[Assignment], seeds: list[int]
+                    ) -> list[Candidate | None]:
+        """[solve_once(prior, s) for s in seeds], each the same as on its
+        own, up to and including the first None or the first that ends
+        past the deadline. The first round of every solve is a lane of
+        one Batch. A lemma ends the batch: the solve that met it goes on
+        with its own rounds, and the solves after it form a new batch on
+        the new base."""
+        out: list[Candidate | None] = []
+        while len(out) < len(seeds):
+            rngs = [random.Random(s) for s in seeds[len(out):]]
+            atoms, lemmas = len(self.abs.atom_map), len(self.lemmas)
+            cnf, bmap, dist = self._problem(prior, atoms, None)
+            cfgs = [self._sat_cfg(r) for r in rngs]
+            batch = Batch(cnf, dist, cfgs)
+            for rng, cfg in zip(rngs, cfgs):
+                model = sat_solve(cnf, dist, cfg, batch=batch)
+                candidate = None
+                if model is not None:
+                    candidate = self._accept(model, bmap, 0)
+                    if candidate is None:  # refuted: a lemma was kept
+                        candidate = self._rounds(prior, rng, atoms, None, 1)
+                out.append(candidate)
+                if candidate is None or time.perf_counter() > self.deadline:
+                    return out
+                if len(self.lemmas) != lemmas:
+                    break
+        return out
 
 
 def post_opt(engine: DiversitySmtEngine, state: CoverState,
@@ -297,14 +347,16 @@ class Unreachable:
 
     Slot 2k+v, entry k = (node n, bit b), is proved when the engine's base
     CNF plus the unit clause setting bit b of n's blasted image to v is
-    UNSAT. A node that occurs only inside a theory atom has no gate in the
-    base until a proof asks for it; from then on every base encodes its
-    image after the assertions. That re-blast changes no sample: the
-    image's gates are Tseitin definitions numbered after every variable
-    the base had, which unit propagation sets as soon as their inputs are
-    set, so a conflict-free solve decides the same variables with the same
-    rng draws, a replay's conflict analysis never meets them, and they
-    keep every answer, as definitions preserve satisfiability. The
+    UNSAT: at once, building no solver, when that literal is false in the
+    base's live level-0 values, else by a solve. A node that occurs only
+    inside a theory atom has no gate in the base until a proof asks for
+    it; from then on every base encodes its image after the assertions.
+    That re-blast changes no sample: the image's gates are Tseitin
+    definitions numbered after every variable the base had, which unit
+    propagation sets as soon as their inputs are set, so a conflict-free
+    solve decides the same variables with the same rng draws, a replay's
+    conflict analysis never meets them, and they keep every answer, as
+    definitions preserve satisfiability. The
     abstraction over-approximates and every lemma is a valid theory fact,
     so every solution, projected, is a model of the base CNF: no solution
     covers a proved slot, and a proof holds for the rest of the run. A
@@ -353,7 +405,11 @@ class Unreachable:
             lit = bmap.terms[image]
             if isinstance(lit, list):
                 lit = lit[bit]
-            cnf = Cnf(base.num_vars, [(lit if v else -lit,)], base=base)
+            unit = lit if v else -lit
+            live = live_state(base, self.engine.deadline)
+            if live.unsat or live.value[unit] == -1:
+                return True  # the base's units alone refute it
+            cnf = Cnf(base.num_vars, [(unit,)], base=base)
             return sat_solve(cnf, None, SolverConfig(
                 seed=0, conflict_budget=PROOF_CONFLICTS,
                 deadline=self.engine.deadline)) is None
@@ -394,10 +450,14 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
                 break
             iterations += 1
             t0 = time.perf_counter()
+            # The seeds come from a copy of master, which then advances
+            # past the seeds of the candidates the loop takes.
+            ahead = random.Random()
+            ahead.setstate(master.getstate())
+            seeds = [ahead.randrange(1 << 32) for _ in range(cfg.lam)]
             candidates: list[Candidate] = []
-            for _ in range(cfg.lam):
-                seed = master.randrange(1 << 32)
-                cand = engine.solve_once(solutions, seed)
+            for cand in engine.solve_batch(solutions, seeds):
+                master.randrange(1 << 32)
                 if cand is None:
                     if cfg.mode is Mode.ALT1 and solutions:
                         break  # blocked out: every solution already sampled

@@ -67,6 +67,34 @@ Variable values live in one list indexed directly by the signed
 literal: value[lit] is +1 when lit is true, -1 when false, 0 when free.
 A negative index wraps into the upper half of the list, so the list
 has 2 * num_vars + 1 slots and both polarities are written together.
+A live state's tables have two more, for a pad variable whose literal
+num_vars + 1 is false and fills each listed 2-literal clause to three.
+
+The sampler's candidates of one iteration are solves of one CNF under
+one distribution that differ only in their seeds. A `Batch` runs them
+as the lanes of one bit-sliced descent, as bitslicing runs many
+instances of one Boolean computation in the bits of one machine word
+(Biham, FSE 1997). One integer per literal holds the lanes in which it
+is false; the pad literal is false in every lane, and its negation in
+none, which literal 0 could not be. A decision step takes the lowest
+variable free in some lane, and each lane where it is free draws from
+its own rng, so each lane makes exactly the draws of its solo solve.
+Propagation keeps one pending mask per literal, merging the lanes in
+which it turned false, and visits each clause listed under it once for
+all of them with a few operations on masks. Clauses of four or more
+literals, and an extension's own clauses, are watched per batch by two
+literals free in every lane where the clause does not yet hold.
+
+Each lane's model is its solo solve's. Both start from the same level-0
+state and decide the same variables in the same order with the same
+draws. After each decision step a lane holds the closure of its
+assignment under unit propagation, which is unique and does not depend
+on the order in which it was reached, so the lane meets a conflict at
+exactly the step where its solo solve does. Such a lane leaves the batch
+and replays alone on a fresh load, as its solo solve does; every other
+lane ends with its solo solve's model. Models are read from the masks
+(`_Lane`), and each clause is re-checked against every lane in one pass
+of mask operations.
 """
 
 from __future__ import annotations
@@ -75,9 +103,10 @@ import heapq
 import random
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, islice
-from operator import neg
-from typing import Sequence
+from operator import neg, or_
+from typing import Collection, Sequence
 
 from .bitblast import BlastMap, Cnf
 from .values import Assignment
@@ -158,6 +187,7 @@ _RESTART_BASE = 64  # conflicts per Luby unit between restarts
 _RESCALE = 1e100
 _DECAY = 0.95  # VSIDS activity decay per conflict
 _DEADLINE_CONFLICTS = 256  # conflicts between two reads of the clock
+_DEADLINE_STEPS = 256  # a Batch's unpropagated decision steps between reads
 
 
 def _check_literals(clauses: Sequence[tuple[int, ...]], n: int) -> None:
@@ -183,18 +213,21 @@ def _cleaned(clauses: Sequence[tuple[int, ...]]):
 class _Live:
     """A base's state at level 0, kept between solves.
 
-    Two tables indexed by literal, as the value table is, are the same
-    at the start of every solve; _propagate reads them. occurs[lit]
-    lists the base's 3-literal clauses that hold lit, and its 2-literal
-    ones with literal 0 added: the value table holds -1 at slot 0, so
-    literal 0 is false. hot[lit] is 1 when some clause may need a visit
-    as lit turns false. Beside them: the watch lists of the longer
-    clauses, and the trail and value table the units propagate to, or
-    unsat when that propagation met a conflict."""
+    Its tables are indexed by literal, as the value table is, over the
+    variables 1..n and a pad variable n + 1, whose literal n + 1 is false.
+    Two of them are the same at the start of every solve; _propagate and
+    Batch read them. occurs[lit] lists the base's 3-literal clauses that
+    hold lit, and its 2-literal ones with the pad literal added. hot[lit]
+    is 1 when some clause may need a visit as lit turns false. Beside
+    them: the watch lists of the longer clauses, and the clauses of four
+    or more literals (longs), which Batch watches in its own way; and the
+    trail and value table the units propagate to, or unsat when that
+    propagation met a conflict."""
 
     occurs: list[Sequence[tuple[int, ...]]]
     hot: list[int]
     watches: dict[int, list[list[int]]]
+    longs: list[tuple[int, ...]]
     trail: list[int]
     value: list[int]
     unsat: bool
@@ -247,7 +280,8 @@ class CdclSolver:
     conflict count are those of a freshly loaded solver."""
 
     def __init__(self, cnf: Cnf, dist: BitDistribution | None = None,
-                 cfg: SolverConfig | None = None) -> None:
+                 cfg: SolverConfig | None = None,
+                 replay: bool = False) -> None:
         self.cfg = cfg or SolverConfig()
         self.dist = dist or BitDistribution()
         n = self.num_vars = cnf.num_vars  # its base's too, if any
@@ -255,8 +289,11 @@ class CdclSolver:
         self._own = _kept(cnf).clauses if owner is not cnf else ()
         self._attached: list[list[int]] = []
         self._marked: list[int] = []  # literals hot for this solve only
-        self._replayed = False
+        self._replayed = replay
         base = self._base = _kept(owner)
+        if replay:  # a lane that met a conflict in its Batch
+            self._lay_out(n, base.clauses, self._own)
+            return
         live, base.live = base.live, None
         if live is None:
             live = self._load_live(n, base.clauses)
@@ -284,13 +321,15 @@ class CdclSolver:
         self.conflicts = 0
         self.var_inc = 1.0
 
-    def _lay_out(self, n: int, *parts: Sequence[tuple[int, ...]]) -> None:
-        """Reset to a fresh load of prepared clauses over variables 1..n:
-        no clause listed and every literal hot, each clause of two or more
-        literals watched in load order, and the units enqueued in order, a
-        repeated one skipped. An empty clause or two opposite units make
-        the state unsat."""
-        size = 2 * n + 1
+    def _lay_out(self, n: int, *parts: Sequence[tuple[int, ...]],
+                 pad: bool = False) -> None:
+        """Reset to a fresh load of prepared clauses over variables 1..n
+        (and a pad variable n + 1, free, when pad is set): no clause
+        listed and every literal hot, each clause of two or more literals
+        watched in load order, and the units enqueued in order, a repeated
+        one skipped. An empty clause or two opposite units make the state
+        unsat."""
+        size = 2 * n + (3 if pad else 1)
         self._reset({}, [], [0] * size, False)
         self._occurs, self._hot = [()] * size, [1] * size
         value = self.value
@@ -309,9 +348,10 @@ class CdclSolver:
         laid out as a fresh load lays them out, and the units propagated."""
         listed: dict[int, list[tuple[int, ...]]] = {}
         rest = []
+        pad = (n + 1,)
         for clause in clauses:
             if len(clause) == 2:
-                padded = clause + (0,)
+                padded = clause + pad
                 for lit in clause:
                     listed.setdefault(lit, []).append(padded)
             elif len(clause) == 3:
@@ -319,19 +359,20 @@ class CdclSolver:
                     listed.setdefault(lit, []).append(clause)
             else:
                 rest.append(clause)
-        self._lay_out(n, rest)
-        self.value[0] = -1  # literal 0, which pads a 2-literal clause
-        size = 2 * n + 1
+        self._lay_out(n, rest, pad=True)
+        self.value[n + 1], self.value[-n - 1] = -1, 1  # the pad is false
+        size = len(self.value)
         occurs, hot = self._occurs, self._hot = [()] * size, [0] * size
         for lit, got in listed.items():
             occurs[lit] = got
             hot[lit] = 1
-        for clause in rest:  # a long clause's watch may move to any literal
+        longs = [clause for clause in rest if len(clause) > 3]
+        for clause in longs:  # a long clause's watch may move to any literal
             for lit in clause:
                 hot[lit] = 1
         unsat = self._unsat or self._propagate() is not None
-        return _Live(occurs, hot, self.watches, self.trail, self.value,
-                     unsat)
+        return _Live(occurs, hot, self.watches, longs, self.trail,
+                     self.value, unsat)
 
     def _attach(self, clauses: Sequence[tuple[int, ...]]) -> None:
         """Add prepared clauses to a live state at level 0. Each watches
@@ -539,13 +580,14 @@ class CdclSolver:
 
     def solve(self) -> list[bool] | None:
         """A model as bools indexed 1..num_vars, or None when UNSAT."""
-        model = self._search()
-        self._hand_back()
-        if model is _REPLAY:
+        if not self._replayed:
+            model = self._search()
+            self._hand_back()
+            if model is not _REPLAY:
+                return model
             self._replayed = True
             self._lay_out(self.num_vars, self._base.clauses, self._own)
-            model = self._search()
-        return model
+        return self._search()
 
     def _model(self) -> list[bool]:
         return [False, *map((1).__eq__, self.value[1:self.num_vars + 1])]
@@ -642,14 +684,295 @@ class CdclSolver:
             conflict = self._propagate()
 
 
+def live_state(cnf: Cnf, deadline: float = float("inf")) -> _Live:
+    """The live state of a base Cnf, loaded on first use and kept on it.
+    Raises DeadlinePassed, loading nothing, once the deadline has passed."""
+    kept = _kept(cnf)
+    if kept.live is None:
+        if time.perf_counter() > deadline:
+            raise DeadlinePassed("the deadline passed before the load")
+        CdclSolver(cnf)._hand_back()
+    return kept.live
+
+
+class _Lane:
+    """One lane's model, read from its Batch's masks: model[v] is whether
+    variable v is true."""
+
+    __slots__ = ("_true", "_bit")
+
+    def __init__(self, true: list[int], bit: int) -> None:
+        self._true = true
+        self._bit = bit
+
+    def __getitem__(self, var: int) -> bool:
+        return self._true[var] & self._bit != 0
+
+
+Model = list[bool] | _Lane  # a solve's answer when SAT
+
+
+def word(model: Model, variables: Sequence[int]) -> int:
+    """The integer whose bit b is the value of variables[b] in model."""
+    values, bit = ((model._true, model._bit) if isinstance(model, _Lane)
+                   else (model, True))
+    raw = 0
+    for b, var in enumerate(variables):
+        if values[var] & bit:
+            raw |= 1 << b
+    return raw
+
+
+class Batch:
+    """The solves of one CNF under one distribution and several configs,
+    which differ only in their seeds, run as the lanes of one bit-sliced
+    descent (see the module docstring). solve(cnf, dist, cfg, batch)
+    reads cfg's lane.
+
+    A table indexed by literal, as the live value table is, holds for
+    each literal a mask of the lanes in which it is false. A decision
+    step takes the lowest variable free in some active lane, and each
+    lane where it is free draws its phase from its own rng. Propagation
+    keeps one mask per pending literal, the lanes in which it turned
+    false, and visits each clause listed under it once for all of them.
+    A lane that meets a conflict leaves the batch and replays alone when
+    read. Raises DeadlinePassed once cfg.deadline has passed, reading the
+    clock before the descent, after each decision step that propagates
+    and after every _DEADLINE_STEPS steps that do not; and AssertionError
+    when some lane's model falsifies a clause."""
+
+    def __init__(self, cnf: Cnf, dist: BitDistribution | None,
+                 cfgs: Sequence[SolverConfig]) -> None:
+        cfg = cfgs[0]
+        if time.perf_counter() > cfg.deadline:
+            raise DeadlinePassed("the deadline passed before the batch")
+        n = self.num_vars = cnf.num_vars
+        owner = cnf.base or cnf
+        live = live_state(owner, cfg.deadline)
+        self._bits = {c.seed: 1 << k for k, c in enumerate(cfgs)}
+        self._draws = [random.Random(c.seed).random for c in cfgs]
+        every = self.active = (1 << len(cfgs)) - 1
+        self.conflicted = 0
+        false = self._false = [0] * len(live.value)
+        for lit in live.trail:
+            false[-lit] = every
+        false[n + 1] = every  # the pad literal
+        self._occurs, self._hot = live.occurs, live.hot
+        self._unsat = live.unsat
+        if not self._unsat:
+            self._attach(live.longs,
+                         _kept(cnf).clauses if owner is not cnf else ())
+            # A conflict before the first decision is one in every lane.
+            self._unsat = not self.active
+        if not self._unsat:
+            below, lits = (dist or BitDistribution()).phases(n, cfg.bias_p)
+            self._descend(below, lits, cfg.deadline)
+            self._true = [false[0], *false[:0:-1]]  # true[lit] is false[-lit]
+            self._recheck(cnf)
+
+    def lane(self, seed: int) -> Model | None | object:
+        """The lane's model, None when the CNF is UNSAT, or _REPLAY when
+        the lane met a conflict."""
+        bit = self._bits[seed]
+        if self._unsat:
+            return None
+        if bit & self.conflicted:
+            return _REPLAY
+        return _Lane(self._true, bit)
+
+    def _attach(self, longs: Sequence[tuple[int, ...]],
+                own: Sequence[tuple[int, ...]]) -> None:
+        """Watch the base's long clauses and the extension's own prepared
+        clauses, each visited once in every lane. The live hot table is
+        copied when there are own clauses, whose watches it makes hot."""
+        self._longs = longs = [*longs, *own]
+        self._known = [0] * len(longs)  # the lanes each clause holds in
+        self._watches: list[Collection[int]] = [()] * len(longs)
+        self._watched: dict[int, list[int]] = {}  # literal -> clauses
+        if own:
+            self._hot = self._hot.copy()
+        pend: dict[int, int] = {}
+        for k in range(len(longs)):
+            self._scan(k, pend)
+        self._close(pend)
+
+    def _scan(self, k: int, pend: dict[int, int]) -> None:
+        """Visit clause k of the watched ones in every active lane: set
+        the one literal left free where every other is false, noting it
+        pending; drop the lanes where all are false; and watch, for the
+        lanes where the clause does not hold yet, two literals free in all
+        of them, the last decided (or, when there are no two, each that
+        is free in one of them)."""
+        false, hot = self._false, self._hot
+        clause = self._longs[k]
+        active = self.active
+        holds = reduce(or_, map(false.__getitem__, map(neg, clause)), 0)
+        open_ = active & ~holds  # the lanes with no literal true
+        free = [lit for lit in clause if not false[lit] & open_]
+        if open_ and len(free) < 2:  # an open lane may have one left, or none
+            one = two = 0  # the lanes with >= 1, >= 2 literals not false
+            for lit in clause:
+                not_false = ~false[lit]
+                two |= one & not_false
+                one |= not_false
+            unit = open_ & ~two
+            bad = unit & ~one
+            if bad:
+                active = self.active = active ^ bad
+                self.conflicted |= bad
+                unit ^= bad
+            rest = unit
+            for lit in clause:
+                if not rest:
+                    break
+                got = rest & ~false[lit]
+                if got:
+                    false[-lit] |= got
+                    if hot[-lit]:
+                        pend[-lit] = pend.get(-lit, 0) | got
+                    rest ^= got
+            holds |= unit
+            open_ = active & ~holds
+            free = [lit for lit in clause if not false[lit] & open_]
+        self._known[k] = holds
+        old = self._watches[k]
+        new: Collection[int] = ()
+        if open_:
+            free.sort(key=abs)
+            new = (free[-2:] if len(free) > 1 else
+                   {lit for lit in clause if open_ & ~false[lit]})
+        for lit in new:
+            if lit not in old:
+                self._watched.setdefault(lit, []).append(k)
+                if not hot[lit]:  # an own clause's: the table is a copy
+                    hot[lit] = 1
+        self._watches[k] = new
+
+    def _close(self, pend: dict[int, int]) -> None:
+        """Propagate the pending literals, each false in the lanes of its
+        mask, until every active lane is closed under unit propagation.
+        The lanes that meet a conflict leave the batch."""
+        false, occurs, hot = self._false, self._occurs, self._hot
+        watched, watches, known = self._watched, self._watches, self._known
+        active = self.active
+        while pend:
+            # First in, first out: a literal waits while more lanes join
+            # its mask, and is visited fewer times than last in, first out.
+            x = next(iter(pend))
+            m = pend.pop(x) & active
+            if not m:
+                continue
+            for a, b, c in occurs[x]:
+                fa, fb, fc = false[a], false[b], false[c]
+                # x is false in m: the lanes with another false literal
+                # and none true are units or conflicts.
+                unit = m & (fa & fb | fc & (fa | fb)) & ~(
+                    false[-a] | false[-b] | false[-c])
+                if not unit:
+                    continue
+                bad = unit & fa & fb & fc
+                if bad:
+                    active = self.active = active ^ bad
+                    m &= active
+                    unit ^= bad
+                    self.conflicted |= bad
+                got = unit & ~fa
+                if got:
+                    false[-a] |= got
+                    if hot[-a]:
+                        pend[-a] = pend.get(-a, 0) | got
+                got = unit & ~fb
+                if got:
+                    false[-b] |= got
+                    if hot[-b]:
+                        pend[-b] = pend.get(-b, 0) | got
+                got = unit & ~fc
+                if got:
+                    false[-c] |= got
+                    if hot[-c]:
+                        pend[-c] = pend.get(-c, 0) | got
+            for k in watched.get(x, ()):
+                if m & ~known[k] and x in watches[k]:
+                    self._scan(k, pend)
+                    active = self.active
+                    m &= active
+
+    def _descend(self, below: list[float], lits: list[int],
+                 deadline: float) -> None:
+        """Decide, in index order, each variable free in some active lane,
+        and propagate, until every active lane has a model."""
+        false, hot, draws = self._false, self._hot, self._draws
+        active = self.active
+        lanes = [(1 << k, draw) for k, draw in enumerate(draws)]  # active
+        steps = 0
+        for v in range(1, self.num_vars + 1):
+            free = active & ~(false[v] | false[-v])
+            if not free:
+                continue
+            p = below[v]
+            pos = 0  # the lanes that set lits[v]
+            if free == active:
+                for bit, draw in lanes:
+                    if draw() < p:
+                        pos |= bit
+            else:
+                rest = free
+                while rest:
+                    low = rest & -rest
+                    if draws[low.bit_length() - 1]() < p:
+                        pos |= low
+                    rest ^= low
+            lit = lits[v]
+            neg = free ^ pos
+            false[-lit] |= pos
+            false[lit] |= neg
+            steps += 1
+            if hot[-lit] or hot[lit]:
+                pend = {}
+                if pos and hot[-lit]:
+                    pend[-lit] = pos
+                if neg and hot[lit]:
+                    pend[lit] = neg
+                self._close(pend)
+                if self.active != active:
+                    active = self.active
+                    if not active:
+                        return
+                    lanes = [lane for lane in lanes if lane[0] & active]
+                steps = _DEADLINE_STEPS  # one propagation may take long
+            if steps >= _DEADLINE_STEPS:
+                steps = 0
+                if time.perf_counter() > deadline:
+                    raise DeadlinePassed("no answer before the deadline")
+
+    def _recheck(self, cnf: Cnf) -> None:
+        """Check every clause against every active lane's model, in one
+        pass of mask operations per clause."""
+        true, done = self._true, self.active
+        for clause in cnf.all_clauses():
+            holds = 0
+            for lit in clause:
+                holds |= true[lit]
+            if holds & done != done:
+                raise AssertionError(f"solver produced a falsifying model: "
+                                     f"clause {clause} is false")
+
+
 def solve(cnf: Cnf, dist: BitDistribution | None = None,
-          cfg: SolverConfig | None = None) -> list[bool] | None:
+          cfg: SolverConfig | None = None,
+          batch: Batch | None = None) -> Model | None:
     """Solve a CNF; model indexed 1..num_vars at positions 1.., or None.
     Raises DeadlinePassed, building no solver, once cfg.deadline has
-    passed."""
+    passed. With batch, a Batch of cnf and dist built with cfg, the
+    answer is cfg's lane: read from the batch, which re-checked it, or
+    replayed alone on a fresh load when the lane met a conflict."""
+    if batch is not None:
+        model = batch.lane(cfg.seed)
+        if model is not _REPLAY:
+            return model
     if cfg is not None and time.perf_counter() > cfg.deadline:
         raise DeadlinePassed("the deadline passed before the solve")
-    model = CdclSolver(cnf, dist, cfg).solve()
+    model = CdclSolver(cnf, dist, cfg, replay=batch is not None).solve()
     if model is not None:
         true_lits = {v if model[v] else -v for v in range(1, len(model))}
         bad = next(filter(true_lits.isdisjoint, cnf.all_clauses()), None)

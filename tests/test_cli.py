@@ -627,3 +627,18 @@ def test_a_suite_records_a_file_that_is_not_utf8_and_goes_on(tmp_path,
         (str(tmp_path / "b_demo.smt2"), "target")]
     err = capsys.readouterr().err
     assert f"{tmp_path / 'a_latin1.smt2'}: 1:6: byte 0xe9 is not UTF-8" in err
+
+
+def test_a_time_budget_that_runs_out_inside_a_batch_stops_the_run(tmp_path):
+    # One batch of 50 candidates over a chain 2000 adders deep takes
+    # longer than the budget; the batch reads the clock after each
+    # decision that propagates, so the run stops soon after it.
+    chain = "x"
+    for _ in range(2000):
+        chain = f"(bvadd {chain} #x01)"
+    src = tmp_path / "deep_and.smt2"
+    src.write_text("(declare-const x (_ BitVec 8))(declare-const y (_ BitVec 8))"
+                   f"(assert (bvule (bvand {chain} y) #xf0))\n")
+    assert main([str(src), "--time-budget", "1", "--lambda", "50"]) == 3
+    report = json.loads((tmp_path / "deep_and.report.json").read_text())
+    assert report["reason"] == "timeout" and report["time_s"] < 1.5

@@ -753,15 +753,20 @@ def test_refinement_stops_once_the_time_budget_is_spent(monkeypatch):
         "(declare-const p Bool)(assert (or p (bvult x y)))")
     cfg = SamplerConfig(lam=1, seed=1)
     real = DiversitySmtEngine.solve_once
+    real_batch = DiversitySmtEngine.solve_batch
     deviations = []
 
     def solve_once(self, prior, seed, deviation=None):
         deviations.extend([deviation] if deviation else [])
-        got = real(self, prior, seed, deviation)
+        return real(self, prior, seed, deviation)
+
+    def solve_batch(self, prior, seeds):
+        got = real_batch(self, prior, seeds)
         cfg.time_budget = 0.0  # spent once the first candidate is drawn
         return got
 
     monkeypatch.setattr(DiversitySmtEngine, "solve_once", solve_once)
+    monkeypatch.setattr(DiversitySmtEngine, "solve_batch", solve_batch)
     res = sample(f, cfg)
     assert res.reason == "timeout" and len(res.solutions) == 1
     assert len(deviations) <= 1
@@ -801,6 +806,7 @@ def test_each_returned_solution_is_evaluated_once(monkeypatch):
     orders = []
     real_fill = Evaluator.fill
     real_solve = DiversitySmtEngine.solve_once
+    real_batch = DiversitySmtEngine.solve_batch
     real_check = sampler.theory_check
 
     def fill(self, order):
@@ -812,6 +818,11 @@ def test_each_returned_solution_is_evaluated_once(monkeypatch):
         counts["returned"] += got is not None
         return got
 
+    def solve_batch(self, prior, seeds):
+        got = real_batch(self, prior, seeds)
+        counts["returned"] += sum(c is not None for c in got)
+        return got
+
     def theory_check(f, abs_, a):
         got = real_check(f, abs_, a)
         counts["conflicts"] += isinstance(got, Conflict)
@@ -819,6 +830,7 @@ def test_each_returned_solution_is_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(Evaluator, "fill", fill)
     monkeypatch.setattr(DiversitySmtEngine, "solve_once", solve_once)
+    monkeypatch.setattr(DiversitySmtEngine, "solve_batch", solve_batch)
     monkeypatch.setattr(sampler, "theory_check", theory_check)
     res = sample(f, SamplerConfig(lam=4, seed=1))
     assert counts["conflicts"] > 0 and len(res.solutions) > 1
@@ -1077,3 +1089,130 @@ def test_wide_vector_output_is_pinned(mode):
     res = sample(f, SamplerConfig(lam=3, seed=1, mode=mode))
     out = print_models(f, res.solutions).encode()
     assert hashlib.sha256(out).hexdigest() == ABLATION_SHAPE_DIGESTS[mode]
+
+
+# Congruence lemmas: with these seeds the third candidate of a first
+# batch of eight meets one, so the five after it form a second batch.
+UF_CONGRUENCE = (
+    "(declare-fun f ((_ BitVec 8)) (_ BitVec 8))"
+    "(declare-const x (_ BitVec 8))(declare-const y (_ BitVec 8))"
+    "(declare-const z (_ BitVec 8))"
+    "(assert (= (f x) (bvadd (f y) #x01)))"
+    "(assert (or (= x (bvand y z)) (= (f (bvadd x z)) (f y))))"
+    "(assert (bvult x y))")
+
+
+@pytest.mark.parametrize("text, mode, history, seeds, batches", [
+    (SQUARE8, Mode.PANSAMPLER, 3, 12, [12]),
+    (SQUARE8, Mode.ALT1, 3, 12, [12]),
+    (UF_CONGRUENCE, Mode.PANSAMPLER, 0, 8, [8, 5]),
+    (UNIQUE, Mode.ALT1, 1, 6, [6]),  # blocked out: the first lane is UNSAT
+], ids=["pansampler", "alt1", "lemma-mid-batch", "alt1-blocked-out"])
+def test_a_batch_answers_as_the_solo_solves_in_turn(monkeypatch, text, mode,
+                                                    history, seeds, batches):
+    # Two fresh engines with the same history: solve_batch on one gives,
+    # lane by lane, what solve_once gives on the other, seed after seed,
+    # up to the first None; the lemmas arrive in the same order.
+    f = parse_formula(text)
+    rng = random.Random(0)
+    seeds = [rng.randrange(1 << 32) for _ in range(seeds)]
+
+    def after_history():
+        engine = DiversitySmtEngine(f, SamplerConfig(mode=mode))
+        prior = []
+        for s in range(history):
+            prior.append(engine.solve_once(prior, 100 + s).assignment)
+        return engine, prior
+
+    sizes = []
+    real = sampler.Batch
+    monkeypatch.setattr(sampler, "Batch", lambda cnf, dist, cfgs: (
+        sizes.append(len(cfgs)) or real(cnf, dist, cfgs)))
+    batched, prior = after_history()
+    got = batched.solve_batch(prior, seeds)
+    solo, prior = after_history()
+    want = []
+    for seed in seeds:
+        want.append(solo.solve_once(prior, seed))
+        if want[-1] is None:
+            break
+
+    def key(c):
+        return c and (assignment_key(c.assignment), c.slots)
+
+    assert [key(c) for c in got] == [key(c) for c in want]
+    assert list(batched.lemmas) == list(solo.lemmas)
+    assert batched.lemma_rounds == solo.lemma_rounds
+    assert sizes == batches
+
+
+def test_one_alt1_batch_attaches_the_blocking_clauses_once(monkeypatch):
+    # One iteration's candidates in alt1 attach the blocking clauses of
+    # the prior solutions once, for the whole batch; solved one by one
+    # they attach them once per solve.
+    f = parse_formula("(declare-const x (_ BitVec 6))"
+                      "(declare-const y (_ BitVec 6))(assert (bvult x y))")
+    engine = DiversitySmtEngine(f, SamplerConfig(mode=Mode.ALT1))
+    prior = []
+    for s in range(4):
+        prior.append(engine.solve_once(prior, s).assignment)
+    batched, solo = [], []
+    batch_attach, solver_attach = sat.Batch._attach, sat.CdclSolver._attach
+
+    def counted_batch(self, longs, own):
+        batched.append(len(own))
+        batch_attach(self, longs, own)
+
+    def counted_solver(self, clauses):
+        solo.extend([len(clauses)] if clauses else [])
+        solver_attach(self, clauses)
+
+    monkeypatch.setattr(sat.Batch, "_attach", counted_batch)
+    monkeypatch.setattr(sat.CdclSolver, "_attach", counted_solver)
+    got = engine.solve_batch(prior, list(range(20)))
+    assert len(got) == 20 and None not in got
+    assert batched == [4] and solo == []
+    for seed in range(20):
+        engine.solve_once(prior, seed)
+    assert batched == [4] and solo == [4] * 20
+
+
+def test_a_slot_false_at_level_0_is_proved_without_a_solver(monkeypatch):
+    # x's bit 0 is 1 and bit 1 is 0 by the base's units alone, and bits 2
+    # and 3 of (bvand x #x3) are 0: each such slot's literal is false in
+    # the live level-0 values. A slot that needs a solve still gets one.
+    f = parse_formula("(declare-const x (_ BitVec 4))"
+                      "(assert (= (bvand x #x3) #x1))")
+    engine = DiversitySmtEngine(f)
+    engine.solve_once([], 0)
+    base, bmap = engine.blast()
+    live = sat.live_state(base)
+    universe = engine.universe
+
+    def literal(slot):
+        k, v = divmod(slot, 2)
+        tid, bit = universe.entries[k]
+        lit = bmap.terms[engine.abs.rewrite(tid)]
+        lit = lit[bit] if isinstance(lit, list) else lit
+        return lit if v else -lit
+
+    slots = range(2 * universe.num_entries)
+    at_level_0 = [s for s in slots if live.value[literal(s)] == -1]
+    assert len(at_level_0) >= 4
+    solvers = []
+    init = sat.CdclSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        solvers.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sat.CdclSolver, "__init__", counted)
+    unreachable = Unreachable(engine)
+    assert all(unreachable._proves(s) for s in at_level_0)
+    assert solvers == []
+    other = next(s for s in slots if live.value[literal(s)] != -1)
+    assert not unreachable._proves(other) and solvers == [1]
+    # A solve agrees: each level-0 slot's unit clause makes the base UNSAT.
+    for s in at_level_0:
+        assert sat.solve(Cnf(base.num_vars, [(literal(s),)], base=base)) \
+            is None

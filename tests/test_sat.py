@@ -566,7 +566,7 @@ def _extensions(rng: random.Random, base: Cnf) -> list[Cnf]:
     and a deviation joined with the blocking clauses."""
     n = base.num_vars
     proof = Cnf(n, [(rng.choice((-1, 1)) * rng.randint(1, n),)], base=base)
-    bits = rng.sample(range(1, n + 1), rng.randint(1, 8))
+    bits = rng.sample(range(1, n + 1), rng.randint(1, min(8, n)))
     deviation = Cnf(n, [tuple(rng.choice((-1, 1)) * v for v in bits)],
                     base=base)
     blocks = Cnf(n, [tuple(rng.choice((-1, 1)) * v for v in range(1, n + 1))
@@ -770,3 +770,83 @@ def test_recheck_rejects_a_falsifying_model(monkeypatch):
                 Cnf(2, [(1,)], base=Cnf(2, [(1, 2), (-2,)]))]:
         with pytest.raises(AssertionError, match=r"clause \(-2,\) is false"):
             solve(cnf)
+
+
+def test_every_lane_of_a_batch_answers_as_its_solo_solve():
+    # The acceptance check's random CNFs, each solved as one batch of
+    # several seeds: as a base, under a distribution, and through each
+    # kind of extension the sampler makes. Every lane's model, read from
+    # the batch or replayed after a conflict, is the one a solo solve of
+    # the same CNF and seed returns, and None exactly when that is None.
+    tally = {"clean": 0, "conflicted": 0, "unsat at level 0": 0,
+             "unsat after a conflict": 0}
+    for seed in range(10_000):
+        rng = random.Random(seed)
+        cnf = random_cnf(seed)
+        n = cnf.num_vars
+        dist = None
+        if seed % 3:
+            dist = BitDistribution({v: (rng.randrange(4), rng.randrange(4))
+                                    for v in range(1, n + 1)
+                                    if rng.random() < 0.7})
+        if seed % 3 == 2:
+            cnf = rng.choice(_extensions(rng, cnf))
+        bias_p = rng.uniform(0.5, 1.0)
+        cfgs = [SolverConfig(seed=rng.randrange(1 << 32), bias_p=bias_p)
+                for _ in range(rng.randint(2, 6))]
+        batch = sat.Batch(cnf, dist, cfgs)
+        for cfg in cfgs:
+            got = solve(cnf, dist, cfg, batch)
+            want = solve(cnf, dist, cfg)
+            conflicted = bool(batch.conflicted & batch._bits[cfg.seed])
+            if want is None:
+                assert got is None, (seed, cfg.seed)
+                tally["unsat after a conflict" if conflicted
+                      else "unsat at level 0"] += 1
+                continue
+            assert [got[v] for v in range(1, n + 1)] == want[1:], \
+                (seed, cfg.seed)
+            tally["conflicted" if conflicted else "clean"] += 1
+    assert min(tally.values()) > 200, tally
+
+
+def test_a_batch_recheck_rejects_a_lane_with_one_flipped_bit(monkeypatch):
+    # As in test_recheck_rejects_a_falsifying_model: x1 and not x2, with
+    # x2 flipped in lane 1 of three after the descent. The mask re-check
+    # finds the false clause, also when it lies in the extension's base.
+    descend = sat.Batch._descend
+
+    def flipped(self, *args):
+        descend(self, *args)
+        self._false[2] ^= 0b010
+        self._false[-2] ^= 0b010
+
+    monkeypatch.setattr(sat.Batch, "_descend", flipped)
+    cfgs = [SolverConfig(seed=k) for k in range(3)]
+    for cnf in [Cnf(2, [(1, 2), (1,), (-2,)]),
+                Cnf(2, [(1,)], base=Cnf(2, [(1, 2), (-2,)]))]:
+        with pytest.raises(AssertionError, match=r"clause \(-2,\) is false"):
+            sat.Batch(cnf, None, cfgs)
+    monkeypatch.setattr(sat.Batch, "_descend", descend)
+    batch = sat.Batch(cnf, None, cfgs)
+    assert [batch.lane(k)[2] for k in range(3)] == [False] * 3
+
+
+def test_a_batch_past_its_deadline_raises(monkeypatch):
+    # The clock reads 0 when the batch starts and 1 after: the deadline
+    # passes during the descent of 20 variables, which reads the clock
+    # after each step that propagates. A batch that starts past its
+    # deadline loads no live state.
+    cnf = _three_sat(0, 20, 40)
+    assert solve(cnf) is not None  # its live state is kept
+    cfgs = [SolverConfig(seed=k, deadline=0.5) for k in range(4)]
+    monkeypatch.setattr(sat, "time", _Clock())
+    with pytest.raises(DeadlinePassed):
+        sat.Batch(cnf, None, cfgs)
+    loads = []
+    real = CdclSolver._load_live
+    monkeypatch.setattr(CdclSolver, "_load_live",
+                        lambda self, *args: loads.append(1) or real(self, *args))
+    with pytest.raises(DeadlinePassed):
+        sat.Batch(pigeonhole(4, 3), None, cfgs)
+    assert loads == []
