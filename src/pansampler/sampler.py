@@ -3,11 +3,12 @@
 Each iteration draws a batch of candidate solutions from the diversity
 solver (their SAT solves run as the lanes of one sat.Batch), scores
 them against the accumulated coverage, keeps the best, refines it by
-per-variable deviation re-solves, and absorbs it. A
-deviation (variable, value) is one clause over the variable's SAT bits,
-saying that some bit differs from the value, added to the base CNF. A run
-stalls once lam iterations in a row absorb nothing, or as soon as every
-AST-bit left uncovered is proved unreachable (see Unreachable). Modes:
+per-variable deviation re-solves (the lanes of another sat.Batch), and
+absorbs it. A deviation (variable, value) is one clause over the
+variable's SAT bits, saying that some bit differs from the value, added
+to the base CNF. A run stalls once lam iterations in a row absorb
+nothing, or as soon as every AST-bit left uncovered is proved
+unreachable (see Unreachable). Modes:
 
 - pansampler: distribution-biased candidates, coverage scoring, refinement
 - alt1: blocking clauses over prior solutions instead of the bias
@@ -212,10 +213,12 @@ class DiversitySmtEngine:
         return a
 
     def _problem(self, prior: list[Assignment], atoms: int,
-                 deviation: tuple[str, int] | None
-                 ) -> tuple[Cnf, BlastMap, BitDistribution]:
-        """The CNF, blast map and distribution of one round's SAT solve."""
-        cnf, bmap = self.blast(deviation)
+                 deviations: list[tuple[str, int] | None]
+                 ) -> tuple[list[Cnf], BlastMap, BitDistribution]:
+        """The CNFs of one round's SAT solves, one per deviation (None for
+        none), with their blast map and distribution."""
+        cnfs = [self.blast(d)[0] for d in deviations]
+        bmap = self._base[1]
         self._update(prior, atoms, bmap)
         if self.cfg.mode is Mode.ALT1:
             dist = BitDistribution()
@@ -225,13 +228,14 @@ class DiversitySmtEngine:
                 # after its own clause.
                 if self._blocks is None:
                     self._blocks = self._blocking(self._projected)
-                cnf = (self._blocks if cnf.base is None
-                       else joined(cnf, self._blocks))
+                blocks = self._blocks
+                cnfs = [blocks if cnf.base is None else joined(cnf, blocks)
+                        for cnf in cnfs]
         else:
             if self._dist is None:
                 self._dist = distribution_from(self._projected, bmap)
             dist = self._dist
-        return cnf, bmap, dist
+        return cnfs, bmap, dist
 
     def _sat_cfg(self, seeds: random.Random) -> SolverConfig:
         return SolverConfig(seed=seeds.randrange(1 << 32),
@@ -268,7 +272,7 @@ class DiversitySmtEngine:
         """Solve rounds with SAT seeds drawn from seeds until the theories
         accept a model, rounds lemmas into the call."""
         while True:
-            cnf, bmap, dist = self._problem(prior, atoms, deviation)
+            (cnf,), bmap, dist = self._problem(prior, atoms, [deviation])
             model = sat_solve(cnf, dist, self._sat_cfg(seeds))
             if model is None:
                 return None
@@ -285,30 +289,38 @@ class DiversitySmtEngine:
         return self._rounds(prior, random.Random(seed),
                             len(self.abs.atom_map), deviation)
 
-    def solve_batch(self, prior: list[Assignment], seeds: list[int]
+    def solve_batch(self, prior: list[Assignment], seeds: list[int],
+                    deviations: list[tuple[str, int]] | None = None
                     ) -> list[Candidate | None]:
-        """[solve_once(prior, s) for s in seeds], each the same as on its
-        own, up to and including the first None or the first that ends
-        past the deadline. The first round of every solve is a lane of
-        one Batch. A lemma ends the batch: the solve that met it goes on
-        with its own rounds, and the solves after it form a new batch on
-        the new base."""
+        """[solve_once(prior, s, d) for s, d in zip(seeds, deviations)],
+        each the same as on its own, up to and including the first that
+        ends past the deadline. Without deviations the solves are
+        candidates, all of one CNF, and the answers also end at the first
+        None: every solve after it would be of the same UNSAT CNF. The
+        first round of every solve is a lane of one Batch, each with its
+        deviation's clause. A lemma ends the batch: the solve that met it
+        goes on with its own rounds, and the solves after it form a new
+        batch on the new base."""
+        every = deviations or [None] * len(seeds)
         out: list[Candidate | None] = []
         while len(out) < len(seeds):
             rngs = [random.Random(s) for s in seeds[len(out):]]
+            devs = every[len(out):]
             atoms, lemmas = len(self.abs.atom_map), len(self.lemmas)
-            cnf, bmap, dist = self._problem(prior, atoms, None)
+            cnfs, bmap, dist = self._problem(prior, atoms, devs)
             cfgs = [self._sat_cfg(r) for r in rngs]
-            batch = Batch(cnf, dist, cfgs)
-            for rng, cfg in zip(rngs, cfgs):
-                model = sat_solve(cnf, dist, cfg, batch=batch)
+            batch = Batch(cnfs, dist, cfgs)
+            for lane, (cnf, cfg, rng, dev) in enumerate(
+                    zip(cnfs, cfgs, rngs, devs)):
+                model = sat_solve(cnf, dist, cfg, batch=batch, lane=lane)
                 candidate = None
                 if model is not None:
                     candidate = self._accept(model, bmap, 0)
                     if candidate is None:  # refuted: a lemma was kept
-                        candidate = self._rounds(prior, rng, atoms, None, 1)
+                        candidate = self._rounds(prior, rng, atoms, dev, 1)
                 out.append(candidate)
-                if candidate is None or time.perf_counter() > self.deadline:
+                if (candidate is None and not deviations
+                        or time.perf_counter() > self.deadline):
                     return out
                 if len(self.lemmas) != lemmas:
                     break
@@ -321,15 +333,19 @@ def post_opt(engine: DiversitySmtEngine, state: CoverState,
              out_of_time: Callable[[], bool] = lambda: False) -> Candidate:
     """Refine alpha by re-solving with one variable forced off its value.
 
-    Keeps deviants scoring at least alpha's gain; ties return alpha. Once
-    out_of_time says so, returns the best found so far."""
+    Every variable's deviation, each with its seed drawn in turn, is
+    solved in one batch. Keeps deviants scoring above the best so far;
+    ties keep the earlier, alpha first. Returns alpha once out_of_time
+    says so, and the best of the deviations solved when the deadline
+    passes inside the batch."""
+    if out_of_time():
+        return alpha
+    deviations = [(name, alpha.assignment[name].as_int())
+                  for name, _ in engine.f.bv_bool_vars()]
+    lane_seeds = [seeds.randrange(1 << 32) for _ in deviations]
     best = alpha
     best_score = state.gain(alpha.slots)
-    for name, _ in engine.f.bv_bool_vars():
-        if out_of_time():
-            break
-        res = engine.solve_once(solutions, seeds.randrange(1 << 32),
-                                (name, alpha.assignment[name].as_int()))
+    for res in engine.solve_batch(solutions, lane_seeds, deviations):
         if res is None:
             continue  # no solution deviates on this variable
         score = state.gain(res.slots)

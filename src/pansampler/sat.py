@@ -71,30 +71,39 @@ A live state's tables have two more, for a pad variable whose literal
 num_vars + 1 is false and fills each listed 2-literal clause to three.
 
 The sampler's candidates of one iteration are solves of one CNF under
-one distribution that differ only in their seeds. A `Batch` runs them
-as the lanes of one bit-sliced descent, as bitslicing runs many
-instances of one Boolean computation in the bits of one machine word
-(Biham, FSE 1997). One integer per literal holds the lanes in which it
-is false; the pad literal is false in every lane, and its negation in
-none, which literal 0 could not be. A decision step takes the lowest
-variable free in some lane, and each lane where it is free draws from
-its own rng, so each lane makes exactly the draws of its solo solve.
-Propagation keeps one pending mask per literal, merging the lanes in
-which it turned false, and visits each clause listed under it once for
-all of them with a few operations on masks. Clauses of four or more
-literals, and an extension's own clauses, are watched per batch by two
-literals free in every lane where the clause does not yet hold.
+one distribution that differ only in their seeds, and the deviations of
+one refinement are solves of extensions of one base, one deviation
+clause each (in alt1 joined with the same blocking clauses). A `Batch`
+runs such solves as the lanes of one bit-sliced descent, as bitslicing
+runs many instances of one Boolean computation in the bits of one
+machine word (Biham, FSE 1997). One integer per literal holds the lanes
+in which it is false; the pad literal is false in every lane, and its
+negation in none, which literal 0 could not be. A decision step takes
+the lowest variable free in some lane, and each lane where it is free
+draws from its own rng, so each lane makes exactly the draws of its solo
+solve. Propagation keeps one pending mask per literal, merging the
+lanes in which it turned false, and visits each clause listed under it
+once for all of them with a few operations on masks. Clauses of four or
+more literals, and the lanes' own clauses, are watched per batch by two
+literals free in every lane where the clause does not yet hold. Each
+own clause carries a mask of the lanes whose CNF holds it, and counts
+as holding in every other lane; a clause object that several lanes
+share, as the blocking clauses, is attached once with all their lanes.
 
 Each lane's model is its solo solve's. Both start from the same level-0
-state and decide the same variables in the same order with the same
+state, the base's, closed under the lane's own clauses and no other
+lane's, and decide the same variables in the same order with the same
 draws. After each decision step a lane holds the closure of its
-assignment under unit propagation, which is unique and does not depend
-on the order in which it was reached, so the lane meets a conflict at
-exactly the step where its solo solve does. Such a lane leaves the batch
-and replays alone on a fresh load, as its solo solve does; every other
-lane ends with its solo solve's model. Models are read from the masks
-(`_Lane`), and each clause is re-checked against every lane in one pass
-of mask operations.
+assignment under unit propagation by its own CNF, which is unique and
+does not depend on the order in which it was reached, so the lane meets
+a conflict at exactly the step where its solo solve does. A lane whose
+conflict comes before the first decision is UNSAT, as its solo solve
+finds at level 0. A lane that meets one later leaves the batch and
+replays alone on a fresh load, as its solo solve does; every other lane
+ends with its solo solve's model. Models are read from the masks
+(`_Lane`), each bit-vector for eight lanes at once, and each clause is
+re-checked against every lane whose CNF holds it in one pass of mask
+operations.
 """
 
 from __future__ import annotations
@@ -104,9 +113,9 @@ import random
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import neg, or_
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .bitblast import BlastMap, Cnf
 from .values import Assignment
@@ -696,14 +705,16 @@ def live_state(cnf: Cnf, deadline: float = float("inf")) -> _Live:
 
 
 class _Lane:
-    """One lane's model, read from its Batch's masks: model[v] is whether
+    """One lane's model, read from its Batch: model[v] is whether
     variable v is true."""
 
-    __slots__ = ("_true", "_bit")
+    __slots__ = ("batch", "index", "_true", "_bit")
 
-    def __init__(self, true: list[int], bit: int) -> None:
-        self._true = true
-        self._bit = bit
+    def __init__(self, batch: Batch, index: int) -> None:
+        self.batch = batch
+        self.index = index
+        self._true = batch._true
+        self._bit = 1 << index
 
     def __getitem__(self, var: int) -> bool:
         return self._true[var] & self._bit != 0
@@ -714,78 +725,132 @@ Model = list[bool] | _Lane  # a solve's answer when SAT
 
 def word(model: Model, variables: Sequence[int]) -> int:
     """The integer whose bit b is the value of variables[b] in model."""
-    values, bit = ((model._true, model._bit) if isinstance(model, _Lane)
-                   else (model, True))
+    if isinstance(model, _Lane):
+        return model.batch.word(variables, model.index)
     raw = 0
     for b, var in enumerate(variables):
-        if values[var] & bit:
+        if model[var]:
             raw |= 1 << b
     return raw
 
 
+def _by_identity(pairs: Iterable[tuple[object, int]]
+                 ) -> list[tuple[object, int]]:
+    """Each object of the (object, lane mask) pairs once, with the union
+    of its masks, in first-seen order."""
+    merged: dict[int, list] = {}
+    for obj, lanes in pairs:
+        merged.setdefault(id(obj), [obj, 0])[1] |= lanes
+    return [(obj, lanes) for obj, lanes in merged.values()]
+
+
+# _LANE_DIGITS[j] translates a byte to the ASCII digit of its bit j.
+_LANE_DIGITS = [bytes(48 + (b >> j & 1) for b in range(256)) for j in range(8)]
+
+
 class Batch:
-    """The solves of one CNF under one distribution and several configs,
-    which differ only in their seeds, run as the lanes of one bit-sliced
-    descent (see the module docstring). solve(cnf, dist, cfg, batch)
-    reads cfg's lane.
+    """Solves of one base under one distribution, run as the lanes of one
+    bit-sliced descent (see the module docstring). Lane k solves cnfs[k],
+    the base or an extension of it, under cfgs[k]; lanes differ in their
+    seeds and, maybe, their own clauses. solve(cnfs[k], dist, cfgs[k],
+    batch, k) reads lane k.
 
     A table indexed by literal, as the live value table is, holds for
-    each literal a mask of the lanes in which it is false. A decision
-    step takes the lowest variable free in some active lane, and each
-    lane where it is free draws its phase from its own rng. Propagation
-    keeps one mask per pending literal, the lanes in which it turned
-    false, and visits each clause listed under it once for all of them.
-    A lane that meets a conflict leaves the batch and replays alone when
-    read. Raises DeadlinePassed once cfg.deadline has passed, reading the
-    clock before the descent, after each decision step that propagates
-    and after every _DEADLINE_STEPS steps that do not; and AssertionError
-    when some lane's model falsifies a clause."""
+    each literal a mask of the lanes in which it is false. Each own
+    clause of the lanes is attached once, with a mask of the lanes it
+    applies to: a clause object that several lanes hold, as the blocking
+    clauses every deviation of an alt1 refinement joins, is one clause
+    with their lanes. A clause counts as holding in the lanes outside its
+    mask, so each lane propagates over the base's clauses and its own
+    alone, and its closure, hence its model, is its solo solve's. A
+    decision step takes the lowest variable free in some active lane, and
+    each lane where it is free draws its phase from its own rng.
+    Propagation keeps one mask per pending literal, the lanes in which it
+    turned false, and visits each clause listed under it once for all of
+    them. A lane whose clauses conflict before the first decision answers
+    None, as its solo solve does at level 0; a lane that meets a conflict
+    later leaves the batch and replays alone when read. Raises
+    DeadlinePassed once cfgs[0].deadline has passed, reading the clock
+    before the descent, after each decision step that propagates and after
+    every _DEADLINE_STEPS steps that do not; and AssertionError when some
+    lane's model falsifies one of its clauses."""
 
-    def __init__(self, cnf: Cnf, dist: BitDistribution | None,
+    def __init__(self, cnfs: Sequence[Cnf], dist: BitDistribution | None,
                  cfgs: Sequence[SolverConfig]) -> None:
         cfg = cfgs[0]
         if time.perf_counter() > cfg.deadline:
             raise DeadlinePassed("the deadline passed before the batch")
-        n = self.num_vars = cnf.num_vars
-        owner = cnf.base or cnf
-        live = live_state(owner, cfg.deadline)
-        self._bits = {c.seed: 1 << k for k, c in enumerate(cfgs)}
+        base = cnfs[0].base or cnfs[0]
+        if any((cnf.base or cnf) is not base for cnf in cnfs):
+            raise ValueError("a batch's CNFs must be one base and its "
+                             "extensions")
+        n = self.num_vars = base.num_vars
+        live = live_state(base, cfg.deadline)
         self._draws = [random.Random(c.seed).random for c in cfgs]
         every = self.active = (1 << len(cfgs)) - 1
         self.conflicted = 0
+        self._refuted = every  # the lanes that answer None
+        # (id of a variable list, first lane of a group) -> (the list,
+        # the group's words over it); see word.
+        self._words: dict[tuple[int, int], tuple] = {}
+        if live.unsat:
+            return
         false = self._false = [0] * len(live.value)
         for lit in live.trail:
             false[-lit] = every
         false[n + 1] = every  # the pad literal
         self._occurs, self._hot = live.occurs, live.hot
-        self._unsat = live.unsat
-        if not self._unsat:
-            self._attach(live.longs,
-                         _kept(cnf).clauses if owner is not cnf else ())
-            # A conflict before the first decision is one in every lane.
-            self._unsat = not self.active
-        if not self._unsat:
+        extensions = _by_identity((cnf, 1 << k) for k, cnf in enumerate(cnfs)
+                                  if cnf is not base)
+        self._attach(live.longs, _by_identity(
+            (clause, lanes) for cnf, lanes in extensions
+            for clause in _kept(cnf).clauses))
+        # A conflict before the first decision is one at level 0.
+        self._refuted = self.conflicted
+        if self.active:
             below, lits = (dist or BitDistribution()).phases(n, cfg.bias_p)
             self._descend(below, lits, cfg.deadline)
             self._true = [false[0], *false[:0:-1]]  # true[lit] is false[-lit]
-            self._recheck(cnf)
+            self._recheck(base.clauses, _by_identity(
+                (clause, lanes) for cnf, lanes in extensions
+                for clause in cnf.clauses))
 
-    def lane(self, seed: int) -> Model | None | object:
-        """The lane's model, None when the CNF is UNSAT, or _REPLAY when
-        the lane met a conflict."""
-        bit = self._bits[seed]
-        if self._unsat:
+    def lane(self, index: int) -> Model | None | object:
+        """Lane index's model, None when its CNF is UNSAT at level 0, or
+        _REPLAY when the lane met a conflict."""
+        bit = 1 << index
+        if bit & self._refuted:
             return None
         if bit & self.conflicted:
             return _REPLAY
-        return _Lane(self._true, bit)
+        return _Lane(self, index)
+
+    def word(self, variables: Sequence[int], index: int) -> int:
+        """sat.word of lane index's model: the bits of its group of eight
+        lanes are read at once, one byte of lane bits per variable, and
+        the group's words are kept."""
+        low = index & -8
+        key = (id(variables), low)
+        got = self._words.get(key)
+        if got is None or got[0] is not variables:
+            true = self._true  # most significant variable first
+            row = bytes([true[v] >> low & 255 for v in reversed(variables)])
+            got = self._words[key] = (variables, [
+                int(row.translate(digits) or b"0", 2)
+                for digits in _LANE_DIGITS[:len(self._draws) - low]])
+        return got[1][index - low]
 
     def _attach(self, longs: Sequence[tuple[int, ...]],
-                own: Sequence[tuple[int, ...]]) -> None:
-        """Watch the base's long clauses and the extension's own prepared
-        clauses, each visited once in every lane. The live hot table is
-        copied when there are own clauses, whose watches it makes hot."""
-        self._longs = longs = [*longs, *own]
+                own: Sequence[tuple[tuple[int, ...], int]]) -> None:
+        """Watch the base's long clauses, in every lane, and the lanes'
+        own prepared clauses, each in the lanes of its mask; each clause is
+        visited once for all its lanes. The live hot table is copied when
+        there are own clauses, whose watches it makes hot."""
+        every = self.active
+        self._longs = longs = [*longs, *(clause for clause, _ in own)]
+        # The lanes in which each clause counts as holding from the start.
+        self._outside = [0] * (len(longs) - len(own)) + [
+            every & ~lanes for _, lanes in own]
         self._known = [0] * len(longs)  # the lanes each clause holds in
         self._watches: list[Collection[int]] = [()] * len(longs)
         self._watched: dict[int, list[int]] = {}  # literal -> clauses
@@ -806,7 +871,8 @@ class Batch:
         false, hot = self._false, self._hot
         clause = self._longs[k]
         active = self.active
-        holds = reduce(or_, map(false.__getitem__, map(neg, clause)), 0)
+        holds = reduce(or_, map(false.__getitem__, map(neg, clause)),
+                       self._outside[k])
         open_ = active & ~holds  # the lanes with no literal true
         free = [lit for lit in clause if not false[lit] & open_]
         if open_ and len(free) < 2:  # an open lane may have one left, or none
@@ -945,29 +1011,34 @@ class Batch:
                 if time.perf_counter() > deadline:
                     raise DeadlinePassed("no answer before the deadline")
 
-    def _recheck(self, cnf: Cnf) -> None:
-        """Check every clause against every active lane's model, in one
-        pass of mask operations per clause."""
+    def _recheck(self, base: Sequence[tuple[int, ...]],
+                 own: Sequence[tuple[tuple[int, ...], int]]) -> None:
+        """Check each base clause against every active lane's model, and
+        each own clause against those of the active lanes of its mask, in
+        one pass of mask operations per clause."""
         true, done = self._true, self.active
-        for clause in cnf.all_clauses():
+        for clause, lanes in chain(zip(base, repeat(done)), own):
+            lanes &= done
             holds = 0
             for lit in clause:
                 holds |= true[lit]
-            if holds & done != done:
+            if holds & lanes != lanes:
                 raise AssertionError(f"solver produced a falsifying model: "
                                      f"clause {clause} is false")
 
 
 def solve(cnf: Cnf, dist: BitDistribution | None = None,
           cfg: SolverConfig | None = None,
-          batch: Batch | None = None) -> Model | None:
+          batch: Batch | None = None, lane: int | None = None
+          ) -> Model | None:
     """Solve a CNF; model indexed 1..num_vars at positions 1.., or None.
     Raises DeadlinePassed, building no solver, once cfg.deadline has
-    passed. With batch, a Batch of cnf and dist built with cfg, the
-    answer is cfg's lane: read from the batch, which re-checked it, or
-    replayed alone on a fresh load when the lane met a conflict."""
+    passed. With batch, a Batch whose lane `lane` solves cnf under dist
+    and cfg, the answer is that lane's: read from the batch, which
+    re-checked it, or replayed alone on a fresh load when the lane met a
+    conflict."""
     if batch is not None:
-        model = batch.lane(cfg.seed)
+        model = batch.lane(lane)
         if model is not _REPLAY:
             return model
     if cfg is not None and time.perf_counter() > cfg.deadline:

@@ -250,7 +250,11 @@ def theory_check(f: Formula, abs_: Abstraction,
     """Arrays first, then functions; Consistent means both passed and the
     returned assignment, which binds f's symbols in declaration order,
     satisfies every assertion of f. A Conflict holds the first lemma the
-    candidate violates."""
+    candidate violates. With no array and no function symbol (an
+    identity abstraction) there is nothing to check, and the candidate,
+    which binds f's symbols, is returned as it is."""
+    if abs_.identity:
+        return Consistent(assignment)
     st = _TheoryState(f, abs_, assignment)
     lemma = _check_selects(st)
     if lemma is None:

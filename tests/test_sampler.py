@@ -760,8 +760,10 @@ def test_refinement_stops_once_the_time_budget_is_spent(monkeypatch):
         deviations.extend([deviation] if deviation else [])
         return real(self, prior, seed, deviation)
 
-    def solve_batch(self, prior, seeds):
-        got = real_batch(self, prior, seeds)
+    def solve_batch(self, prior, seeds, batch_deviations=None):
+        # Refinement solves its deviations here, as one batch.
+        deviations.extend(batch_deviations or [])
+        got = real_batch(self, prior, seeds, batch_deviations)
         cfg.time_budget = 0.0  # spent once the first candidate is drawn
         return got
 
@@ -818,8 +820,8 @@ def test_each_returned_solution_is_evaluated_once(monkeypatch):
         counts["returned"] += got is not None
         return got
 
-    def solve_batch(self, prior, seeds):
-        got = real_batch(self, prior, seeds)
+    def solve_batch(self, prior, seeds, deviations=None):
+        got = real_batch(self, prior, seeds, deviations)
         counts["returned"] += sum(c is not None for c in got)
         return got
 
@@ -1146,10 +1148,78 @@ def test_a_batch_answers_as_the_solo_solves_in_turn(monkeypatch, text, mode,
     assert sizes == batches
 
 
+# m is fixed by the formula, so its deviation has no solution; p's has.
+ONE_FIXED = ("(declare-const m (_ BitVec 4))(declare-const p Bool)"
+             "(assert (= m #x3))")
+
+
+@pytest.mark.parametrize("text, mode, history, seed, batches, nones", [
+    (ABLATION_SHAPE, Mode.PANSAMPLER, 3, 0, [7], 0),
+    (ABLATION_SHAPE, Mode.ALT1, 3, 0, [7], 0),
+    (UF_CONGRUENCE, Mode.PANSAMPLER, 2, 35, [3, 1], 0),
+    (ONE_FIXED, Mode.PANSAMPLER, 1, 0, [2], 1),
+], ids=["pansampler", "alt1", "lemma-mid-refinement", "no-deviant"])
+def test_a_batched_refinement_answers_as_the_solo_deviation_solves(
+        monkeypatch, text, mode, history, seed, batches, nones):
+    # Two fresh engines with the same history and alpha. On one, post_opt
+    # solves every deviation in one batch; on the other each deviation is
+    # one solve_once in turn, its seed drawn as post_opt draws it. The
+    # answers, the lemmas, the refined candidate and the rng agree; a
+    # lemma met in a lane makes the lanes after it a second batch, and a
+    # deviation with no solution answers None without ending the rest.
+    f = parse_formula(text)
+
+    def after_history():
+        engine = DiversitySmtEngine(f, SamplerConfig(mode=mode))
+        prior = []
+        for s in range(history):
+            prior.append(engine.solve_once(prior, 100 + s).assignment)
+        state = CoverState(engine.universe)
+        for a in prior:
+            state.absorb(cover(f, engine.universe, a))
+        return engine, prior, state, engine.solve_once(prior, 200 + seed)
+
+    def key(c):
+        return c and (assignment_key(c.assignment), c.slots)
+
+    sizes, answers = [], []
+    real, real_batch = sampler.Batch, DiversitySmtEngine.solve_batch
+
+    def solve_batch(self, *args):
+        got = real_batch(self, *args)
+        answers.extend(got)
+        return got
+
+    monkeypatch.setattr(sampler, "Batch", lambda cnfs, dist, cfgs: (
+        sizes.append(len(cfgs)) or real(cnfs, dist, cfgs)))
+    monkeypatch.setattr(DiversitySmtEngine, "solve_batch", solve_batch)
+    batched, prior, state, alpha = after_history()
+    batched_seeds = random.Random(seed)
+    got = post_opt(batched, state, prior, batched_seeds, alpha)
+    kept = got is alpha
+    solo, prior, state, alpha = after_history()
+    solo_seeds = random.Random(seed)
+    want = [solo.solve_once(prior, solo_seeds.randrange(1 << 32),
+                            (name, alpha.assignment[name].as_int()))
+            for name, _ in f.bv_bool_vars()]
+    best = alpha
+    for res in want:
+        if res is not None and state.gain(res.slots) > state.gain(best.slots):
+            best = res
+    assert [key(c) for c in answers] == [key(c) for c in want]
+    assert key(got) == key(best) and kept == (best is alpha)
+    assert list(batched.lemmas) == list(solo.lemmas)
+    assert batched.lemma_rounds == solo.lemma_rounds
+    assert batched_seeds.getstate() == solo_seeds.getstate()
+    assert sizes == batches and want.count(None) == nones
+
+
 def test_one_alt1_batch_attaches_the_blocking_clauses_once(monkeypatch):
     # One iteration's candidates in alt1 attach the blocking clauses of
     # the prior solutions once, for the whole batch; solved one by one
-    # they attach them once per solve.
+    # they attach them once per solve. Refinement's deviations, each
+    # joined with the same blocking clauses, attach them once as well,
+    # beside one deviation clause per variable for its own lane.
     f = parse_formula("(declare-const x (_ BitVec 6))"
                       "(declare-const y (_ BitVec 6))(assert (bvult x y))")
     engine = DiversitySmtEngine(f, SamplerConfig(mode=Mode.ALT1))
@@ -1160,7 +1230,7 @@ def test_one_alt1_batch_attaches_the_blocking_clauses_once(monkeypatch):
     batch_attach, solver_attach = sat.Batch._attach, sat.CdclSolver._attach
 
     def counted_batch(self, longs, own):
-        batched.append(len(own))
+        batched.append(own)
         batch_attach(self, longs, own)
 
     def counted_solver(self, clauses):
@@ -1171,10 +1241,22 @@ def test_one_alt1_batch_attaches_the_blocking_clauses_once(monkeypatch):
     monkeypatch.setattr(sat.CdclSolver, "_attach", counted_solver)
     got = engine.solve_batch(prior, list(range(20)))
     assert len(got) == 20 and None not in got
-    assert batched == [4] and solo == []
+    assert [len(own) for own in batched] == [4] and solo == []
     for seed in range(20):
         engine.solve_once(prior, seed)
-    assert batched == [4] and solo == [4] * 20
+    assert [len(own) for own in batched] == [4] and solo == [4] * 20
+    # Refinement: one batch of two lanes, x's deviation and y's.
+    del batched[:], solo[:]
+    state = CoverState(engine.universe)
+    post_opt(engine, state, prior, random.Random(0), got[0])
+    own, = batched
+    blocks = [lanes for clause, lanes in own if len(clause) == 12]
+    deviations = [lanes for clause, lanes in own if len(clause) == 6]
+    assert blocks == [0b11] * 4 and sorted(deviations) == [0b01, 0b10]
+    assert solo == []
+    for name in ("x", "y"):
+        engine.solve_once(prior, 0, (name, got[0].assignment[name].as_int()))
+    assert solo == [5, 5]
 
 
 def test_a_slot_false_at_level_0_is_proved_without_a_solver(monkeypatch):

@@ -774,12 +774,16 @@ def test_recheck_rejects_a_falsifying_model(monkeypatch):
 
 def test_every_lane_of_a_batch_answers_as_its_solo_solve():
     # The acceptance check's random CNFs, each solved as one batch of
-    # several seeds: as a base, under a distribution, and through each
-    # kind of extension the sampler makes. Every lane's model, read from
-    # the batch or replayed after a conflict, is the one a solo solve of
-    # the same CNF and seed returns, and None exactly when that is None.
+    # several seeds: as a base, under a distribution, and with each lane
+    # through its own extension of the base, of each kind the sampler
+    # makes, one whose units contradict at level 0, and one that every
+    # value of two variables falsifies, which a decision must reveal.
+    # Every lane's model, read from the batch or replayed after a
+    # conflict, is the one a solo solve of its CNF and seed returns, and
+    # None exactly when that is None; a lane that is UNSAT at level 0
+    # answers None from the batch.
     tally = {"clean": 0, "conflicted": 0, "unsat at level 0": 0,
-             "unsat after a conflict": 0}
+             "unsat after a conflict": 0, "own clauses": 0}
     for seed in range(10_000):
         rng = random.Random(seed)
         cnf = random_cnf(seed)
@@ -789,31 +793,96 @@ def test_every_lane_of_a_batch_answers_as_its_solo_solve():
             dist = BitDistribution({v: (rng.randrange(4), rng.randrange(4))
                                     for v in range(1, n + 1)
                                     if rng.random() < 0.7})
-        if seed % 3 == 2:
-            cnf = rng.choice(_extensions(rng, cnf))
         bias_p = rng.uniform(0.5, 1.0)
         cfgs = [SolverConfig(seed=rng.randrange(1 << 32), bias_p=bias_p)
                 for _ in range(rng.randint(2, 6))]
-        batch = sat.Batch(cnf, dist, cfgs)
-        for cfg in cfgs:
-            got = solve(cnf, dist, cfg, batch)
-            want = solve(cnf, dist, cfg)
-            conflicted = bool(batch.conflicted & batch._bits[cfg.seed])
+        cnfs = [cnf] * len(cfgs)
+        if seed % 3 == 2:
+            v, w = rng.randint(1, n), rng.randint(1, n)
+            kinds = [cnf, *_extensions(rng, cnf),
+                     Cnf(n, [(v,), (-v,)], base=cnf),
+                     Cnf(n, [(v, w), (v, -w), (-v, w), (-v, -w)], base=cnf)]
+            cnfs = [rng.choice(kinds) for _ in cfgs]
+        batch = sat.Batch(cnfs, dist, cfgs)
+        for k, (lane, cfg) in enumerate(zip(cnfs, cfgs)):
+            read = batch.lane(k)
+            got = solve(lane, dist, cfg, batch, k)
+            solver = CdclSolver(lane, dist, cfg)
+            want = solver.solve()
+            # A lane replays exactly when its solo solve meets a conflict
+            # past level 0.
+            assert (read is sat._REPLAY) == solver._replayed, (seed, k)
+            tally["own clauses"] += lane is not cnf
             if want is None:
-                assert got is None, (seed, cfg.seed)
-                tally["unsat after a conflict" if conflicted
+                assert got is None, (seed, k)
+                tally["unsat after a conflict" if read is sat._REPLAY
                       else "unsat at level 0"] += 1
                 continue
-            assert [got[v] for v in range(1, n + 1)] == want[1:], \
-                (seed, cfg.seed)
-            tally["conflicted" if conflicted else "clean"] += 1
+            assert [got[v] for v in range(1, n + 1)] == want[1:], (seed, k)
+            tally["conflicted" if read is sat._REPLAY else "clean"] += 1
     assert min(tally.values()) > 200, tally
+
+
+def test_lanes_with_one_seed_and_different_clauses_answer_apart():
+    # Two lanes draw the same seed; each answers its own CNF, which forces
+    # x1 its own way, and not the other lane's model.
+    base = Cnf(3, [(1, 2, 3), (-1, -2)])
+    cnfs = [Cnf(3, [(1,)], base=base), Cnf(3, [(-1,)], base=base)]
+    cfgs = [SolverConfig(seed=7), SolverConfig(seed=7)]
+    batch = sat.Batch(cnfs, None, cfgs)
+    got = [solve(cnf, None, cfg, batch, k)
+           for k, (cnf, cfg) in enumerate(zip(cnfs, cfgs))]
+    assert [m[1] for m in got] == [True, False]
+    for model, cnf, cfg in zip(got, cnfs, cfgs):
+        assert [model[v] for v in range(1, 4)] == solve(cnf, None, cfg)[1:]
+    assert [sat.word(m, [1, 2, 3]) for m in got] == [
+        sat.word(solve(cnf, None, cfg), [1, 2, 3])
+        for cnf, cfg in zip(cnfs, cfgs)]
+
+
+def test_a_batch_reads_each_lanes_words_by_groups_of_eight():
+    # Eleven lanes, two groups: each lane's word over any list of
+    # variables is its solo model's, whichever lane of a group is read
+    # first, and each group's words are read once.
+    cnf = Cnf(12, [(1, -2, 3), (-4, 5), (6, 7, 8, 9), (-10, -11, 12)])
+    cfgs = [SolverConfig(seed=k) for k in range(11)]
+    batch = sat.Batch([cnf] * 11, None, cfgs)
+    solo = [solve(cnf, None, cfg) for cfg in cfgs]
+    for variables in ([12, 1, 5, 5, 7], list(range(1, 13)), [3], []):
+        for k in (9, *range(11)):
+            model = solve(cnf, None, cfgs[k], batch, k)
+            assert sat.word(model, variables) == \
+                sat.word(solo[k], variables), (variables, k)
+    assert len(batch._words) == 4 * 2
+
+
+def test_a_batch_attaches_a_clause_that_lanes_share_once(monkeypatch):
+    # A deviation per lane joined with one blocking extension: the
+    # blocking clauses are attached once, with every lane in their mask,
+    # and each deviation clause with its own lane alone.
+    base = Cnf(4, [(1, 2), (3, 4)])
+    blocks = Cnf(4, [(-1, -2, -3, -4), (1, -2, 3, -4)], base=base)
+    cnfs = [joined(Cnf(4, [(-v,)], base=base), blocks) for v in (1, 2, 3)]
+    attached = []
+    real = sat.Batch._attach
+    monkeypatch.setattr(sat.Batch, "_attach", lambda self, longs, own: (
+        attached.append(own) or real(self, longs, own)))
+    cfgs = [SolverConfig(seed=k) for k in range(3)]
+    batch = sat.Batch(cnfs, None, cfgs)
+    own, = attached
+    assert own == [((-1,), 0b001), *[(c, 0b111) for c in blocks.clauses],
+                   ((-2,), 0b010), ((-3,), 0b100)]
+    for k, (cnf, cfg) in enumerate(zip(cnfs, cfgs)):
+        model = solve(cnf, None, cfg, batch, k)
+        assert [model[v] for v in range(1, 5)] == solve(cnf, None, cfg)[1:]
 
 
 def test_a_batch_recheck_rejects_a_lane_with_one_flipped_bit(monkeypatch):
     # As in test_recheck_rejects_a_falsifying_model: x1 and not x2, with
     # x2 flipped in lane 1 of three after the descent. The mask re-check
-    # finds the false clause, also when it lies in the extension's base.
+    # finds the false clause, also when it lies in the extension's base,
+    # and when it is lane 1's own; a clause of the other lanes alone
+    # does not bind lane 1.
     descend = sat.Batch._descend
 
     def flipped(self, *args):
@@ -826,9 +895,14 @@ def test_a_batch_recheck_rejects_a_lane_with_one_flipped_bit(monkeypatch):
     for cnf in [Cnf(2, [(1, 2), (1,), (-2,)]),
                 Cnf(2, [(1,)], base=Cnf(2, [(1, 2), (-2,)]))]:
         with pytest.raises(AssertionError, match=r"clause \(-2,\) is false"):
-            sat.Batch(cnf, None, cfgs)
+            sat.Batch([cnf] * 3, None, cfgs)
+    base = Cnf(2, [(1, 2)])
+    own, other = Cnf(2, [(1,), (-2,)], base=base), Cnf(2, [(1,)], base=base)
+    with pytest.raises(AssertionError, match=r"clause \(-2,\) is false"):
+        sat.Batch([other, own, other], None, cfgs)
+    sat.Batch([own, other, own], None, cfgs)
     monkeypatch.setattr(sat.Batch, "_descend", descend)
-    batch = sat.Batch(cnf, None, cfgs)
+    batch = sat.Batch([cnf] * 3, None, cfgs)
     assert [batch.lane(k)[2] for k in range(3)] == [False] * 3
 
 
@@ -842,11 +916,11 @@ def test_a_batch_past_its_deadline_raises(monkeypatch):
     cfgs = [SolverConfig(seed=k, deadline=0.5) for k in range(4)]
     monkeypatch.setattr(sat, "time", _Clock())
     with pytest.raises(DeadlinePassed):
-        sat.Batch(cnf, None, cfgs)
+        sat.Batch([cnf] * 4, None, cfgs)
     loads = []
     real = CdclSolver._load_live
     monkeypatch.setattr(CdclSolver, "_load_live",
                         lambda self, *args: loads.append(1) or real(self, *args))
     with pytest.raises(DeadlinePassed):
-        sat.Batch(pigeonhole(4, 3), None, cfgs)
+        sat.Batch([pigeonhole(4, 3)] * 4, None, cfgs)
     assert loads == []
