@@ -466,11 +466,11 @@ def sample(f: Formula, cfg: SamplerConfig) -> SampleResult:
                 break
             iterations += 1
             t0 = time.perf_counter()
-            # The seeds come from a copy of master, which then advances
-            # past the seeds of the candidates the loop takes.
-            ahead = random.Random()
-            ahead.setstate(master.getstate())
-            seeds = [ahead.randrange(1 << 32) for _ in range(cfg.lam)]
+            # The seeds are drawn ahead and master rewound; it then
+            # advances past the seeds of the candidates the loop takes.
+            rewind = master.getstate()
+            seeds = [master.randrange(1 << 32) for _ in range(cfg.lam)]
+            master.setstate(rewind)
             candidates: list[Candidate] = []
             for cand in engine.solve_batch(solutions, seeds):
                 master.randrange(1 << 32)

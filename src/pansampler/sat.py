@@ -23,23 +23,39 @@ depends on that layout.
 Each Cnf keeps one record (`_Kept`), made on its first solve: its own
 clauses, prepared once (their literals checked, duplicate literals and
 tautologies dropped), and, for a base, its live state (`_Live`) while no
-solver holds it. The live state lists each of the base's 2- and
-3-literal clauses under each of its literals, once; only the longer
-clauses, and the clauses an extension attaches, keep two watched
+solver holds it. The live state holds one table of literal pairs: under
+each literal, flat, the other two literals of each of the base's 2- and
+3-literal clauses that holds it, simplified at level 0 (below); only the
+longer clauses, and the clauses an extension attaches, keep two watched
 literals. A solve starts on the live state the CNF's last solve left
 behind, reset to its saved level-0 trail and value table. At its first
 conflict it hands the live state, which learned nothing, back to the
 Cnf and starts over with the same seed on a fresh load of the prepared
-clauses (`CdclSolver._lay_out`): no clause listed, every clause of two
-or more literals watched in load order, as in a freshly loaded solver.
-A replay keeps going through its conflicts and hands nothing back.
+clauses (`CdclSolver._lay_out`): no pair listed, every clause of two or
+more literals watched in load order, as in a freshly loaded solver. A
+replay keeps going through its conflicts and hands nothing back.
 
 One routine, `CdclSolver._propagate`, serves both. For each literal
-that turns false it reads the other literals of every clause listed
-under it, in place, moving nothing, and then visits the clauses that
-watch it. Only a watched clause is recorded as the reason for what it
-implies: a listed clause implies only in a live solve, which never
-analyses a conflict.
+that turns false it reads the pairs listed under it, in place, moving
+nothing, and then visits the clauses that watch it. Only a watched
+clause is recorded as the reason for what it implies: a pair implies
+only in a live solve, which never analyses a conflict.
+
+The pair table is built once per base, after the base's units are
+propagated at level 0, and simplified there, as MiniSat's simplify()
+drops the clauses satisfied at level 0 (Eén & Sörensson, SAT 2003): a
+clause true at level 0 is listed nowhere, a literal false at level 0 is
+dropped from every pair, the pad literal (below) taking its place, and
+a literal set at level 0 lists nothing. This changes no answer. Every
+solve's state, and every lane's, extends the base's level-0 assignment,
+whatever its own clauses and decisions add. In it a clause true at level
+0 holds, so it never becomes unit or false; a literal false at level 0
+stays false, so it reads as the pad literal does and never turns false
+again; and a literal true at level 0 never turns false. So propagation
+over the simplified table implies what it implied over the full one,
+and finds a conflict in the same states. The closure after each
+decision step, and with it every model, every lane's conflict and every
+replay point, stays the same.
 
 A Cnf may extend a base Cnf (`Cnf.base`): a refinement deviation, a set
 of blocking clauses or an unreachability proof is the base's clauses
@@ -68,7 +84,9 @@ literal: value[lit] is +1 when lit is true, -1 when false, 0 when free.
 A negative index wraps into the upper half of the list, so the list
 has 2 * num_vars + 1 slots and both polarities are written together.
 A live state's tables have two more, for a pad variable whose literal
-num_vars + 1 is false and fills each listed 2-literal clause to three.
+num_vars + 1 is false and fills a pair that has one literal left: that
+of a 2-literal clause, or of a 3-literal one with a level-0-false
+literal.
 
 The sampler's candidates of one iteration are solves of one CNF under
 one distribution that differ only in their seeds, and the deviations of
@@ -82,9 +100,12 @@ negation in none, which literal 0 could not be. A decision step takes
 the lowest variable free in some lane, and each lane where it is free
 draws from its own rng, so each lane makes exactly the draws of its solo
 solve. Propagation keeps one pending mask per literal, merging the
-lanes in which it turned false, and visits each clause listed under it
-once for all of them with a few operations on masks. Clauses of four or
-more literals, and the lanes' own clauses, are watched per batch by two
+lanes in which it turned false, and a queue of the pending literals in
+first-pending order; it visits each pair listed under a literal once for
+all of its lanes, with a few operations on masks: the lanes in which the
+literal is false, one of the pair is false and neither is true are
+units, or conflicts where both are false. Clauses of four or more
+literals, and the lanes' own clauses, are watched per batch by two
 literals free in every lane where the clause does not yet hold. Each
 own clause carries a mask of the lanes whose CNF holds it, and counts
 as holding in every other lane; a clause object that several lanes
@@ -103,7 +124,8 @@ replays alone on a fresh load, as its solo solve does; every other lane
 ends with its solo solve's model. Models are read from the masks
 (`_Lane`), each bit-vector for eight lanes at once, and each clause is
 re-checked against every lane whose CNF holds it in one pass of mask
-operations.
+operations: the base's clauses as given, not simplified, split by
+length once per base.
 """
 
 from __future__ import annotations
@@ -225,15 +247,18 @@ class _Live:
     Its tables are indexed by literal, as the value table is, over the
     variables 1..n and a pad variable n + 1, whose literal n + 1 is false.
     Two of them are the same at the start of every solve; _propagate and
-    Batch read them. occurs[lit] lists the base's 3-literal clauses that
-    hold lit, and its 2-literal ones with the pad literal added. hot[lit]
-    is 1 when some clause may need a visit as lit turns false. Beside
-    them: the watch lists of the longer clauses, and the clauses of four
-    or more literals (longs), which Batch watches in its own way; and the
-    trail and value table the units propagate to, or unsat when that
-    propagation met a conflict."""
+    Batch read them. pairs[lit] holds, flat as [b1, c1, b2, c2, ...], the
+    other two literals of each 2- and 3-literal base clause that holds lit
+    and is not true at level 0, its literals false at level 0 dropped and
+    the pad literal filling the pair; a literal set at level 0 holds none.
+    hot[lit] is 1 when lit has a pair or lies in a longer clause, whose
+    watch may need a visit as lit turns false. Beside them: the watch
+    lists of the longer clauses, and the clauses of four or more literals
+    (longs), which Batch watches in its own way; and the trail and value
+    table the units propagate to, or unsat when that propagation met a
+    conflict."""
 
-    occurs: list[Sequence[tuple[int, ...]]]
+    pairs: list[Sequence[int]]
     hot: list[int]
     watches: dict[int, list[list[int]]]
     longs: list[tuple[int, ...]]
@@ -246,10 +271,13 @@ class _Live:
 class _Kept:
     """What a Cnf keeps for its solves: its own clauses, prepared (their
     literals checked, duplicate literals and tautologies dropped), and,
-    for a base, its live state while no solver holds it."""
+    for a base, its live state while no solver holds it, and its clauses
+    as given split into those of two, of three and of other lengths, for
+    a Batch's re-check (made on its first batch)."""
 
     clauses: tuple[tuple[int, ...], ...]
     live: _Live | None = None
+    by_length: tuple[list[tuple[int, ...]], ...] | None = None
 
 
 def _kept(cnf: Cnf) -> _Kept:
@@ -261,6 +289,28 @@ def _kept(cnf: Cnf) -> _Kept:
         kept = _Kept(tuple(_cleaned(cnf.clauses)))
         object.__setattr__(cnf, "solver_cache", kept)
     return kept
+
+
+def _pair_lists(clauses: Sequence[tuple[int, ...]], pad: int, size: int
+                ) -> list[Sequence[int]]:
+    """The pair table of the 2- and 3-literal clauses, before level 0:
+    under each literal, flat, the other two literals of each such clause
+    that holds it, the pad literal filling a 2-literal clause's pair."""
+    listed: dict[int, list[int]] = {}
+    for clause in clauses:
+        if len(clause) == 2:
+            a, b = clause
+            listed.setdefault(a, []).extend((b, pad))
+            listed.setdefault(b, []).extend((a, pad))
+        elif len(clause) == 3:
+            a, b, c = clause
+            listed.setdefault(a, []).extend((b, c))
+            listed.setdefault(b, []).extend((a, c))
+            listed.setdefault(c, []).extend((a, b))
+    pairs: list[Sequence[int]] = [()] * size
+    for lit, got in listed.items():
+        pairs[lit] = got
+    return pairs
 
 
 def joined(*parts: Cnf) -> Cnf:
@@ -309,7 +359,7 @@ class CdclSolver:
         self._live = live
         self._reset(live.watches, live.trail.copy(), live.value.copy(),
                     live.unsat)
-        self._occurs, self._hot = live.occurs, live.hot
+        self._pairs, self._hot = live.pairs, live.hot
         self._attach(self._own)
 
     # -- states ---------------------------------------------------------
@@ -334,13 +384,13 @@ class CdclSolver:
                  pad: bool = False) -> None:
         """Reset to a fresh load of prepared clauses over variables 1..n
         (and a pad variable n + 1, free, when pad is set): no clause
-        listed and every literal hot, each clause of two or more literals
+        paired and every literal hot, each clause of two or more literals
         watched in load order, and the units enqueued in order, a repeated
         one skipped. An empty clause or two opposite units make the state
         unsat."""
         size = 2 * n + (3 if pad else 1)
         self._reset({}, [], [0] * size, False)
-        self._occurs, self._hot = [()] * size, [1] * size
+        self._pairs, self._hot = [()] * size, [1] * size
         value = self.value
         for clause in chain.from_iterable(parts):
             if len(clause) > 1:
@@ -353,35 +403,48 @@ class CdclSolver:
     def _load_live(self, n: int, clauses: Sequence[tuple[int, ...]]
                    ) -> _Live:
         """The live state of a base's prepared clauses over variables
-        1..n: its 2- and 3-literal clauses listed by literal, the rest
-        laid out as a fresh load lays them out, and the units propagated."""
-        listed: dict[int, list[tuple[int, ...]]] = {}
-        rest = []
-        pad = (n + 1,)
-        for clause in clauses:
-            if len(clause) == 2:
-                padded = clause + pad
-                for lit in clause:
-                    listed.setdefault(lit, []).append(padded)
-            elif len(clause) == 3:
-                for lit in clause:
-                    listed.setdefault(lit, []).append(clause)
-            else:
-                rest.append(clause)
+        1..n: the clauses of four or more literals laid out as a fresh
+        load lays them out, the units propagated over them and the pairs
+        of the 2- and 3-literal ones, and then, when the units set
+        anything, the pairs simplified at level 0 in place: only the lists
+        that name a literal set at level 0 change."""
+        pad = n + 1
+        rest = [clause for clause in clauses if not 1 < len(clause) < 4]
         self._lay_out(n, rest, pad=True)
-        self.value[n + 1], self.value[-n - 1] = -1, 1  # the pad is false
-        size = len(self.value)
-        occurs, hot = self._occurs, self._hot = [()] * size, [0] * size
-        for lit, got in listed.items():
-            occurs[lit] = got
-            hot[lit] = 1
+        value = self.value
+        value[pad], value[-pad] = -1, 1  # the pad is false
+        pairs = self._pairs = _pair_lists(clauses, pad, len(value))
+        hot = self._hot = [1 if got else 0 for got in pairs]
         longs = [clause for clause in rest if len(clause) > 3]
-        for clause in longs:  # a long clause's watch may move to any literal
-            for lit in clause:
-                hot[lit] = 1
+        in_longs = set(chain.from_iterable(longs))
+        for lit in in_longs:  # a long clause's watch may move to any literal
+            hot[lit] = 1
         unsat = self._unsat or self._propagate() is not None
-        return _Live(occurs, hot, self.watches, longs, self.trail,
-                     self.value, unsat)
+        if not unsat:
+            # A pair that names a set literal lies in a list named by one
+            # of the set literal's own pairs.
+            named = set()
+            for lit in chain(self.trail, map(neg, self.trail)):
+                named.update(pairs[lit])
+                pairs[lit] = ()
+                hot[lit] = int(lit in in_longs)
+            for lit in named:
+                if value[lit]:
+                    continue  # set at level 0, or the pad
+                kept: list[int] = []
+                it = iter(pairs[lit])
+                for b, c in zip(it, it):
+                    if value[b] == 1 or value[c] == 1:
+                        continue  # true at level 0
+                    if value[b] == -1:
+                        b, c = c, pad
+                    elif value[c] == -1:
+                        c = pad
+                    kept += b, c
+                pairs[lit] = kept or ()
+                hot[lit] = int(bool(kept) or lit in in_longs)
+        return _Live(pairs, hot, self.watches, longs, self.trail, value,
+                     unsat)
 
     def _attach(self, clauses: Sequence[tuple[int, ...]]) -> None:
         """Add prepared clauses to a live state at level 0. Each watches
@@ -439,31 +502,31 @@ class CdclSolver:
 
     def _propagate(self) -> Sequence[int] | None:
         """Propagate the trail from qhead: for each false literal, the
-        clauses listed under it, read in place, then the clauses watching
+        pairs listed under it, read in place, then the clauses watching
         it. Answers the clause found false at a conflict, a listed one as
-        (a, b, c), and None when the trail is closed. Only what a watched
-        clause implies gets a level and a reason: lists are empty in a
-        replay, and a live solve hands over to one at its first conflict."""
+        (a, b, c) with its level-0-false literals dropped and padded, and
+        None when the trail is closed. Only what a watched clause implies
+        gets a level and a reason: pair lists are empty in a replay, and a
+        live solve hands over to one at its first conflict."""
         value, watches, trail = self.value, self.watches, self.trail
-        occurs, hot, push = self._occurs, self._hot, trail.append
+        pairs, hot, push = self._pairs, self._hot, trail.append
         level, reason = self.level, self.reason
         depth = len(self.trail_lim)
         # A list iterator also yields what is appended while it runs.
         for lit in islice(trail, self.qhead, None):
             false_lit = -lit
-            for a, b, c in occurs[false_lit]:
-                # Values are 1, 0 or -1, and false_lit is one of the three:
-                # a sum below -1 means none is true and at most one free.
-                if value[a] + value[b] + value[c] >= -1:
+            it = iter(pairs[false_lit])
+            for b, c in zip(it, it):
+                # Values are 1, 0 or -1: a sum below 0 means neither is
+                # true and at most one is free.
+                if value[b] + value[c] >= 0:
                     continue
-                if value[a] == 0:
-                    free = a
-                elif value[b] == 0:
+                if value[b] == 0:
                     free = b
                 elif value[c] == 0:
                     free = c
                 else:
-                    return a, b, c
+                    return false_lit, b, c
                 value[free] = 1
                 value[-free] = -1
                 push(free)
@@ -766,10 +829,11 @@ class Batch:
     decision step takes the lowest variable free in some active lane, and
     each lane where it is free draws its phase from its own rng.
     Propagation keeps one mask per pending literal, the lanes in which it
-    turned false, and visits each clause listed under it once for all of
-    them. A lane whose clauses conflict before the first decision answers
-    None, as its solo solve does at level 0; a lane that meets a conflict
-    later leaves the batch and replays alone when read. Raises
+    turned false, and visits each pair of the live pair table listed
+    under it once for all of them (see _close). A lane whose clauses
+    conflict before the first decision answers None, as its solo solve
+    does at level 0; a lane that meets a conflict later leaves the batch
+    and replays alone when read. Raises
     DeadlinePassed once cfgs[0].deadline has passed, reading the clock
     before the descent, after each decision step that propagates and after
     every _DEADLINE_STEPS steps that do not; and AssertionError when some
@@ -799,7 +863,10 @@ class Batch:
         for lit in live.trail:
             false[-lit] = every
         false[n + 1] = every  # the pad literal
-        self._occurs, self._hot = live.occurs, live.hot
+        self._pairs, self._hot = live.pairs, live.hot
+        # The lanes in which each literal turned false and waits for a
+        # visit; see _close.
+        self._pending = [0] * len(false)
         extensions = _by_identity((cnf, 1 << k) for k, cnf in enumerate(cnfs)
                                   if cnf is not base)
         self._attach(live.longs, _by_identity(
@@ -811,7 +878,10 @@ class Batch:
             below, lits = (dist or BitDistribution()).phases(n, cfg.bias_p)
             self._descend(below, lits, cfg.deadline)
             self._true = [false[0], *false[:0:-1]]  # true[lit] is false[-lit]
-            self._recheck(base.clauses, _by_identity(
+            kept = _kept(base)
+            if kept.by_length is None:
+                kept.by_length = _by_length(base.clauses)
+            self._recheck(kept.by_length, _by_identity(
                 (clause, lanes) for cnf, lanes in extensions
                 for clause in cnf.clauses))
 
@@ -856,19 +926,20 @@ class Batch:
         self._watched: dict[int, list[int]] = {}  # literal -> clauses
         if own:
             self._hot = self._hot.copy()
-        pend: dict[int, int] = {}
+        queue: list[int] = []
         for k in range(len(longs)):
-            self._scan(k, pend)
-        self._close(pend)
+            self._scan(k, queue)
+        self._close(queue)
 
-    def _scan(self, k: int, pend: dict[int, int]) -> None:
+    def _scan(self, k: int, queue: list[int]) -> None:
         """Visit clause k of the watched ones in every active lane: set
         the one literal left free where every other is false, noting it
         pending; drop the lanes where all are false; and watch, for the
         lanes where the clause does not hold yet, two literals free in all
         of them, the last decided (or, when there are no two, each that
-        is free in one of them)."""
-        false, hot = self._false, self._hot
+        is free in one of them). A literal it sets pends, queued as
+        _close queues one."""
+        false, hot, pending = self._false, self._hot, self._pending
         clause = self._longs[k]
         active = self.active
         holds = reduce(or_, map(false.__getitem__, map(neg, clause)),
@@ -895,7 +966,9 @@ class Batch:
                 if got:
                     false[-lit] |= got
                     if hot[-lit]:
-                        pend[-lit] = pend.get(-lit, 0) | got
+                        if not pending[-lit]:
+                            queue.append(-lit)
+                        pending[-lit] |= got
                     rest ^= got
             holds |= unit
             open_ = active & ~holds
@@ -914,52 +987,58 @@ class Batch:
                     hot[lit] = 1
         self._watches[k] = new
 
-    def _close(self, pend: dict[int, int]) -> None:
-        """Propagate the pending literals, each false in the lanes of its
-        mask, until every active lane is closed under unit propagation.
-        The lanes that meet a conflict leave the batch."""
-        false, occurs, hot = self._false, self._occurs, self._hot
+    def _close(self, queue: list[int]) -> None:
+        """Propagate the queued literals, each false in the lanes of its
+        pending mask, until every active lane is closed under unit
+        propagation. The lanes that meet a conflict leave the batch.
+
+        A literal that turns false in some lanes is queued unless it is
+        pending already, and its mask takes those lanes; it is visited
+        once, in first-pending order, for all the lanes it gathered by
+        then. For each pair (b, c) listed under it, the lanes in which
+        it is false, b or c is false and neither is true are units, or
+        conflicts where both are false."""
+        false, pairs, hot = self._false, self._pairs, self._hot
+        pending = self._pending
         watched, watches, known = self._watched, self._watches, self._known
         active = self.active
-        while pend:
-            # First in, first out: a literal waits while more lanes join
-            # its mask, and is visited fewer times than last in, first out.
-            x = next(iter(pend))
-            m = pend.pop(x) & active
+        # First in, first out: a literal waits while more lanes join its
+        # mask, and is visited fewer times than last in, first out. A list
+        # iterator also yields what is appended while it runs.
+        for x in queue:
+            m = pending[x] & active
+            pending[x] = 0
             if not m:
                 continue
-            for a, b, c in occurs[x]:
-                fa, fb, fc = false[a], false[b], false[c]
-                # x is false in m: the lanes with another false literal
-                # and none true are units or conflicts.
-                unit = m & (fa & fb | fc & (fa | fb)) & ~(
-                    false[-a] | false[-b] | false[-c])
+            it = iter(pairs[x])
+            for b, c in zip(it, it):
+                fb, fc = false[b], false[c]
+                unit = m & (fb | fc) & ~(false[-b] | false[-c])
                 if not unit:
                     continue
-                bad = unit & fa & fb & fc
+                bad = unit & fb & fc
                 if bad:
                     active = self.active = active ^ bad
                     m &= active
                     unit ^= bad
                     self.conflicted |= bad
-                got = unit & ~fa
-                if got:
-                    false[-a] |= got
-                    if hot[-a]:
-                        pend[-a] = pend.get(-a, 0) | got
                 got = unit & ~fb
                 if got:
                     false[-b] |= got
                     if hot[-b]:
-                        pend[-b] = pend.get(-b, 0) | got
+                        if not pending[-b]:
+                            queue.append(-b)
+                        pending[-b] |= got
                 got = unit & ~fc
                 if got:
                     false[-c] |= got
                     if hot[-c]:
-                        pend[-c] = pend.get(-c, 0) | got
+                        if not pending[-c]:
+                            queue.append(-c)
+                        pending[-c] |= got
             for k in watched.get(x, ()):
                 if m & ~known[k] and x in watches[k]:
-                    self._scan(k, pend)
+                    self._scan(k, queue)
                     active = self.active
                     m &= active
 
@@ -968,6 +1047,7 @@ class Batch:
         """Decide, in index order, each variable free in some active lane,
         and propagate, until every active lane has a model."""
         false, hot, draws = self._false, self._hot, self._draws
+        pending = self._pending
         active = self.active
         lanes = [(1 << k, draw) for k, draw in enumerate(draws)]  # active
         steps = 0
@@ -994,12 +1074,14 @@ class Batch:
             false[lit] |= neg
             steps += 1
             if hot[-lit] or hot[lit]:
-                pend = {}
+                queue = []
                 if pos and hot[-lit]:
-                    pend[-lit] = pos
+                    pending[-lit] = pos
+                    queue.append(-lit)
                 if neg and hot[lit]:
-                    pend[lit] = neg
-                self._close(pend)
+                    pending[lit] = neg
+                    queue.append(lit)
+                self._close(queue)
                 if self.active != active:
                     active = self.active
                     if not active:
@@ -1011,20 +1093,41 @@ class Batch:
                 if time.perf_counter() > deadline:
                     raise DeadlinePassed("no answer before the deadline")
 
-    def _recheck(self, base: Sequence[tuple[int, ...]],
+    def _recheck(self, base: tuple[list[tuple[int, ...]], ...],
                  own: Sequence[tuple[tuple[int, ...], int]]) -> None:
-        """Check each base clause against every active lane's model, and
-        each own clause against those of the active lanes of its mask, in
-        one pass of mask operations per clause."""
+        """Check each base clause, split by length, against every active
+        lane's model, and each own clause against those of the active
+        lanes of its mask, in one pass of mask operations per clause."""
         true, done = self._true, self.active
-        for clause, lanes in chain(zip(base, repeat(done)), own):
+        twos, threes, rest = base
+        for a, b in twos:
+            if (true[a] | true[b]) & done != done:
+                _refuted((a, b))
+        for a, b, c in threes:
+            if (true[a] | true[b] | true[c]) & done != done:
+                _refuted((a, b, c))
+        for clause, lanes in chain(zip(rest, repeat(done)), own):
             lanes &= done
             holds = 0
             for lit in clause:
                 holds |= true[lit]
             if holds & lanes != lanes:
-                raise AssertionError(f"solver produced a falsifying model: "
-                                     f"clause {clause} is false")
+                _refuted(clause)
+
+
+def _by_length(clauses: Sequence[tuple[int, ...]]
+               ) -> tuple[list[tuple[int, ...]], ...]:
+    """The clauses of two literals, of three, and of any other length."""
+    twos, threes, rest = split = ([], [], [])
+    for clause in clauses:
+        size = len(clause)
+        (twos if size == 2 else threes if size == 3 else rest).append(clause)
+    return split
+
+
+def _refuted(clause: Sequence[int]) -> None:
+    raise AssertionError(f"solver produced a falsifying model: "
+                         f"clause {tuple(clause)} is false")
 
 
 def solve(cnf: Cnf, dist: BitDistribution | None = None,

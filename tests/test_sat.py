@@ -578,8 +578,14 @@ def test_the_live_kernel_solves_like_a_two_watched_literal_load(monkeypatch):
     # Random CNFs of 1- to 6-literal clauses, solved as bases and through
     # extensions that attach short and long clauses: each solve gives
     # the model and conflict count of a solver that watches every clause,
-    # whether the live state met no conflict, replayed, or was unsat.
+    # whether the live state met no conflict, replayed, or was unsat. A
+    # one-lane Batch gives the same model, and replays exactly when that
+    # solver met a conflict. Both read the pair table simplified at level
+    # 0, which the reference does not: the tally counts the bases with a
+    # short clause true at level 0, and with one that is not but has a
+    # literal false there, of the bases not unsat at level 0.
     tally = {"clean": 0, "conflicted": 0, "unsat": 0}
+    simplified = {"true at level 0": 0, "a level-0-false literal": 0}
     for seed in range(60):
         rng = random.Random(seed)
         # Up to half the variables are in no base clause, as the bits of
@@ -588,6 +594,20 @@ def test_the_live_kernel_solves_like_a_two_watched_literal_load(monkeypatch):
         used = rng.sample(range(1, n + 1), n - rng.randint(0, n // 2))
         base = Cnf(n, _mixed_clauses(rng, used,
                                      int(len(used) * rng.uniform(1.5, 3.2))))
+        live = sat.live_state(base)
+        value = live.value
+        short = [c for c in base.clauses if 1 < len(c) < 4]
+        true = [any(value[l] == 1 for l in c) for c in short]
+        simplified["true at level 0"] += not live.unsat and any(true)
+        simplified["a level-0-false literal"] += not live.unsat and any(
+            not t and any(value[l] == -1 for l in c)
+            for c, t in zip(short, true))
+        # Only a free literal lists pairs, and they name free literals or
+        # the pad literal n + 1.
+        assert live.unsat or all(
+            not got or value[i] == 0 and all(
+                value[lit] == 0 or lit == n + 1 for lit in got)
+            for i, got in enumerate(live.pairs)), seed
         cnfs = [base] + _extensions(rng, base) + [base]
         for step in range(12):
             cnf = rng.choice(cnfs)
@@ -601,20 +621,28 @@ def test_the_live_kernel_solves_like_a_two_watched_literal_load(monkeypatch):
             want = _solved_watched(cnf, dist, cfg)
             assert _solved(cnf, dist, cfg) == want, (seed, step)
             model, conflicts = want
+            batch = sat.Batch([cnf], dist, [cfg])
+            assert (batch.lane(0) is sat._REPLAY) == (conflicts > 0)
+            got = solve(cnf, dist, cfg, batch, 0)
+            assert (got if got is None else [False, *(
+                got[v] for v in range(1, cnf.num_vars + 1))]) == model, \
+                (seed, step)
             tally["unsat" if model is None else
                   "conflicted" if conflicts else "clean"] += 1
     assert min(tally.values()) > 60, tally
+    assert min(simplified.values()) > 20, simplified
 
 
 def test_a_conflict_only_a_ternary_clause_sees_starts_the_replay():
     # Deciding x1 and then x2 true falsifies -1 and -2: listed under -2,
-    # (-1, -2, 3) implies 3, and (-1, -2, -3) is then all false. Every
-    # clause has three literals, so no watch list could find it.
+    # the pair of (-1, -2, 3) implies 3, and (-1, -2, -3) is then all
+    # false. Every clause has three literals, so no watch list could
+    # find it.
     cnf = Cnf(4, [(-1, -2, 3), (-1, -2, -3), (2, 3, 4)])
     dist = BitDistribution({1: (1, 0), 2: (1, 0)})
     cfg = SolverConfig(bias_p=1.0)
     solver = CdclSolver(cnf, dist, cfg)
-    assert solver._occurs[-2] == [(-1, -2, 3), (-1, -2, -3)]
+    assert solver._pairs[-2] == [-1, 3, -1, -3]
     model = solver.solve()
     assert solver._replayed and solver.conflicts == 1
     assert (model, 1) == _solved_watched(cnf, dist, cfg)
@@ -636,16 +664,26 @@ def test_a_watch_moved_to_a_literal_in_no_base_clause_makes_it_hot():
     assert not any(base.solver_cache.live.hot[l] for l in (3, 4, 5, 6))
 
 
+def _live_tables(live: sat._Live):
+    """A live state's value table, trail, pair table, hot table and
+    watches; an empty watch list counts as none."""
+    return (live.value, live.trail, [list(p) for p in live.pairs], live.hot,
+            {lit: got for lit, got in live.watches.items() if got})
+
+
 def test_hand_back_leaves_the_occurrence_lists_untouched():
     # 3-SAT near the threshold over 1..12 meets conflicts; 13..20 are in
-    # no clause, so attached clauses make their literals hot.
+    # no clause, so attached clauses make their literals hot. After each
+    # hand-back, the live tables equal those of a fresh load of an
+    # identical base.
     rng = random.Random(3)
     base = Cnf(20, list(_three_sat(3, 12, 46).clauses)
                + _mixed_clauses(rng, range(1, 13), 8))
     assert solve(base) is not None
     live = base.solver_cache.live
-    occurs, hot = live.occurs, live.hot
-    saved = ([list(o) for o in occurs], hot.copy())
+    pairs, hot = live.pairs, live.hot
+    saved = ([list(p) for p in pairs], hot.copy())
+    fresh = _live_tables(sat.live_state(Cnf(base.num_vars, list(base.clauses))))
     # A deviation on a vector whose bits 13..20 are in no base clause.
     free = Cnf(20, [tuple(rng.choice((-1, 1)) * v for v in range(13, 21))],
                base=base)
@@ -654,14 +692,15 @@ def test_hand_back_leaves_the_occurrence_lists_untouched():
     for step in range(40):
         cnf = rng.choice([base] + extensions)
         solver = CdclSolver(cnf, cfg=SolverConfig(seed=step))
-        assert len(solver._occurs) == len(solver._hot) == len(solver.value)
-        assert solver._occurs is occurs and solver._hot is hot
+        assert len(solver._pairs) == len(solver._hot) == len(solver.value)
+        assert solver._pairs is pairs and solver._hot is hot
         marked += len(solver._marked)
         solver.solve()
         replays += solver._replayed
         live = base.solver_cache.live
-        assert live.occurs is occurs and live.hot is hot
-        assert ([list(o) for o in occurs], hot) == saved, step
+        assert live.pairs is pairs and live.hot is hot
+        assert ([list(p) for p in pairs], hot) == saved, step
+        assert _live_tables(live) == fresh, step
     assert replays and marked
 
 
