@@ -22,17 +22,16 @@ class Cnf:
     """Clauses over variables 1..num_vars, never changed once made.
 
     An extension (base set) holds only its own clauses and stands for
-    its base's clauses followed by them; sat.CdclSolver attaches just
-    those to the base's solver state. A base is never itself an
+    its base's clauses followed by them; a sat.Batch attaches just
+    those to the base's level-0 state. A base is never itself an
     extension, and has its extensions' variables."""
 
     num_vars: int = 0
     clauses: tuple[tuple[int, ...], ...] = ()  # made from any sequence
     base: Cnf | None = field(default=None, repr=False)
-    # Set by sat.CdclSolver on the Cnf's first solve: its own clauses,
-    # prepared once for that solve and every later one and replay, and,
-    # for a base, its live solver state between solves. The one field
-    # that changes.
+    # Set by sat on the Cnf's first solve: its own clauses, prepared once
+    # for that solve and every later one and replay, and, for a base, its
+    # level-0 state. The one field that changes.
     solver_cache: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -177,6 +177,21 @@ def _array_from_node(node, sort: Sort) -> ArrayVal:
     raise ParseError("bad array base in model", node.line, node.col)
 
 
+def _params_from_node(node, sort: Sort) -> list[str]:
+    """The parameter names of a function's define-fun: a list of one
+    (name sort) pair per argument of sort."""
+    arity = len(sort.args)
+    if not isinstance(node, SList) or len(node.items) != arity:
+        raise ParseError(f"expected a parameter list of length {arity}",
+                         node.line, node.col)
+    for param in node.items:
+        if not (isinstance(param, SList) and len(param.items) == 2
+                and isinstance(param.items[0], Atom)):
+            raise ParseError("expected a (name sort) parameter",
+                             param.line, param.col)
+    return [param.items[0].text for param in node.items]
+
+
 def _fun_from_node(node, params: list[str], sort: Sort) -> FunVal:
     table: dict[tuple[int, ...], int] = {}
 
@@ -239,8 +254,7 @@ def parse_model_blocks(text: str, f: Formula) -> list[Assignment]:
                                  name_tok.line, name_tok.col)
             body = df.items[4]
             if sort.is_fun:
-                plist = df.items[2]
-                params = [p.items[0].text for p in plist.items]
+                params = _params_from_node(df.items[2], sort)
                 a.set(name, _fun_from_node(body, params, sort))
             elif sort.is_array:
                 a.set(name, _array_from_node(body, sort))

@@ -159,7 +159,8 @@ class DiversitySmtEngine:
             assertions = list(self.abs.formula.assertions) + images
             self._base = bit_blast(self.f.table, decls, assertions,
                                    self.asked)
-            self._base_key = key
+            # A lemma's first rewrite may declare fresh atoms.
+            self._base_key = (len(self.lemmas), len(decls), len(self.asked))
         base, bmap = self._base
         if deviation is None:
             return base, bmap
@@ -266,64 +267,62 @@ class DiversitySmtEngine:
             raise AssertionError("theory-consistent candidate fails the formula")
         return Candidate(solution, cover_set(self.universe, memo))
 
-    def _rounds(self, prior: list[Assignment], seeds: random.Random,
-                atoms: int, deviation: tuple[str, int] | None,
-                rounds: int = 0) -> Candidate | None:
-        """Solve rounds with SAT seeds drawn from seeds until the theories
-        accept a model, rounds lemmas into the call."""
-        while True:
-            (cnf,), bmap, dist = self._problem(prior, atoms, [deviation])
-            model = sat_solve(cnf, dist, self._sat_cfg(seeds))
-            if model is None:
-                return None
-            candidate = self._accept(model, bmap, rounds)
-            if candidate is not None:
-                return candidate
-            rounds += 1
-
     def solve_once(self, prior: list[Assignment], seed: int,
                    deviation: tuple[str, int] | None = None
                    ) -> Candidate | None:
         """One diversity solve: None means the blasted problem (with any
-        blocking clauses or deviation) is unsatisfiable."""
-        return self._rounds(prior, random.Random(seed),
-                            len(self.abs.atom_map), deviation)
+        blocking clauses or deviation) is unsatisfiable. A one-lane
+        solve_batch."""
+        return self.solve_batch(prior, [seed],
+                                [deviation] if deviation else None)[0]
 
     def solve_batch(self, prior: list[Assignment], seeds: list[int],
                     deviations: list[tuple[str, int]] | None = None
                     ) -> list[Candidate | None]:
-        """[solve_once(prior, s, d) for s, d in zip(seeds, deviations)],
-        each the same as on its own, up to and including the first that
-        ends past the deadline. Without deviations the solves are
-        candidates, all of one CNF, and the answers also end at the first
-        None: every solve after it would be of the same UNSAT CNF. The
-        first round of every solve is a lane of one Batch, each with its
-        deviation's clause. A lemma ends the batch: the solve that met it
-        goes on with its own rounds, and the solves after it form a new
-        batch on the new base."""
+        """One diversity solve per seed, each with its deviation, in turn,
+        up to and including the first that ends past the deadline.
+        Without deviations the solves are candidates, all of one CNF, and
+        the answers also end at the first None: every solve after it
+        would be of the same UNSAT CNF.
+
+        A solve runs rounds, its SAT seeds drawn from random.Random(seed),
+        until the theories accept a model or its CNF is UNSAT, its prior
+        solutions projected as they were under the atom count it began
+        with. Every round is a lane of a Batch, with its deviation's
+        clause. A lemma ends the batch: the next one starts with the next
+        round of the solve that met it, on the new base, and the solves
+        after it join that batch when the atom count is still the one
+        that solve began with (else they form the batch after its last
+        round, under the new count)."""
         every = deviations or [None] * len(seeds)
         out: list[Candidate | None] = []
+        # One (rng, atom count, lemmas kept) per solve of the next batch.
+        lanes: list[tuple[random.Random, int, int]] = []
         while len(out) < len(seeds):
-            rngs = [random.Random(s) for s in seeds[len(out):]]
-            devs = every[len(out):]
-            atoms, lemmas = len(self.abs.atom_map), len(self.lemmas)
-            cnfs, bmap, dist = self._problem(prior, atoms, devs)
-            cfgs = [self._sat_cfg(r) for r in rngs]
+            self.blast()  # a new lemma's first rewrite may add atoms
+            atoms = len(self.abs.atom_map)
+            if not lanes or lanes[0][1] == atoms:
+                lanes += [(random.Random(s), atoms, 0)
+                          for s in seeds[len(out) + len(lanes):]]
+            cnfs, bmap, dist = self._problem(
+                prior, lanes[0][1], every[len(out):len(out) + len(lanes)])
+            cfgs = [self._sat_cfg(rng) for rng, _, _ in lanes]
             batch = Batch(cnfs, dist, cfgs)
-            for lane, (cnf, cfg, rng, dev) in enumerate(
-                    zip(cnfs, cfgs, rngs, devs)):
+            for lane, (cnf, cfg, (rng, began, rounds)) in enumerate(
+                    zip(cnfs, cfgs, lanes)):
                 model = sat_solve(cnf, dist, cfg, batch=batch, lane=lane)
                 candidate = None
                 if model is not None:
-                    candidate = self._accept(model, bmap, 0)
+                    candidate = self._accept(model, bmap, rounds)
                     if candidate is None:  # refuted: a lemma was kept
-                        candidate = self._rounds(prior, rng, atoms, dev, 1)
+                        lanes = [(rng, began, rounds + 1)]
+                        break
                 out.append(candidate)
                 if (candidate is None and not deviations
                         or time.perf_counter() > self.deadline):
                     return out
-                if len(self.lemmas) != lemmas:
-                    break
+            else:
+                lanes = []
         return out
 
 

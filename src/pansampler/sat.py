@@ -14,70 +14,53 @@ its first conflict a solve does not depend on how its state is laid out:
 - Phases come from the per-solve rng, in decision order.
 - After each decision, the closure under unit propagation is unique, and
   whether it holds a conflict does not depend on propagation order.
-So a solve that meets no conflict returns the same model from any valid
-level-0 state of its CNF, however propagation reaches a clause (through
-two watched literals or a list of every occurrence) and in whatever
-order. Only what follows a conflict (the clause found, what is learned)
-depends on that layout.
+So a solve that meets no conflict returns the same model however
+propagation reaches a clause and in whatever order, and a solve that
+meets one meets it at the same decision. Only what follows a conflict
+(the clause found, what is learned) depends on that layout.
+
+So one kernel runs every solve up to its first conflict: a `Batch`, of
+one lane or of many (below). A lane that meets a conflict starts over,
+alone and with the same seed, on a fresh load of its clauses
+(`CdclSolver`): every clause of two or more literals watched in load
+order, the base's clauses first and then its own, as in a freshly loaded
+solver; the replay goes on through its conflicts with the VSIDS heap.
+`solve` reads a lane, replaying it when it met a conflict, and solves a
+CNF given without a batch as a one-lane batch.
 
 Each Cnf keeps one record (`_Kept`), made on its first solve: its own
 clauses, prepared once (their literals checked, duplicate literals and
-tautologies dropped), and, for a base, its live state (`_Live`) while no
-solver holds it. The live state holds one table of literal pairs: under
-each literal, flat, the other two literals of each of the base's 2- and
-3-literal clauses that holds it, simplified at level 0 (below); only the
-longer clauses, and the clauses an extension attaches, keep two watched
-literals. A solve starts on the live state the CNF's last solve left
-behind, reset to its saved level-0 trail and value table. At its first
-conflict it hands the live state, which learned nothing, back to the
-Cnf and starts over with the same seed on a fresh load of the prepared
-clauses (`CdclSolver._lay_out`): no pair listed, every clause of two or
-more literals watched in load order, as in a freshly loaded solver. A
-replay keeps going through its conflicts and hands nothing back.
-
-One routine, `CdclSolver._propagate`, serves both. For each literal
-that turns false it reads the pairs listed under it, in place, moving
-nothing, and then visits the clauses that watch it. Only a watched
-clause is recorded as the reason for what it implies: a pair implies
-only in a live solve, which never analyses a conflict.
-
-The pair table is built once per base, after the base's units are
-propagated at level 0, and simplified there, as MiniSat's simplify()
+tautologies dropped), and, for a base, its live state (`_Live`), built
+on its first batch: the base's level-0 state, which no solve changes. It
+is a fresh load of the prepared clauses propagated at level 0, whose
+closure is unique, and one table of literal pairs: under each literal,
+flat, the other two literals of each of the base's 2- and 3-literal
+clauses that holds it, simplified at level 0, as MiniSat's simplify()
 drops the clauses satisfied at level 0 (Eén & Sörensson, SAT 2003): a
 clause true at level 0 is listed nowhere, a literal false at level 0 is
-dropped from every pair, the pad literal (below) taking its place, and
-a literal set at level 0 lists nothing. This changes no answer. Every
-solve's state, and every lane's, extends the base's level-0 assignment,
-whatever its own clauses and decisions add. In it a clause true at level
-0 holds, so it never becomes unit or false; a literal false at level 0
-stays false, so it reads as the pad literal does and never turns false
-again; and a literal true at level 0 never turns false. So propagation
-over the simplified table implies what it implied over the full one,
-and finds a conflict in the same states. The closure after each
-decision step, and with it every model, every lane's conflict and every
-replay point, stays the same.
+dropped from every pair, the pad literal (below) taking its place, and a
+literal set at level 0 lists nothing. This changes no answer. Every
+lane's state extends the base's level-0 assignment, whatever its own
+clauses and decisions add. In it a clause true at level 0 holds, so it
+never becomes unit or false; a literal false at level 0 stays false, so
+it reads as the pad literal does and never turns false again; and a
+literal true at level 0 never turns false. So propagation over the
+simplified table implies what it implied over the full one, and finds a
+conflict in the same states. The closure after each decision step, and
+with it every model, every lane's conflict and every replay point, stays
+the same.
 
 A Cnf may extend a base Cnf (`Cnf.base`): a refinement deviation, a set
 of blocking clauses or an unreachability proof is the base's clauses
-plus a few of its own, over the base's variables. Such a Cnf attaches
-its own clauses to the base's live state at level 0, watching literals
-that are not false there, and detaches them after the solve, so the
-base keeps one copy of its clauses. Its replay loads the base's
-prepared clauses and then its own, which gives the same state as
-loading all its clauses. Clauses are only ever added, never changed, so
-a kept state never goes stale. An extension made by `joined` takes its
-record from its parts, other extensions of its base: alt1's blocking
-clauses are one extension per prior set, prepared on its first solve,
-which each deviation joins after its own clause.
-
-Until its first conflict a solve runs one tight loop (`_descend`): it
-walks the cursor up the variable indices, draws one rng number per free
-variable, takes the phase from the distribution's table
-(`BitDistribution.phases`), writes the value, level and trail entries
-in place, and propagates only when the literal the decision falsified
-is hot: some clause holds it that may need a visit. In a replay every
-literal is hot, and the replay goes on from its first conflict with the
-VSIDS heap.
+plus a few of its own, over the base's variables. A batch attaches such
+own clauses for the lanes that hold them, and the base keeps one copy of
+its clauses; a replay loads the base's prepared clauses and then its
+own, which gives the same state as loading all its clauses. Clauses are
+only ever added, never changed, so a kept state never goes stale. An
+extension made by `joined` takes its record from its parts, other
+extensions of its base: alt1's blocking clauses are one extension per
+prior set, prepared on its first solve, which each deviation joins after
+its own clause.
 
 Variable values live in one list indexed directly by the signed
 literal: value[lit] is +1 when lit is true, -1 when false, 0 when free.
@@ -98,30 +81,33 @@ machine word (Biham, FSE 1997). One integer per literal holds the lanes
 in which it is false; the pad literal is false in every lane, and its
 negation in none, which literal 0 could not be. A decision step takes
 the lowest variable free in some lane, and each lane where it is free
-draws from its own rng, so each lane makes exactly the draws of its solo
-solve. Propagation keeps one pending mask per literal, merging the
-lanes in which it turned false, and a queue of the pending literals in
-first-pending order; it visits each pair listed under a literal once for
-all of its lanes, with a few operations on masks: the lanes in which the
-literal is false, one of the pair is false and neither is true are
-units, or conflicts where both are false. Clauses of four or more
-literals, and the lanes' own clauses, are watched per batch by two
-literals free in every lane where the clause does not yet hold. Each
-own clause carries a mask of the lanes whose CNF holds it, and counts
-as holding in every other lane; a clause object that several lanes
-share, as the blocking clauses, is attached once with all their lanes.
+draws from its own rng, so each lane makes exactly the draws of a solo
+solve. Propagation runs only after a step whose decided literals are
+hot: some clause holds their negation that may need a visit. It keeps
+one pending mask per literal, merging the lanes in which it turned
+false, and a queue of the pending literals in first-pending order; it
+visits each pair listed under a literal once for all of its lanes, with
+a few operations on masks: the lanes in which the literal is false, one
+of the pair is false and neither is true are units, or conflicts where
+both are false. Clauses of four or more literals, and the lanes' own
+clauses, are watched per batch by two literals free in every lane where
+the clause does not yet hold. Each own clause carries a mask of the
+lanes whose CNF holds it, and counts as holding in every other lane; a
+clause object that several lanes share, as the blocking clauses, is
+attached once with all their lanes.
 
-Each lane's model is its solo solve's. Both start from the same level-0
-state, the base's, closed under the lane's own clauses and no other
-lane's, and decide the same variables in the same order with the same
-draws. After each decision step a lane holds the closure of its
-assignment under unit propagation by its own CNF, which is unique and
-does not depend on the order in which it was reached, so the lane meets
-a conflict at exactly the step where its solo solve does. A lane whose
-conflict comes before the first decision is UNSAT, as its solo solve
-finds at level 0. A lane that meets one later leaves the batch and
-replays alone on a fresh load, as its solo solve does; every other lane
-ends with its solo solve's model. Models are read from the masks
+Each lane's model is that of a fresh load of its CNF, solved with its
+seed. Both start from the same level-0 state, the base's, closed under
+the lane's own clauses and no other lane's, and decide the same
+variables in the same order with the same draws. After each decision
+step a lane holds
+the closure of its assignment under unit propagation by its own CNF,
+which is unique and does not depend on the order in which it was
+reached, so the lane meets a conflict at exactly the step where a fresh
+load does. A lane whose conflict comes before the first decision is
+UNSAT, as a fresh load finds at level 0. A lane that meets one later
+leaves the batch and replays alone on a fresh load; every other lane
+ends with the fresh load's model. Models are read from the masks
 (`_Lane`), each bit-vector for eight lanes at once, and each clause is
 re-checked against every lane whose CNF holds it in one pass of mask
 operations: the base's clauses as given, not simplified, split by
@@ -242,25 +228,22 @@ def _cleaned(clauses: Sequence[tuple[int, ...]]):
 
 @dataclass
 class _Live:
-    """A base's state at level 0, kept between solves.
+    """A base's state at level 0, built once and never changed.
 
     Its tables are indexed by literal, as the value table is, over the
     variables 1..n and a pad variable n + 1, whose literal n + 1 is false.
-    Two of them are the same at the start of every solve; _propagate and
-    Batch read them. pairs[lit] holds, flat as [b1, c1, b2, c2, ...], the
-    other two literals of each 2- and 3-literal base clause that holds lit
-    and is not true at level 0, its literals false at level 0 dropped and
-    the pad literal filling the pair; a literal set at level 0 holds none.
+    pairs[lit] holds, flat as [b1, c1, b2, c2, ...], the other two
+    literals of each 2- and 3-literal base clause that holds lit and is
+    not true at level 0, its literals false at level 0 dropped and the
+    pad literal filling the pair; a literal set at level 0 holds none.
     hot[lit] is 1 when lit has a pair or lies in a longer clause, whose
-    watch may need a visit as lit turns false. Beside them: the watch
-    lists of the longer clauses, and the clauses of four or more literals
-    (longs), which Batch watches in its own way; and the trail and value
-    table the units propagate to, or unsat when that propagation met a
-    conflict."""
+    watch may need a visit as lit turns false. Beside them: the clauses
+    of four or more literals (longs), which Batch watches; and the trail
+    and value table of the base's closure under unit propagation at level
+    0, or unsat when that closure holds a conflict."""
 
     pairs: list[Sequence[int]]
     hot: list[int]
-    watches: dict[int, list[list[int]]]
     longs: list[tuple[int, ...]]
     trail: list[int]
     value: list[int]
@@ -271,9 +254,9 @@ class _Live:
 class _Kept:
     """What a Cnf keeps for its solves: its own clauses, prepared (their
     literals checked, duplicate literals and tautologies dropped), and,
-    for a base, its live state while no solver holds it, and its clauses
-    as given split into those of two, of three and of other lengths, for
-    a Batch's re-check (made on its first batch)."""
+    for a base, its live state and its clauses as given split into those
+    of two, of three and of other lengths, for a Batch's re-check (both
+    made on its first batch)."""
 
     clauses: tuple[tuple[int, ...], ...]
     live: _Live | None = None
@@ -291,26 +274,54 @@ def _kept(cnf: Cnf) -> _Kept:
     return kept
 
 
-def _pair_lists(clauses: Sequence[tuple[int, ...]], pad: int, size: int
-                ) -> list[Sequence[int]]:
-    """The pair table of the 2- and 3-literal clauses, before level 0:
-    under each literal, flat, the other two literals of each such clause
-    that holds it, the pad literal filling a 2-literal clause's pair."""
+def _pair_lists(clauses: Sequence[tuple[int, ...]], value: list[int],
+                pad: int) -> list[Sequence[int]]:
+    """The pair table of the 2- and 3-literal clauses under their level-0
+    values, which are closed under unit propagation without a conflict:
+    so a clause with a set literal and none true has two free ones."""
     listed: dict[int, list[int]] = {}
     for clause in clauses:
         if len(clause) == 2:
             a, b = clause
-            listed.setdefault(a, []).extend((b, pad))
-            listed.setdefault(b, []).extend((a, pad))
+            if value[a] or value[b]:
+                continue  # one false literal makes the other true
+            c = pad
         elif len(clause) == 3:
             a, b, c = clause
-            listed.setdefault(a, []).extend((b, c))
-            listed.setdefault(b, []).extend((a, c))
-            listed.setdefault(c, []).extend((a, b))
-    pairs: list[Sequence[int]] = [()] * size
+            if value[a] or value[b] or value[c]:
+                if 1 in (value[a], value[b], value[c]):
+                    continue
+                (a, b), c = [lit for lit in clause if not value[lit]], pad
+            else:
+                listed.setdefault(c, []).extend((a, b))
+        else:
+            continue
+        listed.setdefault(a, []).extend((b, c))
+        listed.setdefault(b, []).extend((a, c))
+    pairs: list[Sequence[int]] = [()] * len(value)
     for lit, got in listed.items():
         pairs[lit] = got
     return pairs
+
+
+def _load_live(cnf: Cnf) -> _Live:
+    """The live state of a base: a fresh load of its prepared clauses,
+    propagated at level 0, with the pad variable put in its value table,
+    false, and the pair and hot tables built over the values it reached."""
+    load = CdclSolver(cnf)
+    unsat = load._unsat or load._propagate() is not None
+    pad = cnf.num_vars + 1
+    value = load.value
+    value[pad:pad] = -1, 1  # the pad literal is false, its negation true
+    clauses = _kept(cnf).clauses
+    longs = [clause for clause in clauses if len(clause) > 3]
+    if unsat:
+        return _Live([], [], longs, load.trail, value, True)
+    pairs = _pair_lists(clauses, value, pad)
+    hot = [1 if got else 0 for got in pairs]
+    for lit in chain.from_iterable(longs):
+        hot[lit] = 1  # a long clause's watch may move to any literal
+    return _Live(pairs, hot, longs, load.trail, value, False)
 
 
 def joined(*parts: Cnf) -> Cnf:
@@ -327,163 +338,40 @@ def joined(*parts: Cnf) -> Cnf:
     return cnf
 
 
-_REPLAY = object()  # _search's answer at the first conflict on a live state
-
-
 class CdclSolver:
-    """One solve of a CNF.
-
-    It runs on the live state of the Cnf, or of the base it extends with
-    its own clauses attached, until its first conflict, and replays on a
-    fresh load of its clauses when one occurs; either way the model and
-    conflict count are those of a freshly loaded solver."""
+    """One solve of a CNF on a fresh load of its prepared clauses: its
+    base's, if it extends one, and then its own, each clause of two or
+    more literals watched in load order and the units enqueued in order,
+    a repeated one skipped. An empty clause or two opposite units make it
+    unsat. sat.solve builds one to replay a Batch lane that met a
+    conflict."""
 
     def __init__(self, cnf: Cnf, dist: BitDistribution | None = None,
-                 cfg: SolverConfig | None = None,
-                 replay: bool = False) -> None:
+                 cfg: SolverConfig | None = None) -> None:
         self.cfg = cfg or SolverConfig()
         self.dist = dist or BitDistribution()
         n = self.num_vars = cnf.num_vars  # its base's too, if any
         owner = cnf.base or cnf
-        self._own = _kept(cnf).clauses if owner is not cnf else ()
-        self._attached: list[list[int]] = []
-        self._marked: list[int] = []  # literals hot for this solve only
-        self._replayed = replay
-        base = self._base = _kept(owner)
-        if replay:  # a lane that met a conflict in its Batch
-            self._lay_out(n, base.clauses, self._own)
-            return
-        live, base.live = base.live, None
-        if live is None:
-            live = self._load_live(n, base.clauses)
-        self._live = live
-        self._reset(live.watches, live.trail.copy(), live.value.copy(),
-                    live.unsat)
-        self._pairs, self._hot = live.pairs, live.hot
-        self._attach(self._own)
-
-    # -- states ---------------------------------------------------------
-
-    def _reset(self, watches: dict[int, list[list[int]]], trail: list[int],
-               value: list[int], unsat: bool) -> None:
-        """Start a solve at level 0, with trail propagated up to its end."""
-        n = self.num_vars
-        self.watches = watches
-        self.trail = trail
-        self.value = value  # indexed by literal
-        self._unsat = unsat
+        own = _kept(cnf).clauses if owner is not cnf else ()
+        self.watches: dict[int, list[list[int]]] = {}
+        self.trail: list[int] = []
+        self.value = [0] * (2 * n + 1)  # indexed by literal
+        self._unsat = False
         self.level: list[int] = [0] * (n + 1)
         self.reason: list[list[int] | None] = [None] * (n + 1)
         self.trail_lim: list[int] = []
-        self.qhead = len(trail)
+        self.qhead = 0
         self.rng = random.Random(self.cfg.seed)
         self.conflicts = 0
         self.var_inc = 1.0
-
-    def _lay_out(self, n: int, *parts: Sequence[tuple[int, ...]],
-                 pad: bool = False) -> None:
-        """Reset to a fresh load of prepared clauses over variables 1..n
-        (and a pad variable n + 1, free, when pad is set): no clause
-        paired and every literal hot, each clause of two or more literals
-        watched in load order, and the units enqueued in order, a repeated
-        one skipped. An empty clause or two opposite units make the state
-        unsat."""
-        size = 2 * n + (3 if pad else 1)
-        self._reset({}, [], [0] * size, False)
-        self._pairs, self._hot = [()] * size, [1] * size
         value = self.value
-        for clause in chain.from_iterable(parts):
+        for clause in chain(_kept(owner).clauses, own):
             if len(clause) > 1:
                 self._watch(list(clause))
             elif not clause or value[clause[0]] == -1:
                 self._unsat = True
             elif not value[clause[0]]:
                 self._enqueue(clause[0], None)
-
-    def _load_live(self, n: int, clauses: Sequence[tuple[int, ...]]
-                   ) -> _Live:
-        """The live state of a base's prepared clauses over variables
-        1..n: the clauses of four or more literals laid out as a fresh
-        load lays them out, the units propagated over them and the pairs
-        of the 2- and 3-literal ones, and then, when the units set
-        anything, the pairs simplified at level 0 in place: only the lists
-        that name a literal set at level 0 change."""
-        pad = n + 1
-        rest = [clause for clause in clauses if not 1 < len(clause) < 4]
-        self._lay_out(n, rest, pad=True)
-        value = self.value
-        value[pad], value[-pad] = -1, 1  # the pad is false
-        pairs = self._pairs = _pair_lists(clauses, pad, len(value))
-        hot = self._hot = [1 if got else 0 for got in pairs]
-        longs = [clause for clause in rest if len(clause) > 3]
-        in_longs = set(chain.from_iterable(longs))
-        for lit in in_longs:  # a long clause's watch may move to any literal
-            hot[lit] = 1
-        unsat = self._unsat or self._propagate() is not None
-        if not unsat:
-            # A pair that names a set literal lies in a list named by one
-            # of the set literal's own pairs.
-            named = set()
-            for lit in chain(self.trail, map(neg, self.trail)):
-                named.update(pairs[lit])
-                pairs[lit] = ()
-                hot[lit] = int(lit in in_longs)
-            for lit in named:
-                if value[lit]:
-                    continue  # set at level 0, or the pad
-                kept: list[int] = []
-                it = iter(pairs[lit])
-                for b, c in zip(it, it):
-                    if value[b] == 1 or value[c] == 1:
-                        continue  # true at level 0
-                    if value[b] == -1:
-                        b, c = c, pad
-                    elif value[c] == -1:
-                        c = pad
-                    kept += b, c
-                pairs[lit] = kept or ()
-                hot[lit] = int(bool(kept) or lit in in_longs)
-        return _Live(pairs, hot, self.watches, longs, self.trail, value,
-                     unsat)
-
-    def _attach(self, clauses: Sequence[tuple[int, ...]]) -> None:
-        """Add prepared clauses to a live state at level 0. Each watches
-        two literals that are not false, or its one such literal, enqueued
-        if free, and a false one; a clause with none makes it unsat."""
-        value = self.value
-        for clause in clauses:
-            lits = list(clause)
-            if len(lits) < 2 or value[lits[0]] == -1 or value[lits[1]] == -1:
-                lits.sort(key=value.__getitem__, reverse=True)
-                if not lits or value[lits[0]] == -1:
-                    self._unsat = True
-                    return
-                if (len(lits) == 1 or value[lits[1]] == -1) and \
-                        value[lits[0]] == 0:
-                    self._enqueue(lits[0], None)
-            if len(lits) > 1:
-                self._watch(lits)
-                self._mark(lits[0])
-                self._mark(lits[1])
-                self._attached.append(lits)
-
-    def _mark(self, lit: int) -> None:
-        """Make a literal hot until the live state is handed back."""
-        if not self._hot[lit]:
-            self._hot[lit] = 1
-            self._marked.append(lit)
-
-    def _hand_back(self) -> None:
-        """Detach the attached clauses, cool the literals they made hot,
-        and return the live state, which learned nothing, to the Cnf it
-        came from."""
-        watches = self.watches
-        attached = set(map(id, self._attached))
-        for lit in {l for c in self._attached for l in c[:2]}:
-            watches[lit] = [c for c in watches[lit] if id(c) not in attached]
-        for lit in self._marked:
-            self._hot[lit] = 0
-        self._base.live = self._live
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -500,36 +388,16 @@ class CdclSolver:
         self.reason[var] = reason
         self.trail.append(lit)
 
-    def _propagate(self) -> Sequence[int] | None:
-        """Propagate the trail from qhead: for each false literal, the
-        pairs listed under it, read in place, then the clauses watching
-        it. Answers the clause found false at a conflict, a listed one as
-        (a, b, c) with its level-0-false literals dropped and padded, and
-        None when the trail is closed. Only what a watched clause implies
-        gets a level and a reason: pair lists are empty in a replay, and a
-        live solve hands over to one at its first conflict."""
+    def _propagate(self) -> list[int] | None:
+        """Propagate the trail from qhead over the watched clauses.
+        Answers the clause found false at a conflict, or None when the
+        trail is closed."""
         value, watches, trail = self.value, self.watches, self.trail
-        pairs, hot, push = self._pairs, self._hot, trail.append
-        level, reason = self.level, self.reason
+        push, level, reason = trail.append, self.level, self.reason
         depth = len(self.trail_lim)
         # A list iterator also yields what is appended while it runs.
         for lit in islice(trail, self.qhead, None):
             false_lit = -lit
-            it = iter(pairs[false_lit])
-            for b, c in zip(it, it):
-                # Values are 1, 0 or -1: a sum below 0 means neither is
-                # true and at most one is free.
-                if value[b] + value[c] >= 0:
-                    continue
-                if value[b] == 0:
-                    free = b
-                elif value[c] == 0:
-                    free = c
-                else:
-                    return false_lit, b, c
-                value[free] = 1
-                value[-free] = -1
-                push(free)
             old = watches.get(false_lit)
             if not old:
                 continue
@@ -550,8 +418,6 @@ class CdclSolver:
                         clause[1] = lit
                         clause[k] = false_lit
                         watches.setdefault(lit, []).append(clause)
-                        if not hot[lit]:
-                            self._mark(lit)
                         break
                 else:
                     kept.append(clause)
@@ -650,17 +516,6 @@ class CdclSolver:
             return var
         return None
 
-    def solve(self) -> list[bool] | None:
-        """A model as bools indexed 1..num_vars, or None when UNSAT."""
-        if not self._replayed:
-            model = self._search()
-            self._hand_back()
-            if model is not _REPLAY:
-                return model
-            self._replayed = True
-            self._lay_out(self.num_vars, self._base.clauses, self._own)
-        return self._search()
-
     def _model(self) -> list[bool]:
         return [False, *map((1).__eq__, self.value[1:self.num_vars + 1])]
 
@@ -669,17 +524,11 @@ class CdclSolver:
         """Decide the lowest free variable at or past a cursor, in index
         order, and propagate, until every variable is set (None) or a
         decision meets a conflict (the clause found false). Until a
-        conflict VSIDS activity is zero, so this is the heap's order too.
-
-        Propagation is skipped after a decision whose falsified literal
-        is not hot, which leaves qhead behind: no clause needs a visit
-        when such a literal turns false, and a watch only ever moves to
-        a literal that is not false, so the literals passed over need
-        none."""
+        conflict VSIDS activity is zero, so this is the heap's order too."""
         value, level = self.value, self.level
         trail, trail_lim = self.trail, self.trail_lim
         push, mark, free = trail.append, trail_lim.append, value.index
-        draw, hot, propagate = self.rng.random, self._hot, self._propagate
+        draw, propagate = self.rng.random, self._propagate
         n = self.num_vars
         depth = len(trail_lim)
         v = 1
@@ -699,23 +548,18 @@ class CdclSolver:
             level[v] = depth
             push(lit)
             v += 1
-            if hot[-lit]:
-                self.qhead = len(trail) - 1
-                conflict = propagate()
-                if conflict is not None:
-                    return conflict
+            conflict = propagate()
+            if conflict is not None:
+                return conflict
 
-    def _search(self):
-        """The model, None when UNSAT, or _REPLAY at the first conflict
-        on the live state."""
+    def solve(self) -> list[bool] | None:
+        """A model as bools indexed 1..num_vars, or None when UNSAT."""
         if self._unsat or self._propagate() is not None:
             return None
         below, lits = self.dist.phases(self.num_vars, self.cfg.bias_p)
         conflict = self._descend(below, lits)
         if conflict is None:
             return self._model()
-        if not self._replayed:
-            return _REPLAY
         self._start_vsids()
         restart_num = 0
         budget_mark = _RESTART_BASE * _luby(restart_num + 1)
@@ -756,6 +600,9 @@ class CdclSolver:
             conflict = self._propagate()
 
 
+_REPLAY = object()  # Batch.lane's answer for a lane that met a conflict
+
+
 def live_state(cnf: Cnf, deadline: float = float("inf")) -> _Live:
     """The live state of a base Cnf, loaded on first use and kept on it.
     Raises DeadlinePassed, loading nothing, once the deadline has passed."""
@@ -763,7 +610,7 @@ def live_state(cnf: Cnf, deadline: float = float("inf")) -> _Live:
     if kept.live is None:
         if time.perf_counter() > deadline:
             raise DeadlinePassed("the deadline passed before the load")
-        CdclSolver(cnf)._hand_back()
+        kept.live = _load_live(cnf)
     return kept.live
 
 
@@ -813,10 +660,11 @@ _LANE_DIGITS = [bytes(48 + (b >> j & 1) for b in range(256)) for j in range(8)]
 
 class Batch:
     """Solves of one base under one distribution, run as the lanes of one
-    bit-sliced descent (see the module docstring). Lane k solves cnfs[k],
-    the base or an extension of it, under cfgs[k]; lanes differ in their
-    seeds and, maybe, their own clauses. solve(cnfs[k], dist, cfgs[k],
-    batch, k) reads lane k.
+    bit-sliced descent (see the module docstring), up to each lane's
+    first conflict. Lane k solves cnfs[k], the base or an extension of
+    it, under cfgs[k]; lanes differ in their seeds and, maybe, their own
+    clauses. solve(cnfs[k], dist, cfgs[k], batch, k) reads lane k, and
+    solve(cnf, dist, cfg) runs a batch of one lane.
 
     A table indexed by literal, as the live value table is, holds for
     each literal a mask of the lanes in which it is false. Each own
@@ -825,13 +673,13 @@ class Batch:
     clauses every deviation of an alt1 refinement joins, is one clause
     with their lanes. A clause counts as holding in the lanes outside its
     mask, so each lane propagates over the base's clauses and its own
-    alone, and its closure, hence its model, is its solo solve's. A
+    alone, and its closure, hence its model, is a fresh load's. A
     decision step takes the lowest variable free in some active lane, and
     each lane where it is free draws its phase from its own rng.
     Propagation keeps one mask per pending literal, the lanes in which it
     turned false, and visits each pair of the live pair table listed
     under it once for all of them (see _close). A lane whose clauses
-    conflict before the first decision answers None, as its solo solve
+    conflict before the first decision answers None, as a fresh load
     does at level 0; a lane that meets a conflict later leaves the batch
     and replays alone when read. Raises
     DeadlinePassed once cfgs[0].deadline has passed, reading the clock
@@ -1135,22 +983,29 @@ def solve(cnf: Cnf, dist: BitDistribution | None = None,
           batch: Batch | None = None, lane: int | None = None
           ) -> Model | None:
     """Solve a CNF; model indexed 1..num_vars at positions 1.., or None.
-    Raises DeadlinePassed, building no solver, once cfg.deadline has
-    passed. With batch, a Batch whose lane `lane` solves cnf under dist
-    and cfg, the answer is that lane's: read from the batch, which
-    re-checked it, or replayed alone on a fresh load when the lane met a
-    conflict."""
-    if batch is not None:
-        model = batch.lane(lane)
-        if model is not _REPLAY:
-            return model
-    if cfg is not None and time.perf_counter() > cfg.deadline:
-        raise DeadlinePassed("the deadline passed before the solve")
-    model = CdclSolver(cnf, dist, cfg, replay=batch is not None).solve()
+    With batch, a Batch whose lane `lane` solves cnf under dist and cfg,
+    the answer is that lane's; without one, cnf is solved as a one-lane
+    Batch and its model returned as a list. The answer is read from the
+    batch, which re-checked it, or, when the lane met a conflict,
+    replayed alone on a fresh load and re-checked here. Raises
+    DeadlinePassed, building nothing, once cfg.deadline has passed."""
+    cfg = cfg or SolverConfig()
+    alone = batch is None
+    if alone:
+        batch, lane = Batch([cnf], dist, [cfg]), 0
+    model = batch.lane(lane)
+    if model is not _REPLAY:
+        if alone and model is not None:
+            true = batch._true  # the one lane is bit 0
+            model = [False, *[true[v] & 1 == 1
+                              for v in range(1, cnf.num_vars + 1)]]
+        return model
+    if time.perf_counter() > cfg.deadline:
+        raise DeadlinePassed("the deadline passed before the replay")
+    model = CdclSolver(cnf, dist, cfg).solve()
     if model is not None:
         true_lits = {v if model[v] else -v for v in range(1, len(model))}
         bad = next(filter(true_lits.isdisjoint, cnf.all_clauses()), None)
         if bad is not None:
-            raise AssertionError(
-                f"solver produced a falsifying model: clause {bad} is false")
+            _refuted(bad)
     return model

@@ -302,6 +302,35 @@ def test_a_model_reads_bitvector_literals_as_the_parser_does(x, i, message,
     assert (a["x"].value, a["a"].get(1)) == (2, 1)
 
 
+_FUN_MODEL = ("(model\n  (define-fun g {params} (_ BitVec 2)\n"
+              "    (ite (= x!0 #b01) #b10 #b00))\n)")
+
+
+@pytest.mark.parametrize("params,message,line,col", [
+    ("x!0", "expected a parameter list of length 1", 2, 17),
+    ("()", "expected a parameter list of length 1", 2, 17),
+    ("((x!0 (_ BitVec 2)) (x!1 (_ BitVec 2)))",
+     "expected a parameter list of length 1", 2, 17),
+    ("((x!0))", "expected a (name sort) parameter", 2, 18),
+    ("(x!0)", "expected a (name sort) parameter", 2, 18),
+    ("((x!0 (_ BitVec 2) x))", "expected a (name sort) parameter", 2, 18),
+    ("(((x!0) (_ BitVec 2)))", "expected a (name sort) parameter", 2, 18),
+], ids=["atom", "empty", "too long", "no sort", "bare name", "three items",
+        "list name"])
+def test_a_model_reads_a_functions_parameter_list_or_says_where_not(
+        params, message, line, col):
+    # A unary g's parameter list holds one (name sort) pair. Read as the
+    # list's items' first items, an atom raised AttributeError, a longer
+    # list IndexError, and () gave a constant function.
+    f = parse_formula("(declare-fun g ((_ BitVec 2)) (_ BitVec 2))")
+    with pytest.raises(ParseError) as e:
+        parse_model_blocks(_FUN_MODEL.format(params=params), f)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+    [a] = parse_model_blocks(_FUN_MODEL.format(params="((x!0 (_ BitVec 2)))"),
+                             f)
+    assert (a["g"].table, a["g"].default) == ((((1,), 2),), 0)
+
+
 def test_a_byte_that_is_not_utf8_is_a_parse_error_at_its_position(tmp_path):
     src = tmp_path / "latin1.smt2"
     src.write_bytes(b"(declare-const x Bool)\r\n; caf\xe9\n(assert x)\n")

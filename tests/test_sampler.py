@@ -136,7 +136,7 @@ def _check_deviation_solves(monkeypatch, engine, prior, deviation):
     real = sampler.sat_solve
     got, bases = [], []
 
-    def checked(cnf, dist, cfg):
+    def checked(cnf, dist, cfg, **lane):
         base, bmap = engine.blast()
         assert cnf.base is base
         bases.append(base)
@@ -147,7 +147,7 @@ def _check_deviation_solves(monkeypatch, engine, prior, deviation):
                              projected if engine.cfg.mode is Mode.ALT1
                              else [])
         assert _models(cnf, bits) == _models(want, bits)
-        return real(cnf, dist, cfg)
+        return real(cnf, dist, cfg, **lane)
 
     monkeypatch.setattr(sampler, "sat_solve", checked)
     for mode in (Mode.PANSAMPLER, Mode.ALT1):
@@ -433,9 +433,9 @@ def test_a_lemma_round_keeps_the_projections_made_when_the_call_began(
     solve = sampler.sat_solve
     rounds = []
 
-    def watch(cnf, dist, cfg):
+    def watch(cnf, dist, cfg, **lane):
         rounds.append((engine._atoms, engine._projected[0], dist.counts))
-        return solve(cnf, dist, cfg)
+        return solve(cnf, dist, cfg, **lane)
 
     monkeypatch.setattr(sampler, "project_assignment", spy)
     monkeypatch.setattr(sampler, "sat_solve", watch)
@@ -461,6 +461,26 @@ def test_a_lemma_round_keeps_the_projections_made_when_the_call_began(
         engine.solve_once(prior, seed)
         assert projections == [atoms, len(engine.abs.atom_map)]
         assert engine._atoms == len(engine.abs.atom_map)
+    assert grown >= 2
+
+
+def test_a_lemma_that_declares_atoms_is_blasted_once(monkeypatch):
+    # The extensionality lemma's first rewrite declares two select atoms,
+    # inside the blast that adds it. The base's key counts them, so the
+    # next solve does not blast the same lemmas again.
+    f = parse_formula(EXTENSIONAL)
+    blasts = []
+    monkeypatch.setattr(sampler, "bit_blast", lambda *args: (
+        blasts.append(len(engine.lemmas)) or bit_blast(*args)))
+    grown = 0
+    for seed in range(10):
+        engine = DiversitySmtEngine(f)
+        atoms = len(engine.abs.atom_map)
+        blasts.clear()
+        for s in (seed, seed + 100):
+            engine.solve_once([], s)
+        assert len(blasts) == len(set(blasts)) == len(engine.lemmas) + 1
+        grown += len(engine.abs.atom_map) > atoms
     assert grown >= 2
 
 
@@ -1107,14 +1127,20 @@ UF_CONGRUENCE = (
 @pytest.mark.parametrize("text, mode, history, seeds, batches", [
     (SQUARE8, Mode.PANSAMPLER, 3, 12, [12]),
     (SQUARE8, Mode.ALT1, 3, 12, [12]),
-    (UF_CONGRUENCE, Mode.PANSAMPLER, 0, 8, [8, 5]),
+    (UF_CONGRUENCE, Mode.PANSAMPLER, 0, 8, [8, 6]),
     (UNIQUE, Mode.ALT1, 1, 6, [6]),  # blocked out: the first lane is UNSAT
-], ids=["pansampler", "alt1", "lemma-mid-batch", "alt1-blocked-out"])
+    # The lemma's fresh atoms leave the solve that met it under the old
+    # projections, so its next round is a batch of its own.
+    (EXTENSIONAL, Mode.PANSAMPLER, 1, 6, [6, 1, 5, 3, 3]),
+], ids=["pansampler", "alt1", "lemma-mid-batch", "alt1-blocked-out",
+        "lemma-new-atoms"])
 def test_a_batch_answers_as_the_solo_solves_in_turn(monkeypatch, text, mode,
                                                     history, seeds, batches):
     # Two fresh engines with the same history: solve_batch on one gives,
-    # lane by lane, what solve_once gives on the other, seed after seed,
-    # up to the first None; the lemmas arrive in the same order.
+    # lane by lane, what solve_once (a one-lane batch) gives on the other,
+    # seed after seed, up to the first None; the lemmas arrive in the same
+    # order. After a lemma the solve that met it leads the next batch,
+    # ahead of the solves after it.
     f = parse_formula(text)
     rng = random.Random(0)
     seeds = [rng.randrange(1 << 32) for _ in range(seeds)]
@@ -1131,7 +1157,9 @@ def test_a_batch_answers_as_the_solo_solves_in_turn(monkeypatch, text, mode,
     monkeypatch.setattr(sampler, "Batch", lambda cnf, dist, cfgs: (
         sizes.append(len(cfgs)) or real(cnf, dist, cfgs)))
     batched, prior = after_history()
+    sizes.clear()
     got = batched.solve_batch(prior, seeds)
+    batched_sizes = sizes.copy()
     solo, prior = after_history()
     want = []
     for seed in seeds:
@@ -1145,7 +1173,7 @@ def test_a_batch_answers_as_the_solo_solves_in_turn(monkeypatch, text, mode,
     assert [key(c) for c in got] == [key(c) for c in want]
     assert list(batched.lemmas) == list(solo.lemmas)
     assert batched.lemma_rounds == solo.lemma_rounds
-    assert sizes == batches
+    assert batched_sizes == batches
 
 
 # m is fixed by the formula, so its deviation has no solution; p's has.
@@ -1156,7 +1184,7 @@ ONE_FIXED = ("(declare-const m (_ BitVec 4))(declare-const p Bool)"
 @pytest.mark.parametrize("text, mode, history, seed, batches, nones", [
     (ABLATION_SHAPE, Mode.PANSAMPLER, 3, 0, [7], 0),
     (ABLATION_SHAPE, Mode.ALT1, 3, 0, [7], 0),
-    (UF_CONGRUENCE, Mode.PANSAMPLER, 2, 35, [3, 1], 0),
+    (UF_CONGRUENCE, Mode.PANSAMPLER, 2, 35, [3, 2], 0),
     (ONE_FIXED, Mode.PANSAMPLER, 1, 0, [2], 1),
 ], ids=["pansampler", "alt1", "lemma-mid-refinement", "no-deviant"])
 def test_a_batched_refinement_answers_as_the_solo_deviation_solves(
@@ -1165,8 +1193,9 @@ def test_a_batched_refinement_answers_as_the_solo_deviation_solves(
     # solves every deviation in one batch; on the other each deviation is
     # one solve_once in turn, its seed drawn as post_opt draws it. The
     # answers, the lemmas, the refined candidate and the rng agree; a
-    # lemma met in a lane makes the lanes after it a second batch, and a
-    # deviation with no solution answers None without ending the rest.
+    # lemma met in a lane makes that lane's next round and the lanes after
+    # it a second batch, and a deviation with no solution answers None
+    # without ending the rest.
     f = parse_formula(text)
 
     def after_history():
@@ -1190,12 +1219,14 @@ def test_a_batched_refinement_answers_as_the_solo_deviation_solves(
         answers.extend(got)
         return got
 
+    batched, prior, state, alpha = after_history()
+    # Only post_opt's batches count: solve_once is a one-lane batch too.
     monkeypatch.setattr(sampler, "Batch", lambda cnfs, dist, cfgs: (
         sizes.append(len(cfgs)) or real(cnfs, dist, cfgs)))
     monkeypatch.setattr(DiversitySmtEngine, "solve_batch", solve_batch)
-    batched, prior, state, alpha = after_history()
     batched_seeds = random.Random(seed)
     got = post_opt(batched, state, prior, batched_seeds, alpha)
+    monkeypatch.undo()
     kept = got is alpha
     solo, prior, state, alpha = after_history()
     solo_seeds = random.Random(seed)
@@ -1216,53 +1247,49 @@ def test_a_batched_refinement_answers_as_the_solo_deviation_solves(
 
 def test_one_alt1_batch_attaches_the_blocking_clauses_once(monkeypatch):
     # One iteration's candidates in alt1 attach the blocking clauses of
-    # the prior solutions once, for the whole batch; solved one by one
-    # they attach them once per solve. Refinement's deviations, each
-    # joined with the same blocking clauses, attach them once as well,
-    # beside one deviation clause per variable for its own lane.
+    # the prior solutions once, for the whole batch; solved one by one,
+    # each a one-lane batch, they attach them once per solve. Refinement's
+    # deviations, each joined with the same blocking clauses, attach them
+    # once as well, beside one deviation clause per variable for its own
+    # lane.
     f = parse_formula("(declare-const x (_ BitVec 6))"
                       "(declare-const y (_ BitVec 6))(assert (bvult x y))")
     engine = DiversitySmtEngine(f, SamplerConfig(mode=Mode.ALT1))
     prior = []
     for s in range(4):
         prior.append(engine.solve_once(prior, s).assignment)
-    batched, solo = [], []
-    batch_attach, solver_attach = sat.Batch._attach, sat.CdclSolver._attach
+    batched = []
+    batch_attach = sat.Batch._attach
 
     def counted_batch(self, longs, own):
         batched.append(own)
         batch_attach(self, longs, own)
 
-    def counted_solver(self, clauses):
-        solo.extend([len(clauses)] if clauses else [])
-        solver_attach(self, clauses)
-
     monkeypatch.setattr(sat.Batch, "_attach", counted_batch)
-    monkeypatch.setattr(sat.CdclSolver, "_attach", counted_solver)
     got = engine.solve_batch(prior, list(range(20)))
     assert len(got) == 20 and None not in got
-    assert [len(own) for own in batched] == [4] and solo == []
+    assert [len(own) for own in batched] == [4]
     for seed in range(20):
         engine.solve_once(prior, seed)
-    assert [len(own) for own in batched] == [4] and solo == [4] * 20
+    assert [len(own) for own in batched] == [4] * 21
     # Refinement: one batch of two lanes, x's deviation and y's.
-    del batched[:], solo[:]
+    del batched[:]
     state = CoverState(engine.universe)
     post_opt(engine, state, prior, random.Random(0), got[0])
     own, = batched
     blocks = [lanes for clause, lanes in own if len(clause) == 12]
     deviations = [lanes for clause, lanes in own if len(clause) == 6]
     assert blocks == [0b11] * 4 and sorted(deviations) == [0b01, 0b10]
-    assert solo == []
     for name in ("x", "y"):
         engine.solve_once(prior, 0, (name, got[0].assignment[name].as_int()))
-    assert solo == [5, 5]
+    assert [len(own) for own in batched] == [6, 5, 5]
 
 
 def test_a_slot_false_at_level_0_is_proved_without_a_solver(monkeypatch):
     # x's bit 0 is 1 and bit 1 is 0 by the base's units alone, and bits 2
     # and 3 of (bvand x #x3) are 0: each such slot's literal is false in
-    # the live level-0 values. A slot that needs a solve still gets one.
+    # the live level-0 values. A slot that needs a solve still gets one,
+    # a one-lane batch.
     f = parse_formula("(declare-const x (_ BitVec 4))"
                       "(assert (= (bvand x #x3) #x1))")
     engine = DiversitySmtEngine(f)
@@ -1282,18 +1309,17 @@ def test_a_slot_false_at_level_0_is_proved_without_a_solver(monkeypatch):
     at_level_0 = [s for s in slots if live.value[literal(s)] == -1]
     assert len(at_level_0) >= 4
     solvers = []
-    init = sat.CdclSolver.__init__
+    for kind in (sat.Batch, sat.CdclSolver):
+        def counted(self, *args, init=kind.__init__, kind=kind):
+            solvers.append(kind.__name__)
+            init(self, *args)
 
-    def counted(self, *args, **kwargs):
-        solvers.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(sat.CdclSolver, "__init__", counted)
+        monkeypatch.setattr(kind, "__init__", counted)
     unreachable = Unreachable(engine)
     assert all(unreachable._proves(s) for s in at_level_0)
     assert solvers == []
     other = next(s for s in slots if live.value[literal(s)] != -1)
-    assert not unreachable._proves(other) and solvers == [1]
+    assert not unreachable._proves(other) and solvers == ["Batch"]
     # A solve agrees: each level-0 slot's unit clause makes the base UNSAT.
     for s in at_level_0:
         assert sat.solve(Cnf(base.num_vars, [(literal(s),)], base=base)) \

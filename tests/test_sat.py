@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import time
+import types
 from typing import Sequence
 
 import pytest
@@ -74,20 +75,34 @@ class _Clock:
 
 
 def test_a_passed_deadline_raises_instead_of_answering(monkeypatch):
-    # The deadline passes after the solve began; the clock is read again
-    # only every 256 conflicts, so a short search still answers.
-    monkeypatch.setattr(sat, "time", _Clock())
+    # The deadline passes once the replay after the batch's conflict has
+    # begun; the clock is read again only every 256 conflicts, so a short
+    # search still answers.
+    clock = types.SimpleNamespace(now=0.0)
+    clock.perf_counter = lambda: clock.now
+    init = CdclSolver.__init__
+
+    def started(self, *args):
+        init(self, *args)
+        clock.now = 1.0
+
+    big, small = pigeonhole(7, 6), pigeonhole(4, 3)
+    for cnf in (big, small):
+        sat.live_state(cnf)
+    monkeypatch.setattr(CdclSolver, "__init__", started)
+    monkeypatch.setattr(sat, "time", clock)
     with pytest.raises(DeadlinePassed):
-        solve(pigeonhole(7, 6), cfg=SolverConfig(deadline=0.5))
-    monkeypatch.setattr(sat, "time", _Clock())
-    assert solve(pigeonhole(4, 3), cfg=SolverConfig(deadline=0.5)) is None
+        solve(big, cfg=SolverConfig(deadline=0.5))
+    clock.now = 0.0
+    assert solve(small, cfg=SolverConfig(deadline=0.5)) is None
+    assert clock.now == 1.0  # it replayed
 
 
 def test_a_solve_past_its_deadline_builds_no_live_state(monkeypatch):
     loads = []
-    real = CdclSolver._load_live
-    monkeypatch.setattr(CdclSolver, "_load_live",
-                        lambda self, *args: loads.append(1) or real(self, *args))
+    real = sat._load_live
+    monkeypatch.setattr(sat, "_load_live",
+                        lambda cnf: loads.append(1) or real(cnf))
     cnf = pigeonhole(4, 3)
     with pytest.raises(DeadlinePassed):
         solve(cnf, cfg=SolverConfig(deadline=time.perf_counter() - 1))
@@ -279,7 +294,7 @@ def test_snapshot_solver_matches_a_freshly_loaded_one(monkeypatch):
 
 def test_each_cnf_is_prepared_once(monkeypatch):
     # A Cnf's clauses are checked and cleaned at its first solve; neither
-    # the base's first live load nor a replay cleans them again.
+    # the base's live load, nor a batch, nor a replay cleans them again.
     cleaned = []
 
     def spy(clauses):
@@ -293,17 +308,21 @@ def test_each_cnf_is_prepared_once(monkeypatch):
     replays = clean = 0
     for cnf in (base, ext):
         for seed in range(6):
-            solver = CdclSolver(cnf, cfg=SolverConfig(seed=seed))
+            cfg = SolverConfig(seed=seed)
+            solver = CdclSolver(cnf, cfg=cfg)
             assert solver.solve() is not None
             replays += solver.conflicts > 0
             clean += solver.conflicts == 0
+            assert solve(cnf, cfg=cfg) is not None
     assert replays >= 2 and clean >= 2
     assert len(cleaned) == 2
     assert cleaned[0] is base.clauses and cleaned[1] is ext.clauses
 
 
 def _solved_fresh(cnf: Cnf, dist=None, cfg=None):
-    """Model and conflict count of a solver that loads all cnf's clauses."""
+    """Model and conflict count of a solver that loads all cnf's clauses
+    flat, each of two or more literals watched by two: the reference for
+    every lane of a Batch."""
     fresh = CdclSolver(Cnf(cnf.num_vars, list(cnf.all_clauses())), dist, cfg)
     return fresh.solve(), fresh.conflicts
 
@@ -503,46 +522,22 @@ def test_long_runs_of_solves_match_freshly_loaded_solvers(monkeypatch):
 
 
 def test_a_solve_that_met_a_conflict_hands_no_state_back():
-    # Deciding x1 true meets a conflict at once; false meets none.
+    # Deciding x1 true meets a conflict at once; false meets none. The
+    # conflicted lane replays on a fresh load, which learns (-1) and
+    # keeps it; the base's live state stays as it was built.
     cnf = Cnf(4, [(-1, 2), (-1, -2), (3, 4)])
     seeds = {random.Random(s).random() < 0.5: s for s in range(20)}
     conflicted, clean = SolverConfig(seed=seeds[True]), \
         SolverConfig(seed=seeds[False])
     want = _solved_fresh(cnf, cfg=conflicted)
-    first = CdclSolver(cnf, cfg=conflicted)  # a first build starts live
-    live = first.watches
-    assert (first.solve(), first.conflicts) == want
-    # It replayed on a fresh load, which learned (-1) and stays with
-    # it; the next solve gets the live state back, as it was.
-    assert first.watches is not live
-    second = CdclSolver(cnf, cfg=clean)
-    assert second.watches is live
-    model = second.solve()
-    assert second.conflicts == 0
-    third = CdclSolver(cnf, cfg=conflicted)
-    assert third.watches is live  # the clean solve's state
-    assert (third.solve(), third.conflicts) == want
-    assert third.watches is not live
-    fourth = CdclSolver(cnf, cfg=clean)
-    assert fourth.watches is live
-    assert fourth.solve() == model and fourth.conflicts == 0
-
-
-class Watched(CdclSolver):
-    """A solver that loads every clause with two watched literals, as a
-    replay does, and searches from there: the reference for the live
-    state's occurrence lists."""
-
-    def solve(self):
-        self._hand_back()
-        self._replayed = True
-        self._lay_out(self.num_vars, self._base.clauses, self._own)
-        return self._search()
-
-
-def _solved_watched(cnf: Cnf, dist=None, cfg=None):
-    solver = Watched(Cnf(cnf.num_vars, list(cnf.all_clauses())), dist, cfg)
-    return solver.solve(), solver.conflicts
+    assert want[1] > 0 and _solved_fresh(cnf, cfg=clean)[1] == 0
+    live = sat.live_state(cnf)
+    saved = _live_tables(live)
+    for cfg in (conflicted, clean, conflicted, clean):
+        batch = sat.Batch([cnf], None, [cfg])
+        assert (batch.lane(0) is sat._REPLAY) == (cfg is conflicted)
+        assert solve(cnf, None, cfg) == _solved_fresh(cnf, cfg=cfg)[0]
+        assert sat.live_state(cnf) is live and _live_tables(live) == saved
 
 
 def _mixed_clauses(rng: random.Random, variables: Sequence[int],
@@ -576,14 +571,15 @@ def _extensions(rng: random.Random, base: Cnf) -> list[Cnf]:
 
 def test_the_live_kernel_solves_like_a_two_watched_literal_load(monkeypatch):
     # Random CNFs of 1- to 6-literal clauses, solved as bases and through
-    # extensions that attach short and long clauses: each solve gives
-    # the model and conflict count of a solver that watches every clause,
-    # whether the live state met no conflict, replayed, or was unsat. A
-    # one-lane Batch gives the same model, and replays exactly when that
-    # solver met a conflict. Both read the pair table simplified at level
-    # 0, which the reference does not: the tally counts the bases with a
-    # short clause true at level 0, and with one that is not but has a
-    # literal false there, of the bases not unsat at level 0.
+    # extensions that attach short and long clauses, each as a one-lane
+    # Batch: its model is that of a solver that loads every clause flat,
+    # watched by two literals, and it conflicts exactly when that solver
+    # does, and then replays on a load of its base's clauses and its own,
+    # which solves as the flat load does. The batch reads the pair table
+    # simplified at level 0, which the reference does not: the tally
+    # counts the bases with a short clause true at level 0, and with one
+    # that is not but has a literal false there, of the bases not unsat
+    # at level 0.
     tally = {"clean": 0, "conflicted": 0, "unsat": 0}
     simplified = {"true at level 0": 0, "a level-0-false literal": 0}
     for seed in range(60):
@@ -618,7 +614,7 @@ def test_the_live_kernel_solves_like_a_two_watched_literal_load(monkeypatch):
                                bias_p=rng.uniform(0.5, 1.0))
             monkeypatch.setattr("pansampler.sat._RESTART_BASE",
                                 rng.choice((1, 4, 64)))
-            want = _solved_watched(cnf, dist, cfg)
+            want = _solved_fresh(cnf, dist, cfg)
             assert _solved(cnf, dist, cfg) == want, (seed, step)
             model, conflicts = want
             batch = sat.Batch([cnf], dist, [cfg])
@@ -627,6 +623,7 @@ def test_the_live_kernel_solves_like_a_two_watched_literal_load(monkeypatch):
             assert (got if got is None else [False, *(
                 got[v] for v in range(1, cnf.num_vars + 1))]) == model, \
                 (seed, step)
+            assert solve(cnf, dist, cfg) == model, (seed, step)
             tally["unsat" if model is None else
                   "conflicted" if conflicts else "clean"] += 1
     assert min(tally.values()) > 60, tally
@@ -641,71 +638,76 @@ def test_a_conflict_only_a_ternary_clause_sees_starts_the_replay():
     cnf = Cnf(4, [(-1, -2, 3), (-1, -2, -3), (2, 3, 4)])
     dist = BitDistribution({1: (1, 0), 2: (1, 0)})
     cfg = SolverConfig(bias_p=1.0)
-    solver = CdclSolver(cnf, dist, cfg)
-    assert solver._pairs[-2] == [-1, 3, -1, -3]
-    model = solver.solve()
-    assert solver._replayed and solver.conflicts == 1
-    assert (model, 1) == _solved_watched(cnf, dist, cfg)
+    assert sat.live_state(cnf).pairs[-2] == [-1, 3, -1, -3]
+    assert sat.Batch([cnf], dist, [cfg]).lane(0) is sat._REPLAY
+    model = solve(cnf, dist, cfg)
+    assert (model, 1) == _solved_fresh(cnf, dist, cfg)
     assert model[1] and not model[2]
 
 
 def test_a_watch_moved_to_a_literal_in_no_base_clause_makes_it_hot():
-    # x3..x6 are in no base clause, and every phase is false. Deciding
-    # x3 and x4 moves the attached clause's watches to 5 and 6; deciding
-    # x5 must then visit it, and x6 comes out implied true.
+    # x3..x6 are in no base clause, and every phase is false. The batch
+    # watches the attached clause on 5 and 6, which makes them hot in its
+    # own copy of the hot table: deciding x5 must visit it, and x6 comes
+    # out implied true. The base's hot table stays as it was built.
     base = Cnf(6, [(1, 2)])
     ext = Cnf(6, [(3, 4, 5, 6)], base=base)
     dist = BitDistribution({v: (0, 1) for v in range(1, 7)})
     cfg = SolverConfig(bias_p=1.0)
-    solver = CdclSolver(ext, dist, cfg)
-    model = solver.solve()
-    assert (model, solver.conflicts) == _solved_watched(ext, dist, cfg)
+    model = solve(ext, dist, cfg)
+    assert (model, 0) == _solved_fresh(ext, dist, cfg)
     assert model == [False, False, True, False, False, False, True]
-    assert not any(base.solver_cache.live.hot[l] for l in (3, 4, 5, 6))
+    assert not any(sat.live_state(base).hot[l] for l in (3, 4, 5, 6))
 
 
-def _live_tables(live: sat._Live):
-    """A live state's value table, trail, pair table, hot table and
-    watches; an empty watch list counts as none."""
-    return (live.value, live.trail, [list(p) for p in live.pairs], live.hot,
-            {lit: got for lit, got in live.watches.items() if got})
+def _live_tables(live: sat._Live) -> tuple:
+    """Every field of a live state, copied."""
+    return dataclasses.astuple(live)
 
 
 def test_hand_back_leaves_the_occurrence_lists_untouched():
     # 3-SAT near the threshold over 1..12 meets conflicts; 13..20 are in
-    # no clause, so attached clauses make their literals hot. After each
-    # hand-back, the live tables equal those of a fresh load of an
-    # identical base.
+    # no clause, so attached clauses make their literals hot; six clauses
+    # of five literals over 1..12 stay long once cleaned, so a batch
+    # watches them. Batches of several lanes, one-lane solves of the
+    # shapes a proof and a lemma round have, and the replays of both:
+    # after each, every table of the base's live state equals that of a
+    # fresh load of an identical base.
     rng = random.Random(3)
+    longs = [tuple(rng.choice((-1, 1)) * v
+                   for v in rng.sample(range(1, 13), 5)) for _ in range(6)]
     base = Cnf(20, list(_three_sat(3, 12, 46).clauses)
-               + _mixed_clauses(rng, range(1, 13), 8))
-    assert solve(base) is not None
-    live = base.solver_cache.live
-    pairs, hot = live.pairs, live.hot
-    saved = ([list(p) for p in pairs], hot.copy())
+               + _mixed_clauses(rng, range(1, 13), 8) + longs)
+    live = sat.live_state(base)
+    assert set(longs) <= set(live.longs)
     fresh = _live_tables(sat.live_state(Cnf(base.num_vars, list(base.clauses))))
+    assert _live_tables(live) == fresh
     # A deviation on a vector whose bits 13..20 are in no base clause.
     free = Cnf(20, [tuple(rng.choice((-1, 1)) * v for v in range(13, 21))],
                base=base)
     extensions = _extensions(rng, base) + [free]
-    replays = marked = 0
-    for step in range(40):
-        cnf = rng.choice([base] + extensions)
-        solver = CdclSolver(cnf, cfg=SolverConfig(seed=step))
-        assert len(solver._pairs) == len(solver._hot) == len(solver.value)
-        assert solver._pairs is pairs and solver._hot is hot
-        marked += len(solver._marked)
-        solver.solve()
-        replays += solver._replayed
-        live = base.solver_cache.live
-        assert live.pairs is pairs and live.hot is hot
-        assert ([list(p) for p in pairs], hot) == saved, step
+    tally = {"one lane": 0, "batch": 0, "replay": 0}
+    for step in range(60):
+        cnfs = [rng.choice([base] + extensions)
+                for _ in range(rng.choice((1, 1, 3)))]
+        cfgs = [SolverConfig(seed=rng.randrange(1 << 32)) for _ in cnfs]
+        batch = sat.Batch(cnfs, None, cfgs)
+        tally["replay"] += sum(batch.lane(k) is sat._REPLAY
+                               for k in range(len(cnfs)))
+        if len(cnfs) == 1:
+            tally["one lane"] += 1
+            solve(cnfs[0], None, cfgs[0])
+        else:
+            tally["batch"] += 1
+            for k, (cnf, cfg) in enumerate(zip(cnfs, cfgs)):
+                solve(cnf, None, cfg, batch, k)
+        assert sat.live_state(base) is live
         assert _live_tables(live) == fresh, step
-    assert replays and marked
+    assert min(tally.values()) >= 10, tally
 
 
 class ReasonChecked(CdclSolver):
-    """A solver that checks, after each propagation in a replay, that
+    """A solver that checks, after each propagation, that
     every literal on the trail above level 0 that is not a decision has
     a reason that holds it, with every other literal of it false."""
 
@@ -713,21 +715,20 @@ class ReasonChecked(CdclSolver):
 
     def _propagate(self):
         conflict = super()._propagate()
-        if self._replayed:
-            value, level, reason = self.value, self.level, self.reason
-            decisions = {self.trail[i] for i in self.trail_lim}
-            for lit in self.trail:
-                if level[abs(lit)] and lit not in decisions:
-                    why = reason[abs(lit)]
-                    assert why is not None and lit in why, lit
-                    assert all(value[l] == -1 for l in why if l != lit), why
-            self.checks += 1
+        value, level, reason = self.value, self.level, self.reason
+        decisions = {self.trail[i] for i in self.trail_lim}
+        for lit in self.trail:
+            if level[abs(lit)] and lit not in decisions:
+                why = reason[abs(lit)]
+                assert why is not None and lit in why, lit
+                assert all(value[l] == -1 for l in why if l != lit), why
+        self.checks += 1
         return conflict
 
 
 def test_every_literal_a_replay_implies_has_a_reason_that_holds_it(monkeypatch):
-    # Random 3-SAT at the threshold: most solves meet a conflict on the
-    # live state and replay, and the replay's analysis reads the reasons.
+    # Random 3-SAT at the threshold: most solves meet a conflict, and the
+    # analysis reads the reasons.
     monkeypatch.setattr("pansampler.sat._RESTART_BASE", 8)
     replays = checks = 0
     for seed in range(40):
@@ -739,18 +740,17 @@ def test_every_literal_a_replay_implies_has_a_reason_that_holds_it(monkeypatch):
             cfg = SolverConfig(seed=rng.randrange(1 << 32))
             solver = ReasonChecked(cnf, dist, cfg)
             solver.solve()
-            replays += solver._replayed
+            replays += solver.conflicts > 0
             checks += solver.checks
     assert replays > 200 and checks > 10000
 
 
 def test_the_vsids_heap_takes_over_from_the_cursor_at_the_first_conflict():
     # Phases are forced: x4 true, every other tracked variable false.
-    # Decisions take x1..x4 in index order; x4 meets a conflict on x7.
-    # The live attempt stops there, and the replay takes x1..x4 again,
-    # learns x7 away at level 0, then takes the bumped x7 first and the
-    # rest in index order, x5 included, though x5 was never decided
-    # before the conflict.
+    # Decisions take x1..x4 in index order; x4 meets a conflict on x7, in
+    # a batch's lane too. The replay takes x1..x4, learns x7 away at level
+    # 0, then takes the bumped x7 first and the rest in index order, x5
+    # included, though x5 was never decided before the conflict.
     cnf = Cnf(8, [(-4, 7), (-4, -7)])
     dist = BitDistribution({v: (0, 1) if v != 4 else (1, 0)
                             for v in range(1, 9)})
@@ -760,7 +760,8 @@ def test_the_vsids_heap_takes_over_from_the_cursor_at_the_first_conflict():
         """Records each decision as the trail takes it: a decision is the
         literal pushed where the newest decision level starts."""
 
-        def _reset(self, watches, trail, value, unsat):
+        def __init__(self, *args):
+            super().__init__(*args)
             solver = self
 
             class Trail(list):
@@ -769,11 +770,13 @@ def test_the_vsids_heap_takes_over_from_the_cursor_at_the_first_conflict():
                         decisions.append(abs(lit))
                     super().append(lit)
 
-            super()._reset(watches, Trail(trail), value, unsat)
+            self.trail = Trail(self.trail)
 
-    solver = Recording(cnf, dist, SolverConfig(bias_p=1.0))
+    cfg = SolverConfig(bias_p=1.0)
+    assert sat.Batch([cnf], dist, [cfg]).lane(0) is sat._REPLAY
+    solver = Recording(cnf, dist, cfg)
     model = solver.solve()
-    assert decisions == [1, 2, 3, 4] + [1, 2, 3, 4, 7, 1, 2, 3, 5, 6, 8]
+    assert decisions == [1, 2, 3, 4, 7, 1, 2, 3, 5, 6, 8]
     assert model == [False] * 9 and solver.conflicts == 1
 
 
@@ -800,13 +803,16 @@ def test_search_is_pinned_on_random_3sat(monkeypatch):
 
 
 def test_recheck_rejects_a_falsifying_model(monkeypatch):
-    # x1 and not x2: a solver answering all-true must be caught by the
-    # clause-by-clause re-check, however the model was found. In the
+    # x1 and not x2, and x3 and x4 in a conflict that the first decision
+    # meets either way, so every solve replays: a replay answering
+    # all-true must be caught by the clause-by-clause re-check. In the
     # extension the false clause lies in the base, which a re-check of
     # the extension's own clauses alone would miss.
-    monkeypatch.setattr(CdclSolver, "solve", lambda self: [False, True, True])
-    for cnf in [Cnf(2, [(1, 2), (1,), (-2,)]),
-                Cnf(2, [(1,)], base=Cnf(2, [(1, 2), (-2,)]))]:
+    clash = [(3, 4), (3, -4), (-3, 4), (-3, -4)]
+    monkeypatch.setattr(CdclSolver, "solve", lambda self: [False] + [True] * 4)
+    for cnf in [Cnf(4, [(1, 2), (1,), (-2,), *clash]),
+                Cnf(4, [(1,)], base=Cnf(4, [(1, 2), (-2,), *clash]))]:
+        assert sat.Batch([cnf], None, [SolverConfig()]).lane(0) is sat._REPLAY
         with pytest.raises(AssertionError, match=r"clause \(-2,\) is false"):
             solve(cnf)
 
@@ -818,9 +824,9 @@ def test_every_lane_of_a_batch_answers_as_its_solo_solve():
     # makes, one whose units contradict at level 0, and one that every
     # value of two variables falsifies, which a decision must reveal.
     # Every lane's model, read from the batch or replayed after a
-    # conflict, is the one a solo solve of its CNF and seed returns, and
-    # None exactly when that is None; a lane that is UNSAT at level 0
-    # answers None from the batch.
+    # conflict, is the one a fresh load of its clauses, each watched by
+    # two literals, returns for its seed, and None exactly when that is
+    # None; a lane that is UNSAT at level 0 answers None from the batch.
     tally = {"clean": 0, "conflicted": 0, "unsat at level 0": 0,
              "unsat after a conflict": 0, "own clauses": 0}
     for seed in range(10_000):
@@ -846,11 +852,9 @@ def test_every_lane_of_a_batch_answers_as_its_solo_solve():
         for k, (lane, cfg) in enumerate(zip(cnfs, cfgs)):
             read = batch.lane(k)
             got = solve(lane, dist, cfg, batch, k)
-            solver = CdclSolver(lane, dist, cfg)
-            want = solver.solve()
-            # A lane replays exactly when its solo solve meets a conflict
-            # past level 0.
-            assert (read is sat._REPLAY) == solver._replayed, (seed, k)
+            want, conflicts = _solved_fresh(lane, dist, cfg)
+            # A lane conflicts exactly when the fresh load does.
+            assert (read is sat._REPLAY) == (conflicts > 0), (seed, k)
             tally["own clauses"] += lane is not cnf
             if want is None:
                 assert got is None, (seed, k)
@@ -957,9 +961,9 @@ def test_a_batch_past_its_deadline_raises(monkeypatch):
     with pytest.raises(DeadlinePassed):
         sat.Batch([cnf] * 4, None, cfgs)
     loads = []
-    real = CdclSolver._load_live
-    monkeypatch.setattr(CdclSolver, "_load_live",
-                        lambda self, *args: loads.append(1) or real(self, *args))
+    real = sat._load_live
+    monkeypatch.setattr(sat, "_load_live",
+                        lambda cnf: loads.append(1) or real(cnf))
     with pytest.raises(DeadlinePassed):
         sat.Batch([pigeonhole(4, 3)] * 4, None, cfgs)
     assert loads == []
