@@ -214,7 +214,7 @@ def _reachability(f: Formula, result: SampleResult) -> dict:
             slots ^= low
             k, value = divmod(low.bit_length() - 1, 2)
             tid, bit = universe.entries[k]
-            node = print_term(f.table, tid)
+            node = print_term(f.table, tid, NODE_CHARS + 1)
             if len(node) > NODE_CHARS:
                 node = node[:NODE_CHARS] + "..."
             listed.append({"node": node, "bit": bit, "value": value,

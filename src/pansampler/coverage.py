@@ -20,8 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
+from .sorts import SortKind
 from .terms import Formula, Op
 from .values import Assignment, BoolVal, BvVal, Value
 
@@ -56,24 +56,24 @@ class AstBitUniverse:
         return 2 * len(self.entries)
 
 
+_CONST, _BOOL, _BV = Op.CONST, SortKind.BOOL, SortKind.BV
+
+
 def build_universe(f: Formula) -> AstBitUniverse:
     """Collect countable nodes reachable from the assertions.
 
     Constants carry no information and are excluded; arrays and function
     applications of array sort cannot occur (element sorts are scalar), so
     exclusion is only by op/sort."""
-    entries: list[tuple[int, int]] = []
-    node_ids: list[int] = []
-    order = f.table.reachable(list(f.assertions))
-    for tid in order:
-        term = f.table[tid]
-        if term.op is Op.CONST:
-            continue
-        if not (term.sort.is_bool or term.sort.is_bv):
-            continue
-        node_ids.append(tid)
-        entries.extend(zip(repeat(tid), range(term.sort.num_bits)))
-    return AstBitUniverse(tuple(entries), tuple(node_ids), tuple(order))
+    order = f.table.reachable(f.assertions)
+    # (id, bits) per counted node: a Bool's sort has width 0 and one bit.
+    nodes = [(term.id, term.sort.width or 1)
+             for term in map(f.table.terms.__getitem__, order)
+             if term.op is not _CONST
+             and ((kind := term.sort.kind) is _BOOL or kind is _BV)]
+    return AstBitUniverse(
+        tuple([(tid, bit) for tid, bits in nodes for bit in range(bits)]),
+        tuple([tid for tid, _ in nodes]), tuple(order))
 
 
 def cover_set(universe: AstBitUniverse, memo: dict[int, Value]) -> int:

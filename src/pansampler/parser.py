@@ -8,9 +8,22 @@ as warnings and ignored. No let binders, no quantifiers.
 Tokens are SMT-LIB 2.6's. One compiled pattern, `_TOKEN`, splits a
 script in one `findall`: each match is a run of whitespace and comments
 followed by a token, or by one character that starts no token, which
-reads as '' and is a lexical error. The reader builds Atom and SList
-nodes that keep their token's number, not its position. A (line, col)
-is worked out only when a ParseError or a ParseWarning asks for one, by
+reads as '' and is a lexical error. `parse_formula` then reads the
+tokens once, left to right, and builds each term as its list closes, on
+an explicit stack of the lists still open: a script becomes no tree.
+Terms are interned, and errors met, in the order of a recursive descent
+over the script's s-expressions, and token errors come first, as if the
+whole script had been read before any command: a lexical error or a
+top-level ')' wherever it lies, then a list still open at the end
+("unbalanced '('" at the innermost one). So before raising any other
+error, and at `exit`, the parser reads the tokens to the end for one of
+those, and settles the item counts that a descent checks when it enters
+a list but that a one-pass reader learns only when the list closes.
+`read_sexprs` builds Atom and SList trees by the same rules for the
+model reader.
+
+Tokens are known by their number, not their position. A (line, col) is
+worked out only when a ParseError or a ParseWarning asks for one, by
 matching the tokens again up to that token and counting the newlines
 before it. Lines and columns are 1-based and count characters. Numerals
 are ASCII decimal digits. `parse_file` reads UTF-8, with or without a
@@ -31,10 +44,18 @@ _UNSUPPORTED_COMMANDS = {
     "declare-sort", "declare-datatype", "declare-datatypes", "push", "pop",
 }
 
-# Ops parsed 1:1 into the DAG.
+# Ops parsed 1:1 into the DAG, and those of them built straight from
+# their arguments, with no chain to fold.
 _DIRECT_OPS = {op.value: op for op in Op if op not in (Op.VAR, Op.CONST, Op.EXTRACT, Op.APPLY)}
+_PLAIN_OPS = {text: op for text, op in _DIRECT_OPS.items()
+              if op not in (Op.IMPLIES, Op.CONCAT)}
 
-_QUANTIFIERS = {"forall", "exists"}
+_FLIPPED = {"bvugt": Op.BVULT, "bvuge": Op.BVULE,
+            "bvsgt": Op.BVSLT, "bvsge": Op.BVSLE}
+
+# Term heads that open no application: the rest name an operator or a
+# function, checked when the list closes, or open an extract's head.
+_SPECIAL_HEADS = {")", "", "_", "let", "forall", "exists"}
 
 
 class ParseError(Exception):
@@ -65,15 +86,18 @@ _LEXICAL_ERRORS = {"|": "unterminated |symbol|", '"': "unterminated string",
 class _Source:
     """A script's text, and where its tokens lie in it.
 
-    Tokens are numbered in reading order. Nodes keep their token's
-    number, and its (line, col) is found only when asked, by reading the
-    tokens again up to it; a later question resumes where the last one
-    stopped."""
+    Tokens are numbered in reading order, and a token's (line, col) is
+    found only when asked, by reading the tokens again up to it; a later
+    question resumes where the last one stopped."""
 
     __slots__ = ("text", "_tok", "_at")
 
     def __init__(self, text: str) -> None:
-        self.text = text
+        # A newline goes on the end. After the last token only blanks are
+        # left, and the last match hands that newline to the catch-all:
+        # its '' ends the tokens, and any other '' is a lexical error. A
+        # match never fails, so no run of blanks is backtracked over.
+        self.text = text + "\n"
         self._tok = 0  # the last token asked for
         self._at = 0  # the start of its match: its whitespace, then it
 
@@ -89,6 +113,15 @@ class _Source:
 
     def position(self, tok: int) -> tuple[int, int]:
         return _line_col(self.text, self.offset(tok))
+
+    def error(self, message: str, tok: int) -> ParseError:
+        return ParseError(message, *self.position(tok))
+
+    def lexical_error(self, tok: int) -> ParseError:
+        """The error of a token that reads ''."""
+        ch = self.text[self.offset(tok)]
+        return self.error(_LEXICAL_ERRORS.get(ch, f"unexpected character {ch!r}"),
+                          tok)
 
 
 def _line_col(text: str, at: int) -> tuple[int, int]:
@@ -128,13 +161,9 @@ class SList:
 def read_sexprs(text: str) -> list:
     """Read all top-level s-expressions as Atom/SList trees.
 
-    One compiled pattern splits the text into tokens; errors come in
-    reading order, as a char-by-char reader would meet them."""
-    # A newline goes on the end. After the last token only blanks are
-    # left, and the last match hands that newline to the catch-all: its
-    # '' ends the tokens, and any other '' is a lexical error. A match
-    # never fails, so no run of blanks is backtracked over.
-    src = _Source(text + "\n")
+    Errors come in reading order, as a char-by-char reader would meet
+    them."""
+    src = _Source(text)
     tokens = _TOKEN.findall(src.text)
     last = len(tokens) - 1
     top: list = []
@@ -148,24 +177,15 @@ def read_sexprs(text: str) -> list:
             items = node.items
         elif tok == ")":
             if not outer:
-                raise ParseError("unbalanced ')'", *src.position(k))
+                raise src.error("unbalanced ')'", k)
             items = outer.pop()
         elif tok:
             items.append(Atom(tok, src, k))
         elif k < last:
-            ch = text[src.offset(k)]
-            message = _LEXICAL_ERRORS.get(ch, f"unexpected character {ch!r}")
-            raise ParseError(message, *src.position(k))
+            raise src.lexical_error(k)
     if outer:
-        node = outer[-1][-1]
-        raise ParseError("unbalanced '('", node.line, node.col)
+        raise src.error("unbalanced '('", outer[-1][-1].tok)
     return top
-
-
-def _atom(node, what: str) -> Atom:
-    if not isinstance(node, Atom):
-        raise ParseError(f"expected {what}", node.line, node.col)
-    return node
 
 
 def _is_numeral(text: str) -> bool:
@@ -174,275 +194,369 @@ def _is_numeral(text: str) -> bool:
     return text.isdigit() and text.isascii()
 
 
-def bv_literal(node: Atom) -> tuple[int, int] | None:
-    """The (width, value) of a #b or #x literal, None for an atom that is
+def bv_literal(text: str) -> tuple[int, int] | None:
+    """The (width, value) of a #b or #x literal, None for a token that is
     not one. A literal with no digits, or with a character its base does
-    not have (int() alone would take '1_0' and '²'), is a ParseError."""
-    if node.text.startswith("#b"):
+    not have (int() alone would take '1_0' and '²'), is a ValueError."""
+    if text.startswith("#b"):
         what, base, digit_bits, digits = "binary", 2, 1, "01"
-    elif node.text.startswith("#x"):
+    elif text.startswith("#x"):
         what, base, digit_bits, digits = "hex", 16, 4, "0123456789abcdefABCDEF"
     else:
         return None
-    text = node.text[2:]
-    if not text or not set(text) <= set(digits):
-        raise ParseError(f"bad {what} literal {node.text}", node.line, node.col)
-    return digit_bits * len(text), int(text, base)
+    body = text[2:]
+    if not body or not set(body) <= set(digits):
+        raise ValueError(f"bad {what} literal {text}")
+    return digit_bits * len(body), int(body, base)
 
 
-def _symbol_name(node: Atom) -> str:
-    if node.text.startswith("|") and node.text.endswith("|"):
-        return node.text[1:-1]
-    return node.text
+def _symbol_name(text: str) -> str:
+    if text.startswith("|") and text.endswith("|"):
+        return text[1:-1]
+    return text
 
 
-class _TermParser:
-    def __init__(self, formula: Formula) -> None:
-        self.f = formula
-        self.t: TermTable = formula.table
+class _Script:
+    """One script's tokens, read once into a Formula."""
+
+    def __init__(self, text: str) -> None:
+        self.src = _Source(text)
+        self.tokens = _TOKEN.findall(self.src.text)
+        self.formula = Formula(TermTable())
+        self.table = self.formula.table
         # Each atom text's term. A symbol is declared at most once and
         # before its first use, so the same text always gives the same term.
-        self._leaves: dict[str, int] = {}
+        self.leaves: dict[str, int] = {}
+        # (token, items, message) per open list whose item count a descent
+        # checks on entering it, before anything inside, but this reader
+        # only when it closes: an assert, or an extract application.
+        self.counts: list[tuple[int, int, str]] = []
 
-    def parse_sort(self, node) -> Sort:
-        if isinstance(node, Atom):
-            if node.text == "Bool":
-                return BOOL
-            raise ParseError(f"unknown sort {node.text}", node.line, node.col)
-        items = node.items
-        if not items:
-            raise ParseError("empty sort", node.line, node.col)
-        head = items[0]
-        if isinstance(head, Atom) and head.text == "_":
-            if (len(items) == 3 and isinstance(items[1], Atom)
-                    and items[1].text == "BitVec"):
-                width_tok = _atom(items[2], "bitvector width")
-                if not _is_numeral(width_tok.text):
-                    raise ParseError("bad BitVec width", width_tok.line, width_tok.col)
-                width = int(width_tok.text)
-                if width < 1:
-                    raise ParseError("BitVec width must be >= 1",
-                                     width_tok.line, width_tok.col)
-                return bv(width)
-            raise ParseError("unknown indexed sort", node.line, node.col)
-        if isinstance(head, Atom) and head.text == "Array":
-            if len(items) != 3:
-                raise ParseError("Array takes two sorts", node.line, node.col)
-            try:
-                return array(self.parse_sort(items[1]), self.parse_sort(items[2]))
-            except ValueError as exc:
-                raise ParseError(str(exc), node.line, node.col) from None
-        raise ParseError("unknown sort", node.line, node.col)
-
-    def parse_term(self, node) -> int:
-        """The term an s-expression denotes.
-
-        Explicit stack of nodes to parse and of builds waiting for their
-        arguments. A list's head is checked when the list is reached,
-        and it is built once its arguments are, left to right, so terms
-        are made and errors raised in the order of a recursive descent."""
-        leaves = self._leaves
-        done: list[int] = []
-        stack: list = [node]
-        while stack:
-            item = stack.pop()
-            kind = type(item)
-            if kind is Atom:
-                term = leaves.get(item.text)
-                if term is None:
-                    term = leaves[item.text] = self._parse_atom_term(item)
-                done.append(term)
-            elif kind is SList:
-                build, args = self._open_list(item)
-                stack.append((build, item, len(args)))
-                stack.extend(reversed(args))
+    def parse(self) -> Formula:
+        tokens = self.tokens
+        k = 0
+        while True:
+            tok = tokens[k]
+            if tok == "(":
+                k = self._command(k)
+            elif tok and tok != ")":
+                raise self._error(f"stray token {tok}", k)
+            elif tok or k < len(tokens) - 1:
+                raise self._earlier_error()
             else:
-                build, node, argc = item
-                args = done[len(done) - argc:]
-                del done[len(done) - argc:]
-                done.append(build(node, args))
-        return done[0]
+                return self.formula
 
-    def _open_list(self, node: SList):
-        """Check a list term's head: its build and its argument nodes."""
-        items = node.items
-        if not items:
-            raise ParseError("empty term", node.line, node.col)
-        head = items[0]
-        if isinstance(head, SList):
-            return self._extract_build, [self._extract_arg(node)]
-        text = head.text
-        if text == "_":
-            return self._parse_indexed_leaf, []
-        if text == "let":
-            raise ParseError("let binders are unsupported", head.line, head.col)
-        if text in _QUANTIFIERS:
-            raise ParseError("quantifiers are unsupported", head.line, head.col)
-        return self._build_app, items[1:]
+    def _error(self, message: str, tok: int) -> ParseError:
+        """The error to raise for message at token tok: the one a descent
+        over the whole script would meet first."""
+        return self._earlier_error() or self.src.error(message, tok)
 
-    def _build_app(self, node: SList, args: list[int]) -> int:
+    def _earlier_error(self, start: int = 0) -> ParseError | None:
+        """The first lexical error or top-level ')', else "unbalanced '('"
+        at the innermost list open at the end, else the first of
+        self.counts whose list has another number of items. The tokens are
+        read from start, which must be at the top level."""
+        tokens, last = self.tokens, len(self.tokens) - 1
+        opened: list[list[int]] = []  # [token, items so far] per open list
+        items: dict[int, int] = {}
+        for k, tok in enumerate(tokens[start:], start):
+            if tok == ")":
+                if not opened:
+                    return self.src.error("unbalanced ')'", k)
+                start, n = opened.pop()
+                items[start] = n
+                continue
+            if opened:
+                opened[-1][1] += 1
+            if tok == "(":
+                opened.append([k, 0])
+            elif not tok and k < last:
+                return self.src.lexical_error(k)
+        if opened:
+            return self.src.error("unbalanced '('", opened[-1][0])
+        for start, n, message in self.counts:
+            if items[start] != n:
+                return self.src.error(message, start)
+        return None
+
+    def _items(self, k: int) -> tuple[list[int], int]:
+        """The tokens that start the items of the list opened at token k,
+        and the token after the list."""
+        tokens = self.tokens
+        items: list[int] = []
+        depth = 0
+        while True:
+            k += 1
+            tok = tokens[k]
+            if tok == ")":
+                if not depth:
+                    return items, k + 1
+                depth -= 1
+            elif not tok:
+                raise self._earlier_error()
+            else:
+                if not depth:
+                    items.append(k)
+                if tok == "(":
+                    depth += 1
+
+    def _atom(self, k: int, what: str) -> str:
+        if self.tokens[k] == "(":
+            raise self._error(f"expected {what}", k)
+        return self.tokens[k]
+
+    def _command(self, c: int) -> int:
+        """Read the command opened at token c; the token after it."""
+        tokens = self.tokens
+        cmd = tokens[c + 1]
+        if cmd == "assert":
+            return self._assert(c)
+        if cmd == ")":
+            raise self._error("empty command", c)
+        if cmd == "(":
+            raise self._error("expected command name", c + 1)
+        if not cmd:
+            raise self._earlier_error()
+        if cmd in _UNSUPPORTED_COMMANDS:
+            raise self._error(f"unsupported command {cmd}", c)
+        if cmd == "exit":
+            error = self._earlier_error(c)  # the tokens before c are read
+            if error:
+                raise error
+            return len(tokens) - 1
+        items, end = self._items(c)
+        f = self.formula
+        if cmd == "set-logic":
+            if len(items) != 2:
+                raise self._error("set-logic takes one argument", c)
+            logic = self._atom(items[1], "logic name")
+            if logic not in SUPPORTED_LOGICS:
+                raise self._error(f"unsupported logic {logic}", c)
+            f.logic = logic
+        elif cmd == "declare-const":
+            if len(items) != 3:
+                raise self._error("declare-const takes a name and a sort", c)
+            name = _symbol_name(self._atom(items[1], "symbol"))
+            self._declare(name, self._sort(items[2]), c)
+        elif cmd == "declare-fun":
+            if len(items) != 4:
+                raise self._error("declare-fun takes name, argument sorts, sort", c)
+            name = _symbol_name(self._atom(items[1], "symbol"))
+            if tokens[items[2]] != "(":
+                raise self._error("declare-fun argument sorts must be a list",
+                                  items[2])
+            arg_sorts = tuple(map(self._sort, self._items(items[2])[0]))
+            ret = self._sort(items[3])
+            try:
+                sort = fun(arg_sorts, ret) if arg_sorts else ret
+            except ValueError as exc:
+                raise self._error(str(exc), c) from None
+            self._declare(name, sort, c)
+        elif cmd != "check-sat":  # sampling itself answers check-sat
+            f.warnings.append(ParseWarning(*self.src.position(c),
+                                           f"ignored command {cmd}"))
+        return end
+
+    def _declare(self, name: str, sort: Sort, c: int) -> None:
         try:
-            return self._build(node.items[0].text, args, node, node.items)
+            self.formula.declare(name, sort)
         except ValueError as exc:
-            raise ParseError(str(exc), node.line, node.col) from None
+            raise self._error(str(exc), c) from None
 
-    def _parse_atom_term(self, node: Atom) -> int:
-        text = node.text
+    def _sort(self, k: int) -> Sort:
+        """The sort whose first token is k."""
+        tokens = self.tokens
+        if tokens[k] != "(":
+            if tokens[k] == "Bool":
+                return BOOL
+            raise self._error(f"unknown sort {tokens[k]}", k)
+        items = self._items(k)[0]
+        if not items:
+            raise self._error("empty sort", k)
+        head = tokens[items[0]]
+        if head == "_":
+            if len(items) == 3 and tokens[items[1]] == "BitVec":
+                width = self._atom(items[2], "bitvector width")
+                if not _is_numeral(width):
+                    raise self._error("bad BitVec width", items[2])
+                if int(width) < 1:
+                    raise self._error("BitVec width must be >= 1", items[2])
+                return bv(int(width))
+            raise self._error("unknown indexed sort", k)
+        if head == "Array":
+            if len(items) != 3:
+                raise self._error("Array takes two sorts", k)
+            try:
+                return array(self._sort(items[1]), self._sort(items[2]))
+            except ValueError as exc:
+                raise self._error(str(exc), k) from None
+        raise self._error("unknown sort", k)
+
+    def _assert(self, c: int) -> int:
+        tokens = self.tokens
+        self.counts.append((c, 2, "assert takes one term"))
+        if tokens[c + 2] == ")":
+            raise self._error("assert takes one term", c)
+        term, end = self._term(c + 2)
+        if not self.table.sort_of(term).is_bool:
+            raise self._error("asserted term must be Bool", c + 2)
+        if tokens[end] != ")":
+            raise self._error("assert takes one term", c)
+        self.counts.pop()
+        self.formula.assert_term(term)
+        return end + 1
+
+    def _term(self, k: int) -> tuple[int, int]:
+        """The term whose first token is k, and the token after it.
+
+        Each open list waits on the stack with its head, its token and
+        its parent's arguments; args holds the innermost one's. A list's
+        head is checked when the list opens, and its term is built when
+        it closes."""
+        tokens, leaves, mk = self.tokens, self.leaves, self.table.mk
+        stack: list[tuple] = []
+        args: list[int] = []
+        while True:
+            tok = tokens[k]
+            if tok == "(":
+                head = tokens[k + 1]
+                if head not in _SPECIAL_HEADS:
+                    if head == "(":
+                        head, j = self._extract_head(k)
+                    else:
+                        j = k + 2
+                    stack.append((head, k, args))
+                    args = []
+                    k = j
+                    continue
+                term, k = self._indexed_leaf(k)
+            elif tok == ")":
+                head, start, outer = stack.pop()
+                op = _PLAIN_OPS.get(head)
+                try:
+                    term = (mk(op, tuple(args)) if op is not None
+                            else self._build(head, args))
+                except ValueError as exc:
+                    raise self._error(str(exc), start) from None
+                args = outer
+                k += 1
+            elif tok:
+                term = leaves.get(tok)
+                if term is None:
+                    term = leaves[tok] = self._leaf(k)
+                k += 1
+            else:
+                raise self._earlier_error()
+            if not stack:
+                return term, k
+            args.append(term)
+
+    def _leaf(self, k: int) -> int:
+        text = self.tokens[k]
+        t = self.table
         if text == "true":
-            return self.t.mk_true()
+            return t.mk_true()
         if text == "false":
-            return self.t.mk_false()
-        literal = bv_literal(node)
+            return t.mk_false()
+        try:
+            literal = bv_literal(text)
+        except ValueError as exc:
+            raise self._error(str(exc), k) from None
         if literal is not None:
-            return self.t.mk_bv_const(*literal)
-        name = _symbol_name(node)
-        sort = self.f.decls.get(name)
+            return t.mk_bv_const(*literal)
+        name = _symbol_name(text)
+        sort = self.formula.decls.get(name)
         if sort is None:
-            raise ParseError(f"undeclared symbol {name}", node.line, node.col)
+            raise self._error(f"undeclared symbol {name}", k)
         if sort.is_fun:
-            raise ParseError(f"function symbol {name} needs arguments",
-                             node.line, node.col)
-        return self.t.mk_var(name, sort)
+            raise self._error(f"function symbol {name} needs arguments", k)
+        return t.mk_var(name, sort)
 
-    def _parse_indexed_leaf(self, node: SList, args: list[int]) -> int:
-        items = node.items
-        if (len(items) == 3 and isinstance(items[1], Atom)
-                and items[1].text.startswith("bv")
-                and _is_numeral(items[1].text[2:])):
-            width_tok = _atom(items[2], "width")
-            if not _is_numeral(width_tok.text):
-                raise ParseError("bad (_ bvN w) width", width_tok.line, width_tok.col)
-            width = int(width_tok.text)
-            if width < 1:
-                raise ParseError("width must be >= 1", width_tok.line, width_tok.col)
-            return self.t.mk_bv_const(width, int(items[1].text[2:]))
-        raise ParseError("unknown indexed term", node.line, node.col)
+    def _indexed_leaf(self, k: int) -> tuple[int, int]:
+        """The (_ bvN w) term opened at token k, and the token after it;
+        any other list whose head is in _SPECIAL_HEADS raises."""
+        tokens = self.tokens
+        head = tokens[k + 1]
+        if head == ")":
+            raise self._error("empty term", k)
+        if not head:
+            raise self._earlier_error()
+        if head == "let":
+            raise self._error("let binders are unsupported", k + 1)
+        if head != "_":
+            raise self._error("quantifiers are unsupported", k + 1)
+        items, end = self._items(k)
+        if (len(items) == 3 and tokens[items[1]].startswith("bv")
+                and _is_numeral(tokens[items[1]][2:])):
+            width = self._atom(items[2], "width")
+            if not _is_numeral(width):
+                raise self._error("bad (_ bvN w) width", items[2])
+            if int(width) < 1:
+                raise self._error("width must be >= 1", items[2])
+            return (self.table.mk_bv_const(int(width), int(tokens[items[1]][2:])),
+                    end)
+        raise self._error("unknown indexed term", k)
 
-    def _build(self, text: str, args: list[int], node, items) -> int:
-        t = self.t
-        op = _DIRECT_OPS.get(text)
+    def _extract_head(self, k: int) -> tuple[tuple[int, int], int]:
+        """The (hi, lo) of the ((_ extract hi lo) x) opened at token k,
+        and the token after its head."""
+        tokens = self.tokens
+        items, end = self._items(k + 1)
+        if (len(items) == 4 and tokens[items[0]] == "_"
+                and tokens[items[1]] == "extract"):
+            hi = self._atom(items[2], "extract hi")
+            lo = self._atom(items[3], "extract lo")
+            if not (_is_numeral(hi) and _is_numeral(lo)):
+                raise self._error("extract indices must be numerals", k + 1)
+            self.counts.append((k, 2, "extract takes one argument"))
+            return (int(hi), int(lo)), end
+        raise self._error("unknown indexed operator", k + 1)
+
+    def _build(self, head, args: list[int]) -> int:
+        """The term of a closing list that is no plain application of a
+        direct op; a ValueError names what is wrong with it."""
+        t = self.table
+        if type(head) is tuple:  # ((_ extract hi lo) x)
+            self.counts.pop()
+            if len(args) != 1:
+                raise ValueError("extract takes one argument")
+            return t.mk(Op.EXTRACT, (args[0],), hi=head[0], lo=head[1])
+        op = _DIRECT_OPS.get(head)
+        if op is Op.IMPLIES and len(args) > 2:  # right-associative chain
+            folded = args[-1]
+            for a in reversed(args[:-1]):
+                folded = t.mk_implies(a, folded)
+            return folded
+        if op is Op.CONCAT and len(args) > 2:  # left-associative chain
+            folded = args[0]
+            for a in args[1:]:
+                folded = t.mk(Op.CONCAT, (folded, a))
+            return folded
         if op is not None:
-            if op is Op.IMPLIES and len(args) > 2:  # right-associative chain
-                folded = args[-1]
-                for a in reversed(args[:-1]):
-                    folded = t.mk_implies(a, folded)
-                return folded
-            if op is Op.CONCAT and len(args) > 2:  # left-associative chain
-                folded = args[0]
-                for a in args[1:]:
-                    folded = t.mk(Op.CONCAT, (folded, a))
-                return folded
             return t.mk(op, tuple(args))
         # Standard abbreviations, desugared to the core op set.
-        if text == "bvsub":
+        if head == "bvsub":
             if len(args) != 2:
-                raise ParseError("bvsub is binary", node.line, node.col)
+                raise ValueError("bvsub is binary")
             return t.mk(Op.BVADD, (args[0], t.mk(Op.BVNEG, (args[1],))))
-        if text in ("bvugt", "bvuge", "bvsgt", "bvsge"):
+        if head in _FLIPPED:
             if len(args) != 2:
-                raise ParseError(f"{text} is binary", node.line, node.col)
-            flipped = {"bvugt": Op.BVULT, "bvuge": Op.BVULE,
-                       "bvsgt": Op.BVSLT, "bvsge": Op.BVSLE}[text]
-            return t.mk(flipped, (args[1], args[0]))
-        if text == "extract":
-            raise ParseError("use ((_ extract hi lo) x)", node.line, node.col)
-        name = _symbol_name(_atom(items[0], "symbol"))
-        sort = self.f.decls.get(name)
+                raise ValueError(f"{head} is binary")
+            return t.mk(_FLIPPED[head], (args[1], args[0]))
+        if head == "extract":
+            raise ValueError("use ((_ extract hi lo) x)")
+        name = _symbol_name(head)
+        sort = self.formula.decls.get(name)
         if sort is not None and sort.is_fun:
             return t.mk_apply(name, sort, tuple(args))
         if sort is not None:
-            raise ParseError(f"{name} is not a function", node.line, node.col)
-        raise ParseError(f"unknown operator or symbol {text}", node.line, node.col)
-
-    def _extract_arg(self, node: SList):
-        """The argument node of ((_ extract hi lo) x), once the head is
-        checked."""
-        head = node.items[0]
-        hitems = head.items
-        if (len(hitems) == 4 and isinstance(hitems[0], Atom)
-                and hitems[0].text == "_" and isinstance(hitems[1], Atom)
-                and hitems[1].text == "extract"):
-            hi_tok = _atom(hitems[2], "extract hi")
-            lo_tok = _atom(hitems[3], "extract lo")
-            if not (_is_numeral(hi_tok.text) and _is_numeral(lo_tok.text)):
-                raise ParseError("extract indices must be numerals",
-                                 head.line, head.col)
-            if len(node.items) != 2:
-                raise ParseError("extract takes one argument", node.line, node.col)
-            return node.items[1]
-        raise ParseError("unknown indexed operator", head.line, head.col)
-
-    def _extract_build(self, node: SList, args: list[int]) -> int:
-        _, _, hi_tok, lo_tok = node.items[0].items
-        try:
-            return self.t.mk(Op.EXTRACT, (args[0],),
-                             hi=int(hi_tok.text), lo=int(lo_tok.text))
-        except ValueError as exc:
-            raise ParseError(str(exc), node.line, node.col) from None
+            raise ValueError(f"{name} is not a function")
+        raise ValueError(f"unknown operator or symbol {head}")
 
 
 def parse_formula(text: str) -> Formula:
     """Parse an SMT-LIB script into a Formula."""
-    formula = Formula(TermTable())
-    tp = _TermParser(formula)
-    for node in read_sexprs(text):
-        if isinstance(node, Atom):
-            raise ParseError(f"stray token {node.text}", node.line, node.col)
-        if not node.items:
-            raise ParseError("empty command", node.line, node.col)
-        head = _atom(node.items[0], "command name")
-        cmd = head.text
-        items = node.items
-        if cmd == "set-logic":
-            if len(items) != 2:
-                raise ParseError("set-logic takes one argument", node.line, node.col)
-            logic = _atom(items[1], "logic name").text
-            if logic not in SUPPORTED_LOGICS:
-                raise ParseError(f"unsupported logic {logic}", node.line, node.col)
-            formula.logic = logic
-        elif cmd == "declare-const":
-            if len(items) != 3:
-                raise ParseError("declare-const takes a name and a sort",
-                                 node.line, node.col)
-            name = _symbol_name(_atom(items[1], "symbol"))
-            sort = tp.parse_sort(items[2])
-            try:
-                formula.declare(name, sort)
-            except ValueError as exc:
-                raise ParseError(str(exc), node.line, node.col) from None
-        elif cmd == "declare-fun":
-            if len(items) != 4:
-                raise ParseError("declare-fun takes name, argument sorts, sort",
-                                 node.line, node.col)
-            name = _symbol_name(_atom(items[1], "symbol"))
-            if not isinstance(items[2], SList):
-                raise ParseError("declare-fun argument sorts must be a list",
-                                 items[2].line, items[2].col)
-            arg_sorts = tuple(tp.parse_sort(s) for s in items[2].items)
-            ret = tp.parse_sort(items[3])
-            try:
-                sort = fun(arg_sorts, ret) if arg_sorts else ret
-                formula.declare(name, sort)
-            except ValueError as exc:
-                raise ParseError(str(exc), node.line, node.col) from None
-        elif cmd == "assert":
-            if len(items) != 2:
-                raise ParseError("assert takes one term", node.line, node.col)
-            term_id = tp.parse_term(items[1])
-            if not formula.table.sort_of(term_id).is_bool:
-                raise ParseError("asserted term must be Bool",
-                                 items[1].line, items[1].col)
-            formula.assert_term(term_id)
-        elif cmd == "check-sat":
-            pass  # sampling itself answers this
-        elif cmd == "exit":
-            break
-        elif cmd in _UNSUPPORTED_COMMANDS:
-            raise ParseError(f"unsupported command {cmd}", node.line, node.col)
-        else:
-            formula.warnings.append(
-                ParseWarning(node.line, node.col, f"ignored command {cmd}"))
-    return formula
+    return _Script(text).parse()
 
 
 def _universal_newlines(text: str) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .parser import Atom, ParseError, SList, bv_literal, read_sexprs
 from .sorts import Sort, SortKind
 from .terms import Formula, Op, TermTable
@@ -32,36 +34,42 @@ def print_bv_const(width: int, value: int) -> str:
     return f"#b{value:0{width}b}"
 
 
-def print_term(table: TermTable, term_id: int) -> str:
+def print_term(table: TermTable, term_id: int, limit: int | None = None) -> str:
     """The term as SMT-LIB text, written left to right from an explicit
-    stack of term ids still to print and text still to close them."""
+    stack of term ids still to print and text still to close them. With a
+    limit, only the text's first limit characters: the writing stops once
+    it has them, so a node shared many times over is not written out."""
     out: list[str] = []
+    size = 0
+    budget = math.inf if limit is None else limit
     stack: list[int | str] = [term_id]
-    while stack:
+    while stack and size < budget:
         item = stack.pop()
         if isinstance(item, str):
-            out.append(item)
-            continue
-        term = table[item]
-        if term.op is Op.VAR:
-            out.append(_symbol(term.name))
-        elif term.op is Op.CONST:
-            if term.sort.is_bool:
-                out.append("true" if term.value else "false")
-            else:
-                out.append(print_bv_const(term.sort.width, term.value))
-        elif term.op is Op.EXTRACT:
-            out.append(f"((_ extract {term.hi} {term.lo}) ")
-            stack += [")", term.children[0]]
+            piece = item
         else:
-            head = _symbol(term.name) if term.op is Op.APPLY else term.op.value
-            out.append(f"({head} ")
-            stack.append(")")
-            for k, c in enumerate(reversed(term.children)):
-                if k:
-                    stack.append(" ")
-                stack.append(c)
-    return "".join(out)
+            term = table[item]
+            if term.op is Op.VAR:
+                piece = _symbol(term.name)
+            elif term.op is Op.CONST:
+                if term.sort.is_bool:
+                    piece = "true" if term.value else "false"
+                else:
+                    piece = print_bv_const(term.sort.width, term.value)
+            elif term.op is Op.EXTRACT:
+                piece = f"((_ extract {term.hi} {term.lo}) "
+                stack += [")", term.children[0]]
+            else:
+                head = _symbol(term.name) if term.op is Op.APPLY else term.op.value
+                piece = f"({head} "
+                stack.append(")")
+                for k, c in enumerate(reversed(term.children)):
+                    if k:
+                        stack.append(" ")
+                    stack.append(c)
+        out.append(piece)
+        size += len(piece)
+    return "".join(out)[:limit]
 
 
 def print_formula(f: Formula) -> str:
@@ -150,7 +158,10 @@ def _scalar_from_node(node, sort: Sort) -> int:
         if text == "false":
             return 0
         raise ParseError(f"bad Bool constant {text}", node.line, node.col)
-    literal = bv_literal(node)
+    try:
+        literal = bv_literal(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), node.line, node.col) from None
     if literal is None:
         raise ParseError(f"bad bitvector constant {text}", node.line, node.col)
     width, value = literal

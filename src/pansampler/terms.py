@@ -80,14 +80,14 @@ class TermTable:
     """Builder and store for a hash-consed term DAG with dense ids."""
 
     def __init__(self) -> None:
-        self._terms: list[Term] = []
+        self.terms: list[Term] = []  # by id
         self._index: dict[tuple, int] = {}
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.terms)
 
     def __getitem__(self, term_id: int) -> Term:
-        return self._terms[term_id]
+        return self.terms[term_id]
 
     def _intern(self, op: Op, sort: Sort, children: tuple[int, ...],
                 name: str = "", value: int = 0, hi: int = 0, lo: int = 0) -> int:
@@ -95,13 +95,13 @@ class TermTable:
         found = self._index.get(key)
         if found is not None:
             return found
-        tid = len(self._terms)
-        self._terms.append(Term(tid, op, sort, children, name, value, hi, lo))
+        tid = len(self.terms)
+        self.terms.append(Term(tid, op, sort, children, name, value, hi, lo))
         self._index[key] = tid
         return tid
 
     def sort_of(self, term_id: int) -> Sort:
-        return self._terms[term_id].sort
+        return self.terms[term_id].sort
 
     # -- leaves ---------------------------------------------------------
 
@@ -280,15 +280,17 @@ class TermTable:
     def reachable(self, roots: list[int],
                   known: Container[int] = frozenset()) -> list[int]:
         """All node ids reachable from roots without passing through an id
-        of known, ascending."""
-        seen: set[int] = set()
-        stack = list(roots)
-        while stack:
-            tid = stack.pop()
+        of known, ascending. The list of ids to visit grows as the loop
+        reads it, and a dict marks the ids seen, so no call is made per
+        node."""
+        terms = self.terms
+        seen: dict[int, None] = {}
+        todo = list(roots)
+        for tid in todo:
             if tid in seen or tid in known:
                 continue
-            seen.add(tid)
-            stack.extend(self._terms[tid].children)
+            seen[tid] = None
+            todo += terms[tid].children
         return sorted(seen)
 
 

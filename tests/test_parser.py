@@ -8,7 +8,7 @@ import pytest
 from pansampler.fuzz import random_formula
 from pansampler.parser import (ParseError, SList, parse_file, parse_formula,
                                read_sexprs)
-from pansampler.printer import parse_model_blocks, print_formula
+from pansampler.printer import parse_model_blocks, print_formula, print_term
 from pansampler.sorts import bv
 from pansampler.terms import Op
 
@@ -176,6 +176,19 @@ def test_print_parse_round_trip_is_stable():
         assert again == text, f"unstable print for seed {seed}"
 
 
+def test_a_limited_print_is_the_full_prints_prefix():
+    f = parse_formula(
+        "(declare-const x (_ BitVec 8))(declare-const |odd name| Bool)"
+        "(declare-const a (Array (_ BitVec 4) (_ BitVec 8)))"
+        "(declare-fun g ((_ BitVec 8)) Bool)"
+        "(assert (or |odd name| (g (bvadd x #x01)) false"
+        " (= ((_ extract 3 0) (select a #b0001)) #b0101)))")
+    for tid in range(len(f.table)):
+        full = print_term(f.table, tid)
+        for limit in (1, len(full) - 1, len(full), len(full) + 1):
+            assert print_term(f.table, tid, limit) == full[:limit]
+
+
 def test_printer_constant_styles():
     f = parse_formula(
         "(declare-const m (_ BitVec 32))(declare-const t (_ BitVec 3))"
@@ -227,6 +240,19 @@ ERRORS = [
      "expected bitvector, got sort Bool", 2, 12),
     ("(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 2))"
      "\n(assert (= (bvadd x y) x))", "bvadd: mixed widths 4 and 2", 2, 12),
+    # A token error anywhere in the script beats an earlier command's
+    # error, as if every token were read before the first command.
+    ("(assert q) (assert (", "unbalanced '('", 1, 20),
+    ("(assert q))", "unbalanced ')'", 1, 11),
+    ("(assert q) [", "unexpected character '['", 1, 12),
+    ('(declare-const x Bool) (assert (and x q)) (set-info :a "b',
+     "unterminated string", 1, 56),
+    # The tokens after exit are read, but not its commands.
+    ("(exit) (assert q) |a", "unterminated |symbol|", 1, 19),
+    # A list's item count is checked before its items are read.
+    ("(assert q r)", "assert takes one term", 1, 1),
+    ("(declare-const x (_ BitVec 4))(assert (= ((_ extract 1 0) x q) #b01))",
+     "extract takes one argument", 1, 42),
 ]
 
 
@@ -237,6 +263,17 @@ def test_an_error_names_its_message_line_and_column(text, message, line,
     with pytest.raises(ParseError) as e:
         parse_formula(text)
     assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+def test_terms_nested_50000_deep_parse_without_recursion():
+    depth = 50_000
+    nots = parse_formula("(declare-const b Bool)(assert "
+                         + "(not " * depth + "b" + ")" * depth + ")")
+    assert len(nots.table) == depth + 1
+    chain = parse_formula("(declare-const x (_ BitVec 8))(assert (= "
+                          + "(bvadd " * depth + "x" + " #x01)" * depth
+                          + " #x05))")
+    assert len(chain.table) == depth + 4
 
 
 def test_a_warning_names_its_line_and_column():
